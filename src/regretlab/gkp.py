@@ -8,15 +8,18 @@ rounds the penalty collapses to c * k(W) where
 
 is piecewise linear and convex in the set's total weight W, evaluable in
 O(log m) from the sorted capacities. Oracles: exhaustive subset search
-(ground truth), a pseudo-polynomial profit-indexed DP, and the
-profit-scaling FPTAS built on it. The distinguisher set is the n-round
-instance family whose induced payoff matrix tells every pair of item
-sets apart — the perturbation machinery of the FTPL engine.
+(ground truth), a caching variant of it for a growing history, a
+pseudo-polynomial profit-indexed DP, and the profit-scaling FPTAS built
+on it. The DP keeps only the reachable profit levels (at most 2^n), so
+its cost follows the distinct subset profits, not the width of the
+profit grid; the grid size still bounds which instances are accepted.
+The distinguisher set is the n-round instance family whose induced
+payoff matrix tells every pair of item sets apart — the perturbation
+machinery of the FTPL engine.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import floor
 
@@ -110,13 +113,19 @@ def multi_gkp_profit(A, static: GkpStatic, rounds) -> float:
     for r in rounds:
         if r.p.shape != (static.n,):
             raise ValueError("round profit vector length must match item count")
+    if not rounds:
+        _check_members(A, static.n)
+        return 0.0
+    p_s = np.sum([r.p for r in rounds], axis=0)
+    return _aggregate_profit(A, static, p_s, ExcessFunction.from_rounds(rounds))
+
+
+def _aggregate_profit(A, static: GkpStatic, p_s: np.ndarray, f: ExcessFunction) -> float:
+    """multi_gkp_profit from the rounds' summed profits p_s and excess f,
+    for oracles that already hold both."""
     members = _check_members(A, static.n)
     if not members:
         return 0.0
-    if not rounds:
-        return 0.0
-    p_s = np.sum([r.p for r in rounds], axis=0)
-    f = ExcessFunction.from_rounds(rounds)
     W = float(static.w[members].sum())
     return float(p_s[members].sum()) - static.c * f.value(W)
 
@@ -166,7 +175,7 @@ def brute_oracle(static: GkpStatic, rounds) -> tuple[frozenset, float]:
     ties = np.flatnonzero(values == vmax)
     best_mask = min((int(m) for m in ties), key=_mask_members)
     best = frozenset(_mask_members(best_mask))
-    return best, multi_gkp_profit(best, static, rounds)
+    return best, _aggregate_profit(best, static, p_s, f)
 
 
 def prefix_best_values(static: GkpStatic, rounds) -> list[float]:
@@ -198,10 +207,18 @@ class CachingBruteOracle:
     The FTPL engine asks for a maximizer of history-plus-perturbation every
     round, so consecutive queries share all but a few rounds. This oracle
     keeps per-set aggregates for the longest stable prefix of the query
-    (matched by round object identity) and folds only the changing tail,
-    making each query O(2^n) plus the identity scan. Rounds that reappear
-    in the same tail slots as the previous query — the perturbation block —
-    are kept out of the persistent prefix and re-added per call.
+    and folds only the changing tail, making each query O(2^n) plus one
+    list comparison.
+
+    The cached prefix is matched by a single list comparison against the
+    query's leading rounds. It short-cuts on object identity and otherwise
+    compares GkpRound values, and a value-equal round has the same
+    aggregates, so a rebuilt copy of the history keeps the cache. Rounds
+    that reappear in the same tail slots as the previous query (matched by
+    identity) — the perturbation block — are kept out of the persistent
+    prefix and re-added per call. Their per-set deltas are cached per tail
+    slot and reused only while the slot holds the very same round object;
+    they are added in slot order, as a fresh fold would.
 
     Set choice follows brute_oracle's tie rule exactly. The reported value
     can differ from multi_gkp_profit in the last float bits because the
@@ -216,6 +233,8 @@ class CachingBruteOracle:
         self._K: np.ndarray | None = None
         self._prefix: list[GkpRound] = []
         self._last: list[GkpRound] = []
+        # tail slot, counted from the end of the query -> (round, dP, dK)
+        self._tail: dict[int, tuple[GkpRound, np.ndarray, np.ndarray]] = {}
 
     def _bind(self, static: GkpStatic) -> None:
         if static.n > MAX_BRUTE_N:
@@ -223,6 +242,7 @@ class CachingBruteOracle:
         self._static = static
         self._W_all = _subset_sums(static.w)
         self._last = []
+        self._tail = {}
         self._drop_prefix()
 
     def _drop_prefix(self) -> None:
@@ -237,6 +257,14 @@ class CachingBruteOracle:
             raise ValueError("round profit vector length must match item count")
         return _subset_sums(r.p), np.maximum(0.0, self._W_all - r.B)
 
+    def _tail_delta(self, slot: int, r: GkpRound) -> tuple[np.ndarray, np.ndarray]:
+        cached = self._tail.get(slot)
+        if cached is not None and cached[0] is r:
+            return cached[1], cached[2]
+        dP, dK = self._delta(r)
+        self._tail[slot] = (r, dP, dK)
+        return dP, dK
+
     def __call__(self, static: GkpStatic, rounds) -> tuple[frozenset, float]:
         rounds = list(rounds)
         if not rounds:
@@ -244,9 +272,7 @@ class CachingBruteOracle:
             return frozenset(), 0.0
         if static is not self._static:
             self._bind(static)
-        elif len(self._prefix) > len(rounds) or not all(
-            map(operator.is_, self._prefix, rounds)
-        ):
+        elif len(self._prefix) > len(rounds) or rounds[: len(self._prefix)] != self._prefix:
             self._drop_prefix()  # the history was rewritten; refold
         k = len(self._prefix)
         s = 0  # tail slots repeating the previous query verbatim
@@ -263,8 +289,8 @@ class CachingBruteOracle:
             self._prefix.append(r)
         self._last = rounds
         P, K = self._P, self._K
-        for r in rounds[len(rounds) - s :]:
-            dP, dK = self._delta(r)
+        for j in range(len(rounds) - s, len(rounds)):
+            dP, dK = self._tail_delta(len(rounds) - 1 - j, rounds[j])
             P = P + dP
             K = K + dK
         values = P - static.c * K
@@ -276,33 +302,48 @@ class CachingBruteOracle:
         return frozenset(_mask_members(best_mask)), float(vmax)
 
 
-def _min_weight_dp(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """0/1 DP over integer profit levels: least total weight per level.
+def _min_weight_dp(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0/1 DP over integer profit levels: least total weight per reachable level.
 
-    Returns (min_weight, chosen) where chosen[level] is the item-indicator
-    row of one least-weight set attaining that level. Levels with no
-    attaining set hold +inf. Tie-break: an established solution is kept
-    over a newly found equal-weight one (deterministic, item order fixed).
+    Returns (levels, min_weight, chosen): the reachable profit levels in
+    ascending order (level 0, the empty set, always among them), the least
+    total weight attaining each, and chosen[k], the item-indicator row of
+    one least-weight set attaining levels[k]. Only reachable levels are
+    kept, at most min(q.sum() + 1, 2^n) of them, so the work follows the
+    distinct subset profits rather than the size of the profit grid.
+
+    Items are folded in index order. Item i offers level l + q_i at the
+    pre-item weight of level l plus w_i, and replaces the set held there
+    only when strictly lighter: on a tie the established solution is kept
+    (deterministic, item order fixed).
     """
     n = q.shape[0]
-    q_total = int(q.sum())
-    dp = np.full(q_total + 1, np.inf)
-    dp[0] = 0.0
-    chosen = np.zeros((q_total + 1, n), dtype=bool)
+    levels = np.zeros(1, dtype=np.int64)
+    weight = np.zeros(1)
+    chosen = np.zeros((1, n), dtype=bool)
     for i in range(n):
         qi = int(q[i])
         if qi == 0:
             # zero-profit items never help: they only add weight
             continue
-        seg = dp[: q_total + 1 - qi] + w[i]
-        better = seg < dp[qi:]
-        if not better.any():
-            continue
-        rows = np.flatnonzero(better)
-        dp[rows + qi] = seg[rows]
-        chosen[rows + qi] = chosen[rows]
-        chosen[rows + qi, i] = True
-    return dp, chosen
+        cand_l = levels + qi
+        cand_w = weight + w[i]
+        cand_c = chosen.copy()
+        cand_c[:, i] = True
+        pos = np.searchsorted(levels, cand_l)
+        hit = levels[np.minimum(pos, levels.shape[0] - 1)] == cand_l
+        better = hit.copy()
+        better[hit] = cand_w[hit] < weight[pos[hit]]
+        weight[pos[better]] = cand_w[better]
+        chosen[pos[better]] = cand_c[better]
+        new = ~hit
+        if new.any():
+            levels = np.concatenate((levels, cand_l[new]))
+            order = np.argsort(levels, kind="stable")
+            levels = levels[order]
+            weight = np.concatenate((weight, cand_w[new]))[order]
+            chosen = np.concatenate((chosen, cand_c[new]))[order]
+    return levels, weight, chosen
 
 
 def exact_dp_oracle(
@@ -311,8 +352,9 @@ def exact_dp_oracle(
     """Pseudo-polynomial exact oracle for profit-grid-integral instances.
 
     Requires every item's summed profit to be an integer multiple of
-    ``profit_grid``. Builds min_weight[level] over scaled-profit levels
-    and maximizes level*profit_grid - c*k(min_weight[level]).
+    ``profit_grid``. Finds the least weight of every reachable
+    scaled-profit level and maximizes level*profit_grid - c*k(min_weight)
+    over those levels, the smallest level winning ties.
     """
     if profit_grid <= 0:
         raise ValueError("profit_grid must be positive")
@@ -332,17 +374,20 @@ def exact_dp_oracle(
     if cells > MAX_DP_CELLS:
         raise ValueError(f"grid overflow: {cells} DP cells exceed cap {MAX_DP_CELLS}")
     f = ExcessFunction.from_rounds(rounds)
-    dp, chosen = _min_weight_dp(q, static.w)
-    feasible = np.isfinite(dp)
-    levels = np.arange(dp.shape[0])
-    values = np.where(feasible, levels * profit_grid - static.c * f.value_many(np.where(feasible, dp, 0.0)), -np.inf)
-    best_level = int(np.argmax(values))  # first (smallest level) on ties
-    best = frozenset(int(i) for i in np.flatnonzero(chosen[best_level]))
-    return best, multi_gkp_profit(best, static, rounds)
+    levels, weight, chosen = _min_weight_dp(q, static.w)
+    values = levels * profit_grid - static.c * f.value_many(weight)
+    best_k = int(np.argmax(values))  # first (smallest level) on ties
+    best = frozenset(int(i) for i in np.flatnonzero(chosen[best_k]))
+    return best, _aggregate_profit(best, static, p_s, f)
 
 
 def fptas_grid_info(static: GkpStatic, rounds, eps: float) -> dict:
-    """Grid geometry the FPTAS would use: unit K, level count, DP cells."""
+    """Grid geometry the FPTAS would use: unit K, level count, DP cells.
+
+    ``dp_cells`` is levels * n, the size of the dense profit grid that the
+    MAX_DP_CELLS guard caps. It is not the work done: the DP only visits
+    the reachable levels, at most min(levels, 2^n) of them.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     rounds = list(rounds)
@@ -362,10 +407,13 @@ def fptas_oracle(static: GkpStatic, rounds, eps: float) -> tuple[frozenset, floa
     """(1-eps)-approximate oracle by the profit-scaling DP.
 
     Profits are floored onto the grid K = eps * P_max / n and the exact
-    DP runs on the scaled integers; the DP's answer then competes, at
-    true profit, with every singleton and the empty set, so the returned
-    value is never negative and penalty-dominated instances keep the
-    guarantee on the tested regime.
+    DP runs on the scaled integers, keeping only the reachable levels; the
+    proxy level*K - c*k(W) is maximized over those, the smallest level
+    winning ties. The DP's answer then competes, at true profit, with
+    every singleton and the empty set, so the returned value is never
+    negative and penalty-dominated instances keep the guarantee on the
+    tested regime. The grid-overflow guard still caps the dense grid size
+    (see fptas_grid_info), so the instances accepted are unchanged.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -385,23 +433,17 @@ def fptas_oracle(static: GkpStatic, rounds, eps: float) -> tuple[frozenset, floa
     if cells > MAX_DP_CELLS:
         raise ValueError(f"grid overflow: {cells} DP cells exceed cap {MAX_DP_CELLS}")
     f = ExcessFunction.from_rounds(rounds)
-    dp, chosen = _min_weight_dp(q, static.w)
-    feasible = np.isfinite(dp)
-    proxy = np.where(
-        feasible,
-        np.arange(dp.shape[0]) * K - static.c * f.value_many(np.where(feasible, dp, 0.0)),
-        -np.inf,
-    )
+    levels, weight, chosen = _min_weight_dp(q, static.w)
+    proxy = levels * K - static.c * f.value_many(weight)
     dp_set = frozenset(int(i) for i in np.flatnonzero(chosen[int(np.argmax(proxy))]))
 
     # highest true profit wins; exact ties go to the lexicographically
     # smallest set (empty set first)
     candidates = [frozenset(), dp_set] + [frozenset({i}) for i in range(n)]
-    best = min(
-        candidates,
-        key=lambda A: (-multi_gkp_profit(A, static, rounds), tuple(sorted(A))),
+    value, _, best = min(
+        (-_aggregate_profit(A, static, p_s, f), tuple(sorted(A)), A) for A in candidates
     )
-    return best, multi_gkp_profit(best, static, rounds)
+    return best, -value
 
 
 def distinguisher_set(static: GkpStatic, P: float = 1.0) -> list[GkpRound]:

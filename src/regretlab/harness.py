@@ -11,12 +11,12 @@ embarrassingly parallel and every output byte is a pure function of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .gftpl import GftplConfig, epsilon_prime, gftpl_run
+from .gftpl import GftplConfig, default_eta, epsilon_prime, gftpl_run
 from .gkp import CachingBruteOracle, fptas_oracle
 from .instances import (
     GkpInstanceSet,
@@ -217,6 +217,10 @@ def _replica_gftpl(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
     )
     if p.get("oracle", "brute") == "fptas":
         eps_run = eps if eps is not None else (T**-0.5 if T else 1.0)
+        if gcfg.eta is None and T:
+            # the oracle's relative error needs eta now; resolve it to the
+            # value gftpl_run would derive and hand that to the run as well
+            gcfg = replace(gcfg, eta=default_eta(gcfg, eps_run, T))
         rel = epsilon_prime(eps_run, T, gcfg) if T else 1.0
 
         def oracle(st, rs):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +32,18 @@ class FormatError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def _check_finite_nonnegative(a: np.ndarray, what: str) -> None:
+    """Reject NaN or infinite entries, then negative ones, naming the field."""
+    if a.size == 0:
+        return
+    lo, hi = a.min(), a.max()
+    # NaN propagates through min and max, so both are finite iff every entry is
+    if not (isfinite(lo) and isfinite(hi)):
+        raise ValueError(f"{what} must be finite")
+    if lo < 0:
+        raise ValueError(f"{what} must be nonnegative")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -86,8 +99,7 @@ class WeightSequence:
             rows = rows.reshape(0, self.n)
         if rows.ndim != 2 or rows.shape[1] != self.n:
             raise ValueError(f"rows must have shape (T, {self.n})")
-        if rows.size and rows.min() < 0:
-            raise ValueError("weights must be nonnegative")
+        _check_finite_nonnegative(rows, "weights")
         object.__setattr__(self, "rows", _readonly(rows))
 
     @property
@@ -115,8 +127,7 @@ class ProcTimeMatrix:
             rows = rows.reshape(0, self.n)
         if rows.ndim != 2 or rows.shape[1] != self.n:
             raise ValueError(f"rows must have shape (N, {self.n})")
-        if rows.size and rows.min() < 0:
-            raise ValueError("processing times must be nonnegative")
+        _check_finite_nonnegative(rows, "processing times")
         object.__setattr__(self, "rows", _readonly(rows))
 
     @property
@@ -143,8 +154,9 @@ class GkpStatic:
         w = np.asarray(self.w, dtype=np.float64)
         if w.shape != (self.n,):
             raise ValueError(f"w must have length {self.n}")
-        if w.size and w.min() < 0:
-            raise ValueError("item weights must be nonnegative")
+        _check_finite_nonnegative(w, "item weights w")
+        if not isfinite(self.c):
+            raise ValueError("penalty rate c must be finite")
         if self.c < 0:
             raise ValueError("penalty rate must be nonnegative")
         object.__setattr__(self, "w", _readonly(w))
@@ -174,8 +186,9 @@ class GkpRound:
         p = np.asarray(self.p, dtype=np.float64)
         if p.ndim != 1:
             raise ValueError("p must be a vector")
-        if p.size and p.min() < 0:
-            raise ValueError("profits must be nonnegative")
+        _check_finite_nonnegative(p, "profits p")
+        if not isfinite(self.B):
+            raise ValueError("capacity B must be finite")
         if self.B < 0:
             raise ValueError("capacity must be nonnegative")
         object.__setattr__(self, "p", _readonly(p))
@@ -294,7 +307,7 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def _parse_rows(text: str) -> tuple[int, np.ndarray]:
+def _parse_rows(text: str, what: str) -> tuple[int, np.ndarray]:
     lines = [ln for ln in text.splitlines()]
     if not lines or not lines[0].startswith("n="):
         raise FormatError("missing 'n=<n>' header", 1)
@@ -315,6 +328,8 @@ def _parse_rows(text: str) -> tuple[int, np.ndarray]:
             row = [float(p) for p in parts]
         except ValueError:
             raise FormatError(f"non-numeric entry in row {raw!r}", lineno) from None
+        if not all(map(isfinite, row)):
+            raise FormatError(f"{what} must be finite, got row {raw!r}", lineno)
         if min(row) < 0:
             raise FormatError("negative entry", lineno)
         rows.append(row)
@@ -323,13 +338,13 @@ def _parse_rows(text: str) -> tuple[int, np.ndarray]:
 
 def parse_weights(text: str) -> WeightSequence:
     """Parse the CSV weight-sequence format."""
-    n, rows = _parse_rows(text)
+    n, rows = _parse_rows(text, "weights")
     return WeightSequence(n, rows)
 
 
 def parse_proc_times(text: str) -> ProcTimeMatrix:
     """Parse the CSV processing-time format (same layout as weights)."""
-    n, rows = _parse_rows(text)
+    n, rows = _parse_rows(text, "processing times")
     return ProcTimeMatrix(n, rows)
 
 

@@ -7,11 +7,13 @@ identities can be asserted with == rather than a tolerance.
 """
 
 import itertools
+from math import floor
 
 import numpy as np
 import pytest
 
 from regretlab.gkp import (
+    MAX_DP_CELLS,
     CachingBruteOracle,
     ExcessFunction,
     brute_oracle,
@@ -23,6 +25,7 @@ from regretlab.gkp import (
     gkp_profit,
     multi_gkp_profit,
     prefix_best_values,
+    _min_weight_dp,
 )
 from regretlab.instances import GkpInstanceSet, GkpRound, GkpStatic, gen_random_gkp
 from regretlab.rng import SeededRng
@@ -226,6 +229,118 @@ def test_exact_dp_errors():
         exact_dp_oracle(static, [GkpRound([1.0], 1.0)], 0.0)
 
 
+# --- reachable-level DP against the dense reference ---------------------------------
+
+
+def dense_min_weight_dp(q, w):
+    """The dense profit-grid DP: one cell per level 0..sum(q), +inf where
+    no set reaches it, and a levels x n indicator matrix of chosen sets."""
+    n = q.shape[0]
+    q_total = int(q.sum())
+    dp = np.full(q_total + 1, np.inf)
+    dp[0] = 0.0
+    chosen = np.zeros((q_total + 1, n), dtype=bool)
+    for i in range(n):
+        qi = int(q[i])
+        if qi == 0:
+            continue
+        seg = dp[: q_total + 1 - qi] + w[i]
+        better = seg < dp[qi:]
+        if not better.any():
+            continue
+        rows = np.flatnonzero(better)
+        dp[rows + qi] = seg[rows]
+        chosen[rows + qi] = chosen[rows]
+        chosen[rows + qi, i] = True
+    return dp, chosen
+
+
+def dense_best_set(q, w, unit, c, f):
+    """Set of the dense grid's best proxy level; -inf marks unreachable
+    levels, and argmax takes the smallest level on ties."""
+    dp, chosen = dense_min_weight_dp(q, w)
+    feasible = np.isfinite(dp)
+    levels = np.arange(dp.shape[0])
+    values = np.where(feasible, levels * unit - c * f.value_many(np.where(feasible, dp, 0.0)), -np.inf)
+    return frozenset(int(i) for i in np.flatnonzero(chosen[int(np.argmax(values))]))
+
+
+def reference_exact_dp(static, rounds, profit_grid):
+    p_s = np.sum([r.p for r in rounds], axis=0)
+    q = np.rint(p_s / profit_grid).astype(np.int64)
+    best = dense_best_set(q, static.w, profit_grid, static.c, ExcessFunction.from_rounds(rounds))
+    return best, multi_gkp_profit(best, static, rounds)
+
+
+def reference_fptas(static, rounds, eps):
+    n = static.n
+    p_s = np.sum([r.p for r in rounds], axis=0)
+    p_max = float(p_s.max())
+    if p_max <= 0:
+        return frozenset(), 0.0
+    K = eps * p_max / n
+    q = np.array([floor(float(x) / K) for x in p_s], dtype=np.int64)
+    dp_set = dense_best_set(q, static.w, K, static.c, ExcessFunction.from_rounds(rounds))
+    candidates = [frozenset(), dp_set] + [frozenset({i}) for i in range(n)]
+    best = min(candidates, key=lambda A: (-multi_gkp_profit(A, static, rounds), tuple(sorted(A))))
+    return best, multi_gkp_profit(best, static, rounds)
+
+
+def tie_heavy_instance(rng, n, m):
+    # small integer profits (many zero), weights from a few repeated values
+    # (zero included), so equal levels and equal weights collide constantly
+    w = np.array([(0.0, 0.5, 1.0, 1.0, 2.0)[rng.randrange(5)] for _ in range(n)])
+    static = GkpStatic(n, w, (0.0, 0.5, 1.0)[rng.randrange(3)])
+    rounds = [
+        GkpRound(np.array([float(max(0, rng.randrange(5) - 1)) for _ in range(n)]), dyadic(rng, 0, 256))
+        for _ in range(m)
+    ]
+    return static, rounds
+
+
+def test_min_weight_dp_matches_dense_reference_on_ties():
+    rng = SeededRng(1014)
+    for _ in range(1500):
+        n = rng.randrange(9)
+        q = np.array([max(0, rng.randrange(6) - 2) for _ in range(n)], dtype=np.int64)
+        w = np.array([(0.0, 0.25, 0.5, 0.5, 1.0, 3.0)[rng.randrange(6)] for _ in range(n)])
+        dense, dense_chosen = dense_min_weight_dp(q, w)
+        levels, weight, chosen = _min_weight_dp(q, w)
+        reachable = np.flatnonzero(np.isfinite(dense))
+        assert levels.tolist() == reachable.tolist()
+        assert weight.tolist() == dense[reachable].tolist()
+        assert chosen.tolist() == dense_chosen[reachable].tolist()
+        assert len(levels) <= min(int(q.sum()) + 1, 1 << n)
+
+
+def test_dp_oracles_match_dense_reference_answers():
+    rng = SeededRng(1015)
+    for _ in range(300):
+        n = 1 + rng.randrange(7)
+        static, rounds = tie_heavy_instance(rng, n, 1 + rng.randrange(4))
+        assert exact_dp_oracle(static, rounds, 1.0) == reference_exact_dp(static, rounds, 1.0)
+        assert exact_dp_oracle(static, rounds, 0.5) == reference_exact_dp(static, rounds, 0.5)
+        for eps in (0.9, 0.3, 0.05):
+            assert fptas_oracle(static, rounds, eps) == reference_fptas(static, rounds, eps)
+    for _ in range(40):
+        inst = gen_random_gkp(1 + rng.randrange(8), 1 + rng.randrange(5), rng)
+        for eps in (0.5, 0.05):
+            got = fptas_oracle(inst.static, inst.rounds, eps)
+            assert got == reference_fptas(inst.static, list(inst.rounds), eps)
+
+
+def test_dp_grid_guard_counts_the_dense_grid():
+    # the reachable DP would fit, but the guard still caps the dense grid
+    static = GkpStatic(2, [1.0, 1.0], 0.0)
+    rounds = [GkpRound([float(MAX_DP_CELLS), 1.0], 0.0)]
+    with pytest.raises(ValueError, match="grid overflow"):
+        exact_dp_oracle(static, rounds, 1.0)
+    info = fptas_grid_info(static, rounds, 1e-7)
+    assert info["dp_cells"] > MAX_DP_CELLS
+    with pytest.raises(ValueError, match="grid overflow"):
+        fptas_oracle(static, rounds, 1e-7)
+
+
 # --- FPTAS ---------------------------------------------------------------------------
 
 
@@ -369,6 +484,50 @@ def test_caching_oracle_matches_brute_on_growing_history():
         assert got_val == want_val
     # the riding tail must stay out of the persistent prefix, or every call
     # degenerates into a full refold
+    assert oracle._prefix == history
+
+
+def test_caching_oracle_does_not_reuse_a_tail_delta_for_another_round():
+    # the riding tail keeps its length but its last slot switches to a
+    # different round object; the delta cached for that slot must be
+    # recomputed, while the untouched slots may keep theirs
+    rng = SeededRng(1016)
+    n = 3
+    static, history = dyadic_instance(rng, n, 16)
+    total = float(np.sum(static.w))
+
+    def marker():
+        return GkpRound(np.array([dyadic(rng, 0, 512) for _ in range(n)]), total)
+
+    oracle = CachingBruteOracle()
+    pert = [marker() for _ in range(n)]
+    for t in range(6):
+        assert oracle(static, history[:t] + pert) == brute_oracle(static, history[:t] + pert)
+    stale = oracle._tail[0]
+    assert stale[0] is pert[-1]
+    other = pert[:-1] + [marker()]
+    for t in range(6, 17):
+        rounds = history[:t] + other
+        assert oracle(static, rounds) == brute_oracle(static, rounds)
+    assert oracle._tail[0][0] is other[-1]
+    assert not np.array_equal(oracle._tail[0][1], stale[1])
+    assert oracle._tail[1][0] is pert[-2]
+    assert oracle._prefix == history
+
+
+def test_caching_oracle_accepts_value_equal_history_copy():
+    # a rebuilt history of value-equal rounds matches the cached prefix by
+    # value and must answer as brute_oracle does
+    rng = SeededRng(1017)
+    n = 4
+    static, history = dyadic_instance(rng, n, 20)
+    total = float(np.sum(static.w))
+    pert = [GkpRound(np.array([dyadic(rng, 0, 64) for _ in range(n)]), total) for _ in range(n)]
+    oracle = CachingBruteOracle()
+    for t in range(21):
+        copy = [GkpRound(r.p.copy(), r.B) for r in history[:t]]
+        rounds = (history[:t] if t % 2 else copy) + pert
+        assert oracle(static, rounds) == brute_oracle(static, rounds)
     assert oracle._prefix == history
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from regretlab.gftpl import GftplConfig, default_eta
 from regretlab.harness import (
     ExperimentConfig,
     compare_bounds,
@@ -222,6 +223,30 @@ def test_run_gftpl_experiment_with_file_rounds(tmp_path):
     for row in summary["per_seed"]:
         assert row["regret"] <= row["bound"]
     assert summary["bounds"]["all_ok"]
+
+
+def test_run_gftpl_fptas_resolves_default_eta(tmp_path):
+    # without "eta" the FPTAS path must derive the same eta gftpl_run would,
+    # so the traces equal those of the same config with that eta spelled out
+    inst = gen_random_gkp(3, 6, SeededRng(23))
+    path = tmp_path / "inst.json"
+    path.write_text(serialize_gkp(inst))
+    T = 6
+    params = {"oracle": "fptas", "G_f": 3.0}
+    eta = default_eta(GftplConfig(N=3, G_f=3.0, F_M=3.0), T**-0.5, T)
+    derived = run_experiment(
+        ExperimentConfig("gftpl_gkp", {"gkp": str(path)}, T, (0, 1), params=params),
+        tmp_path / "derived",
+    )
+    explicit = run_experiment(
+        ExperimentConfig("gftpl_gkp", {"gkp": str(path)}, T, (0, 1), params={**params, "eta": eta}),
+        tmp_path / "explicit",
+    )
+    assert derived["bounds"]["all_ok"] and explicit["bounds"]["all_ok"]
+    traces = sorted(p.name for p in (tmp_path / "derived").glob("*.csv"))
+    assert len(traces) == 2
+    for name in traces:
+        assert (tmp_path / "derived" / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
 
 
 def test_run_gftpl_sweep_sets_vanishing_flag(tmp_path):

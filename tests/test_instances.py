@@ -83,6 +83,37 @@ def test_gkp_types_validate():
         GkpInstanceSet(static, (GkpRound([1.0], 1.0),))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: GkpRound([1.0, NAN], 0.5), "profits p"),
+        (lambda: GkpRound([INF, 1.0], 0.5), "profits p"),
+        (lambda: GkpRound([1.0, 1.0], NAN), "capacity B"),
+        (lambda: GkpRound([1.0, 1.0], INF), "capacity B"),
+        (lambda: GkpStatic(2, [1.0, NAN], 1.0), "item weights w"),
+        (lambda: GkpStatic(2, [INF, 1.0], 1.0), "item weights w"),
+        (lambda: GkpStatic(2, [1.0, 2.0], NAN), "penalty rate c"),
+        (lambda: GkpStatic(2, [1.0, 2.0], INF), "penalty rate c"),
+        (lambda: WeightSequence(2, [[NAN, 0.5]]), "weights"),
+        (lambda: WeightSequence(2, [[INF, 0.5]]), "weights"),
+        (lambda: ProcTimeMatrix(2, [[1.0, NAN]]), "processing times"),
+        (lambda: parse_weights("n=2\nnan,0.5"), "line 2: weights"),
+        (lambda: parse_weights("n=2\n0.5,inf"), "line 2: weights"),
+        (lambda: parse_proc_times("n=2\n1.0,2.0\nnan,0.5"), "line 3: processing times"),
+        (lambda: parse_gkp('{"w": [NaN], "c": 1.0, "rounds": []}'), "item weights w"),
+        (lambda: parse_gkp('{"w": [1.0], "c": Infinity, "rounds": []}'), "penalty rate c"),
+        (lambda: parse_gkp('{"w": [1.0], "c": 1.0, "rounds": [{"p": [Infinity], "B": 1.0}]}'), "profits p"),
+        (lambda: parse_gkp('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": NaN}]}'), "capacity B"),
+    ],
+)
+def test_non_finite_numbers_rejected_at_the_boundary(build, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        build()
+
+
 def test_dnf_validation_and_satisfaction():
     f = Dnf3Formula(3, (((0, True), (1, False), (2, True)),))
     assert f.m == 1
