@@ -348,22 +348,63 @@ def parse_proc_times(text: str) -> ProcTimeMatrix:
     return ProcTimeMatrix(n, rows)
 
 
+def _gkp_where(field: str, k: int | None) -> str:
+    return field if k is None else f"rounds[{k}]: {field}"
+
+
+def _gkp_number(value, field: str, k: int | None = None) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError(f"{_gkp_where(field, k)} must be a number", 1) from None
+
+
+def _gkp_vector(value, field: str, k: int | None = None) -> np.ndarray:
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is None or a.ndim != 1:
+        raise FormatError(f"{_gkp_where(field, k)} must be a list of numbers", 1)
+    return a
+
+
 def parse_gkp(text: str) -> GkpInstanceSet:
-    """Parse the JSON generalized-knapsack format."""
+    """Parse the JSON generalized-knapsack format.
+
+    JSON values carry no line number, so every error is reported on line 1
+    and names the offending field, with the 0-based index into "rounds"
+    for a bad round.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    if not isinstance(obj, dict):
+        raise FormatError("top level must be a JSON object", 1)
     for key in ("w", "c", "rounds"):
         if key not in obj:
             raise FormatError(f"missing key {key!r}", 1)
-    w = obj["w"]
-    static = GkpStatic(len(w), np.asarray(w, dtype=np.float64), float(obj["c"]))
+    w = _gkp_vector(obj["w"], "'w'")
+    c = _gkp_number(obj["c"], "'c'")
+    try:
+        static = GkpStatic(len(w), w, c)
+    except ValueError as exc:
+        raise FormatError(str(exc), 1) from None
+    if not isinstance(obj["rounds"], list):
+        raise FormatError("'rounds' must be a list", 1)
     rounds = []
-    for r in obj["rounds"]:
-        if "p" not in r or "B" not in r:
-            raise FormatError("round must have keys 'p' and 'B'", 1)
-        rounds.append(GkpRound(np.asarray(r["p"], dtype=np.float64), float(r["B"])))
+    for k, r in enumerate(obj["rounds"]):
+        if not isinstance(r, dict) or "p" not in r or "B" not in r:
+            raise FormatError(f"rounds[{k}] must be an object with keys 'p' and 'B'", 1)
+        p = _gkp_vector(r["p"], "'p'", k)
+        if p.shape != (static.n,):
+            raise FormatError(f"rounds[{k}]: profit vector length must match item count {static.n}", 1)
+        B = _gkp_number(r["B"], "'B'", k)
+        try:
+            rounds.append(GkpRound(p, B))
+        except ValueError as exc:
+            raise FormatError(f"rounds[{k}]: {exc}", 1) from None
     return GkpInstanceSet(static, tuple(rounds))
 
 

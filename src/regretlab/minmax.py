@@ -56,22 +56,23 @@ def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:
 def static_minmax_vc(g: Graph, w) -> tuple[frozenset, float]:
     """Exact min-max vertex cover of a single weight row.
 
-    Scans candidate thresholds in increasing weight order; the set of all
-    vertices with weight <= threshold is the cheapest cover attempt at that
-    value, so the first threshold whose eligible set covers g is optimal.
+    The set of all vertices with weight <= threshold is the cheapest cover
+    attempt at that value, and it covers g exactly when the threshold
+    reaches min(w_u, w_v) on every edge. So the optimal threshold is the
+    largest of those per-edge minima, found in one pass over the edges.
     Returns the full eligible set (not pruned to a minimal cover) and the
-    threshold value; ties break toward the smaller threshold.
+    threshold value. A row containing NaN is rejected with a ValueError.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (g.n,):
         raise ValueError(f"weight row must have length {g.n}")
+    if np.isnan(w).any():
+        raise ValueError("weight row must not contain NaN")
     if g.m == 0:
         return frozenset(), 0.0
-    for thr in np.unique(w):
-        eligible = frozenset(np.flatnonzero(w <= thr).tolist())
-        if is_vertex_cover(g, eligible):
-            return eligible, float(thr)
-    raise AssertionError("unreachable: the full vertex set is a cover")
+    wl = w.tolist()
+    thr = max([min(wl[u], wl[v]) for u, v in g.edges])
+    return frozenset(np.flatnonzero(w <= thr).tolist()), float(thr)
 
 
 def multi_minmax_cost(selection: Iterable[int], rows) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from operator import add, sub
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .traces import RegretTrace, RoundRecord
 
 __all__ = [
     "OgdConfig",
+    "OgdVcLearner",
     "ProjectionError",
     "subgradient",
     "project_vc_polytope",
@@ -95,52 +97,66 @@ def fractional_feasible(x, g: Graph, tol: float = 1e-8) -> bool:
     return all(x[u] + x[v] >= 1.0 - tol for u, v in g.edges)
 
 
-def _project(y, n, eu, ev, cfg: OgdConfig) -> np.ndarray:
+def _residual(x: list, edges: list) -> float:
+    """Largest violation of a box or edge constraint at x, or 0."""
+    resid = max(0.0, -min(x), max(x) - 1.0)
+    if edges:
+        resid = max(resid, max([1.0 - (x[i] + x[j]) for _, i, j in edges]))
+    return resid
+
+
+def _project(y: list, eu: list, ev: list, cfg: OgdConfig) -> np.ndarray:
     """Dykstra's method over the box and the edge half-spaces.
 
-    Each constraint set keeps its own correction (a full vector for the
-    box, one scalar per edge since an edge's correction is equal on its
-    two endpoints and zero elsewhere). Edges whose correction is zero and
-    whose constraint currently holds would be identity steps, so each
-    cycle processes only the others.
+    ``y`` is the point as a list of floats and ``eu``/``ev`` the edge
+    endpoints as lists of ints. The loop runs on Python floats, which are
+    IEEE doubles, so each step rounds exactly as float64 array arithmetic
+    would; indexing lists is what makes the per-edge loop fast. Each
+    constraint set keeps its own correction (a full vector for the box, one
+    scalar per edge since an edge's correction is equal on its two
+    endpoints and zero elsewhere). A cycle is the box
+    step, then the edges in index order. Edges whose correction is zero and
+    whose constraint holds at the post-box iterate would be identity steps,
+    so each cycle processes only the others. Converged means no coordinate
+    moved more than ``conv_tol`` in a cycle; the result is then clipped to
+    the box and returned as an array, or a ``ProjectionError`` is raised if
+    the feasibility residual exceeds ``feas_tol``.
     """
-    x = np.asarray(y, dtype=np.float64).copy()
-    p_box = np.zeros(n)
-    m = eu.shape[0]
-    mu = np.zeros(m)
+    x = list(y)
+    p_box = [0.0] * len(x)
+    mu = [0.0] * len(eu)
+    edges = list(zip(range(len(eu)), eu, ev))
     for cycle in range(1, cfg.max_cycles + 1):
         # box set
-        v = x + p_box
-        nx = np.clip(v, 0.0, 1.0)
-        p_box = v - nx
-        delta = float(np.abs(nx - x).max()) if n else 0.0
+        v = list(map(add, x, p_box))
+        nx = [0.0 if a < 0.0 else 1.0 if a > 1.0 else a for a in v]
+        p_box = list(map(sub, v, nx))
+        delta = max(map(abs, map(sub, nx, x)))
         x = nx
-        if m:
-            sums = x[eu] + x[ev]
-            active = np.flatnonzero((mu != 0.0) | (sums < 1.0))
-            for e in active:
-                i, j = int(eu[e]), int(ev[e])
-                vi = x[i] - mu[e]
-                vj = x[j] - mu[e]
-                s = vi + vj
-                if s >= 1.0:
-                    mu[e] = 0.0
-                else:
-                    half_gap = (1.0 - s) / 2.0
-                    vi += half_gap
-                    vj += half_gap
-                    mu[e] = half_gap
-                d = max(abs(vi - x[i]), abs(vj - x[j]))
-                if d > delta:
-                    delta = d
-                x[i] = vi
-                x[j] = vj
+        active = [(e, i, j) for e, i, j in edges if mu[e] != 0.0 or x[i] + x[j] < 1.0]
+        for e, i, j in active:
+            xi = x[i]
+            xj = x[j]
+            vi = xi - mu[e]
+            vj = xj - mu[e]
+            s = vi + vj
+            if s >= 1.0:
+                mu[e] = 0.0
+            else:
+                half_gap = (1.0 - s) / 2.0
+                vi += half_gap
+                vj += half_gap
+                mu[e] = half_gap
+            d = abs(vi - xi)
+            dj = abs(vj - xj)
+            if dj > d:
+                d = dj
+            if d > delta:
+                delta = d
+            x[i] = vi
+            x[j] = vj
         if delta <= cfg.conv_tol:
-            resid = 0.0
-            if m:
-                resid = max(0.0, float((1.0 - (x[eu] + x[ev])).max()))
-            box_resid = max(0.0, float(-x.min()), float(x.max() - 1.0))
-            resid = max(resid, box_resid)
+            resid = _residual(x, edges)
             if resid > cfg.feas_tol:
                 raise ProjectionError(
                     f"projection stalled after {cycle} cycles with feasibility "
@@ -149,16 +165,18 @@ def _project(y, n, eu, ev, cfg: OgdConfig) -> np.ndarray:
                     cycles=cycle,
                 )
             return np.clip(x, 0.0, 1.0)
-    resid = 0.0
-    if m:
-        resid = max(0.0, float((1.0 - (x[eu] + x[ev])).max()))
-    resid = max(resid, 0.0, float(-x.min()), float(x.max() - 1.0))
+    resid = _residual(x, edges)
     raise ProjectionError(
         f"projection did not converge in {cfg.max_cycles} cycles "
         f"(feasibility residual {resid:.3e})",
         residual=resid,
         cycles=cfg.max_cycles,
     )
+
+
+def _edge_lists(g: Graph) -> tuple[list, list]:
+    """The edge endpoints of g as two lists of ints, in edge order."""
+    return [u for u, _ in g.edges], [v for _, v in g.edges]
 
 
 def project_vc_polytope(y, g: Graph, cfg: OgdConfig | None = None) -> np.ndarray:
@@ -169,9 +187,7 @@ def project_vc_polytope(y, g: Graph, cfg: OgdConfig | None = None) -> np.ndarray
         raise ValueError(f"point must have length {g.n}")
     if not np.all(np.isfinite(y)):
         raise ValueError("point must be finite")
-    eu = np.array([u for u, _ in g.edges], dtype=np.int64)
-    ev = np.array([v for _, v in g.edges], dtype=np.int64)
-    return _project(y, g.n, eu, ev, cfg)
+    return _project(y.tolist(), *_edge_lists(g), cfg)
 
 
 def round_half(x) -> frozenset:
@@ -189,6 +205,53 @@ def theorem2_bound(W: float, n: int, T: int) -> float:
     return 3.0 * W * sqrt(n * T)
 
 
+class OgdVcLearner:
+    """Projected OGD on one graph, one round per ``observe``.
+
+    ``play`` publishes the half-rounding of the iterate ``x``; ``observe``
+    takes the subgradient step for the revealed row,
+    y = x - (scale/sqrt(t)) * w_{i*} e_{i*} with i* the first argmax of
+    w*x, and projects y back onto the cover polytope. ``scale`` is 1 in
+    "paper" mode and sqrt(n)/W_bound in "scaled" mode. The edge lists the
+    projection runs on are built once here. :func:`ogd_run` drives the
+    same learner, so the gap decider and the batch runner step alike.
+    """
+
+    def __init__(self, g: Graph, cfg: OgdConfig | None = None):
+        self.g = g
+        self.cfg = cfg or OgdConfig()
+        self.x = np.full(g.n, 0.5)
+        self.t = 1
+        self._eu, self._ev = _edge_lists(g)
+        self._scale = sqrt(g.n) / self.cfg.W_bound if self.cfg.step_mode == "scaled" else 1.0
+
+    def play(self) -> frozenset:
+        return round_half(self.x)
+
+    def observe(self, w_row, cost: float) -> None:
+        """Step on a revealed weight row; rejects a row that is not a
+        finite vector of length n with a ValueError."""
+        w = np.asarray(w_row, dtype=np.float64)
+        if w.shape != (self.g.n,):
+            raise ValueError(f"weight row must have length {self.g.n}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weight row must be finite")
+        self._step(w)
+
+    def _step(self, w: np.ndarray) -> None:
+        t = self.t
+        i_star = int(np.argmax(w * self.x))  # argmax returns the first maximizer
+        y = self.x.tolist()
+        y[i_star] -= (self._scale / sqrt(t)) * float(w[i_star])
+        try:
+            self.x = _project(y, self._eu, self._ev, self.cfg)
+        except ProjectionError as exc:
+            raise ProjectionError(
+                f"round {t}: {exc}", residual=exc.residual, cycles=exc.cycles, round_index=t
+            ) from None
+        self.t = t + 1
+
+
 def ogd_run(
     g: Graph,
     seq: WeightSequence,
@@ -198,10 +261,13 @@ def ogd_run(
     """Run projected OGD over the weight rows; the cover for round t is
     committed before row t is revealed.
 
-    The trace charges each round the integral cover's cost and also logs
-    the fractional iterate's cost and the running additive bound
-    3*W_bound*sqrt(n*t). The benchmark is the exact hindsight optimum
-    when the graph is small enough to enumerate.
+    A thin driver over :class:`OgdVcLearner`: each round it records the
+    learner's play, then steps the learner on the row. The trace charges
+    each round the integral cover's cost and also logs the fractional
+    iterate's cost and the running additive bound 3*W_bound*sqrt(n*t). A
+    ``ProjectionError`` carries the failing round in ``round_index``. The
+    benchmark is the exact hindsight optimum when the graph is small
+    enough to enumerate.
     """
     cfg = cfg or OgdConfig()
     if seq.n != g.n:
@@ -210,19 +276,16 @@ def ogd_run(
     if rows.size and rows.max() > cfg.W_bound:
         raise ValueError("weights exceed the configured W_bound")
     n = g.n
-    eu = np.array([u for u, _ in g.edges], dtype=np.int64)
-    ev = np.array([v for _, v in g.edges], dtype=np.int64)
-    scale = sqrt(n) / cfg.W_bound if cfg.step_mode == "scaled" else 1.0
-
-    x = np.full(n, 0.5)
+    learner = OgdVcLearner(g, cfg)
     records = []
     cum_int = 0.0
     cum_frac = 0.0
     for t in range(1, seq.T + 1):
-        played = round_half(x)
+        x = learner.x
+        played = learner.play()
         w = rows[t - 1]
         int_cost = float(w[list(played)].max()) if played else 0.0
-        frac_cost = float((w * x).max()) if n else 0.0
+        frac_cost = float((w * x).max())
         cum_int += int_cost
         cum_frac += frac_cost
         records.append(
@@ -238,15 +301,7 @@ def ogd_run(
                 },
             )
         )
-        i_star = int(np.argmax(w * x))
-        y = x.copy()
-        y[i_star] -= (scale / sqrt(t)) * w[i_star]
-        try:
-            x = _project(y, n, eu, ev, cfg)
-        except ProjectionError as exc:
-            raise ProjectionError(
-                f"round {t}: {exc}", residual=exc.residual, cycles=exc.cycles, round_index=t
-            ) from None
+        learner._step(w)
 
     benchmark = None
     if compute_benchmark and n <= MAX_HINDSIGHT_N:

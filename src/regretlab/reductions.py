@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from math import ceil, sqrt
+from math import ceil
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .instances import Dnf3Formula, Graph, ProcTimeMatrix, WeightSequence, serialize_dnf
 from .minmax import PathChain, is_vertex_cover, static_minmax_vc
-from .ogd import OgdConfig, project_vc_polytope, round_half, subgradient
+from .ogd import OgdVcLearner  # re-exported: the gap decider's OGD learner
 from .rng import SeededRng
 from .traces import RegretTrace, RoundRecord
 
@@ -107,44 +107,26 @@ class FtlMinMaxVcLearner:
     def __init__(self, g: Graph):
         self.g = g
         self.cum = np.zeros(g.n)
-        deg = np.zeros(g.n, dtype=np.int64)
+        self._adj: list[list[int]] = [[] for _ in range(g.n)]
         for u, v in g.edges:
-            deg[u] += 1
-            deg[v] += 1
-        self._deg = deg
+            self._adj[u].append(v)
+            self._adj[v].append(u)
 
     def play(self) -> frozenset:
         cover, _ = static_minmax_vc(self.g, self.cum)
         kept = set(cover)
-        order = sorted(kept, key=lambda v: (-self.cum[v], self._deg[v], -v))
+        cum = self.cum.tolist()
+        adj = self._adj
+        order = sorted(kept, key=lambda v: (-cum[v], len(adj[v]), -v))
+        # kept is a cover throughout, so dropping v keeps it one exactly
+        # when every neighbour of v is kept
         for v in order:
-            kept.discard(v)
-            if not is_vertex_cover(self.g, kept):
-                kept.add(v)
+            if all(u in kept for u in adj[v]):
+                kept.discard(v)
         return frozenset(kept)
 
     def observe(self, w_row: np.ndarray, cost: float) -> None:
         self.cum += w_row
-
-
-class OgdVcLearner:
-    """Projected online gradient descent, step for step the batch runner."""
-
-    def __init__(self, g: Graph, cfg: OgdConfig | None = None):
-        self.g = g
-        self.cfg = cfg or OgdConfig()
-        self.x = np.full(g.n, 0.5)
-        self.t = 1
-
-    def play(self) -> frozenset:
-        return round_half(self.x)
-
-    def observe(self, w_row: np.ndarray, cost: float) -> None:
-        w = np.asarray(w_row, dtype=np.float64)
-        scale = sqrt(self.g.n) / self.cfg.W_bound if self.cfg.step_mode == "scaled" else 1.0
-        y = self.x - (scale / sqrt(self.t)) * subgradient(w, self.x)
-        self.x = project_vc_polytope(y, self.g, self.cfg)
-        self.t += 1
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Instance types, file formats, and seeded generators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -103,14 +105,17 @@ NAN, INF = float("nan"), float("inf")
         (lambda: parse_weights("n=2\nnan,0.5"), "line 2: weights"),
         (lambda: parse_weights("n=2\n0.5,inf"), "line 2: weights"),
         (lambda: parse_proc_times("n=2\n1.0,2.0\nnan,0.5"), "line 3: processing times"),
-        (lambda: parse_gkp('{"w": [NaN], "c": 1.0, "rounds": []}'), "item weights w"),
-        (lambda: parse_gkp('{"w": [1.0], "c": Infinity, "rounds": []}'), "penalty rate c"),
-        (lambda: parse_gkp('{"w": [1.0], "c": 1.0, "rounds": [{"p": [Infinity], "B": 1.0}]}'), "profits p"),
-        (lambda: parse_gkp('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": NaN}]}'), "capacity B"),
+        (lambda: parse_gkp('{"w": [NaN], "c": 1.0, "rounds": []}'), "line 1: item weights w"),
+        (lambda: parse_gkp('{"w": [1.0], "c": Infinity, "rounds": []}'), "line 1: penalty rate c"),
+        (
+            lambda: parse_gkp('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": 1.0}, {"p": [Infinity], "B": 1.0}]}'),
+            "line 1: rounds[1]: profits p",
+        ),
+        (lambda: parse_gkp('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": NaN}]}'), "line 1: rounds[0]: capacity B"),
     ],
 )
 def test_non_finite_numbers_rejected_at_the_boundary(build, field):
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be finite"):
         build()
 
 
@@ -223,6 +228,32 @@ def test_gkp_parse_errors():
         parse_gkp('{"w": [1.0], "c": 1.0}')
     with pytest.raises(FormatError):
         parse_gkp('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0]}]}')
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("5", "top level must be a JSON object"),
+        ('{"w": 5, "c": 1.0, "rounds": []}', "'w' must be a list of numbers"),
+        ('{"w": [1.0], "c": [1.0], "rounds": []}', "'c' must be a number"),
+        ('{"w": [1.0], "c": null, "rounds": []}', "'c' must be a number"),
+        ('{"w": [1.0], "c": 1.0, "rounds": 5}', "'rounds' must be a list"),
+        ('{"w": [1.0], "c": 1.0, "rounds": [5]}', "rounds[0] must be an object with keys 'p' and 'B'"),
+        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": 1.0}, {"p": [1.0]}]}', "rounds[1] must be an object"),
+        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": "x", "B": 1.0}]}', "rounds[0]: 'p' must be a list of numbers"),
+        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": "x"}]}', "rounds[0]: 'B' must be a number"),
+        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0, 2.0], "B": 1.0}]}', "rounds[0]: profit vector length"),
+        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": 1.0}, {"p": [-1.0], "B": 1.0}]}',
+         "rounds[1]: profits p must be nonnegative"),
+        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": -1.0}]}', "rounds[0]: capacity must be nonnegative"),
+        ('{"w": [-1.0], "c": 1.0, "rounds": []}', "item weights w must be nonnegative"),
+    ],
+)
+def test_gkp_parse_errors_name_the_field_and_round(text, message):
+    with pytest.raises(FormatError) as e:
+        parse_gkp(text)
+    assert e.value.line == 1
+    assert str(e.value).startswith(f"line 1: {message}")
 
 
 # --- DNF format --------------------------------------------------------------

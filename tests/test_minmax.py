@@ -114,6 +114,37 @@ def test_static_minmax_prefers_smaller_threshold_on_ties():
     assert s == frozenset({0, 1})  # eligible set at threshold 1.0
 
 
+def reference_static_minmax_vc(g, w):
+    """The threshold scan static_minmax_vc replaced: try every distinct
+    weight in increasing order until the eligible set covers g."""
+    w = np.asarray(w, dtype=np.float64)
+    if g.m == 0:
+        return frozenset(), 0.0
+    for thr in np.unique(w):
+        eligible = frozenset(np.flatnonzero(w <= thr).tolist())
+        if is_vertex_cover(g, eligible):
+            return eligible, float(thr)
+    raise AssertionError("unreachable: the full vertex set is a cover")
+
+
+def test_static_minmax_vc_matches_threshold_scan_on_ties():
+    rng = SeededRng(22)
+    for _ in range(400):
+        n = 1 + rng.randrange(12)
+        g = gen_random_graph(n, rng.uniform(0.0, 1.0), rng)
+        # few distinct values, so thresholds and per-edge minima tie often
+        levels = (0.0, 0.5, 1.0, 2.0, rng.uniform(0.0, 3.0))
+        w = [levels[rng.randrange(len(levels))] for _ in range(n)]
+        s, val = static_minmax_vc(g, w)
+        assert (s, val) == reference_static_minmax_vc(g, w)
+        assert type(val) is float
+
+
+def test_static_minmax_vc_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        static_minmax_vc(Graph(2, ((0, 1),)), (np.nan, 1.0))
+
+
 # --- multi_minmax_cost --------------------------------------------------------
 
 

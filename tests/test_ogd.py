@@ -2,8 +2,11 @@
 
 The projection is checked against a dense grid search (single edge),
 against independently constructed feasible points, and — when cvxpy is
-installed — against a QP solver.
+installed — against a QP solver. The list-based Dykstra loop is also held
+bit for bit to the numpy version it replaced, kept here as the reference.
 """
+
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ from regretlab.instances import Graph, WeightSequence, gen_random_graph, gen_uni
 from regretlab.minmax import best_static_vc_hindsight, is_vertex_cover
 from regretlab.ogd import (
     OgdConfig,
+    OgdVcLearner,
     ProjectionError,
+    _project,
     fractional_feasible,
     ogd_run,
     project_vc_polytope,
@@ -36,6 +41,103 @@ def random_feasible_point(g, rng):
         if z[u] + z[v] < 1.0:
             z[u] = 1.0
     return z
+
+
+def reference_project(y, n, eu, ev, cfg):
+    """The numpy Dykstra loop the list-based ``_project`` replaced.
+
+    Indexing numpy arrays per edge made it slow; its float operations are
+    the reference every projection must reproduce bit for bit.
+    """
+    x = np.asarray(y, dtype=np.float64).copy()
+    p_box = np.zeros(n)
+    m = eu.shape[0]
+    mu = np.zeros(m)
+    for cycle in range(1, cfg.max_cycles + 1):
+        v = x + p_box
+        nx = np.clip(v, 0.0, 1.0)
+        p_box = v - nx
+        delta = float(np.abs(nx - x).max()) if n else 0.0
+        x = nx
+        if m:
+            sums = x[eu] + x[ev]
+            active = np.flatnonzero((mu != 0.0) | (sums < 1.0))
+            for e in active:
+                i, j = int(eu[e]), int(ev[e])
+                vi = x[i] - mu[e]
+                vj = x[j] - mu[e]
+                s = vi + vj
+                if s >= 1.0:
+                    mu[e] = 0.0
+                else:
+                    half_gap = (1.0 - s) / 2.0
+                    vi += half_gap
+                    vj += half_gap
+                    mu[e] = half_gap
+                d = max(abs(vi - x[i]), abs(vj - x[j]))
+                if d > delta:
+                    delta = d
+                x[i] = vi
+                x[j] = vj
+        if delta <= cfg.conv_tol:
+            resid = 0.0
+            if m:
+                resid = max(0.0, float((1.0 - (x[eu] + x[ev])).max()))
+            box_resid = max(0.0, float(-x.min()), float(x.max() - 1.0))
+            resid = max(resid, box_resid)
+            if resid > cfg.feas_tol:
+                raise ProjectionError(
+                    f"projection stalled after {cycle} cycles with feasibility "
+                    f"residual {resid:.3e}",
+                    residual=resid,
+                    cycles=cycle,
+                )
+            return np.clip(x, 0.0, 1.0)
+    resid = 0.0
+    if m:
+        resid = max(0.0, float((1.0 - (x[eu] + x[ev])).max()))
+    resid = max(resid, 0.0, float(-x.min()), float(x.max() - 1.0))
+    raise ProjectionError(
+        f"projection did not converge in {cfg.max_cycles} cycles "
+        f"(feasibility residual {resid:.3e})",
+        residual=resid,
+        cycles=cfg.max_cycles,
+    )
+
+
+def reference_ogd_iterates(g, rows, cfg):
+    """Iterates x_1..x_{T+1} of the OGD update as the gap decider's learner
+    wrote it before it shared ``ogd_run``'s stepper: a full subgradient
+    vector step, then the reference projection."""
+    eu = np.array([u for u, _ in g.edges], dtype=np.int64)
+    ev = np.array([v for _, v in g.edges], dtype=np.int64)
+    scale = sqrt(g.n) / cfg.W_bound if cfg.step_mode == "scaled" else 1.0
+    x = np.full(g.n, 0.5)
+    out = [x]
+    for t, w in enumerate(rows, start=1):
+        y = x - (scale / sqrt(t)) * subgradient(w, x)
+        x = reference_project(y, g.n, eu, ev, cfg)
+        out.append(x)
+    return out
+
+
+def project_both(y, g, cfg):
+    """(new, reference) projections of y, or the two ProjectionErrors."""
+    eu = [u for u, _ in g.edges]
+    ev = [v for _, v in g.edges]
+    results = []
+    for f in (
+        lambda: _project(list(map(float, y)), eu, ev, cfg),
+        lambda: reference_project(
+            np.array(y, dtype=np.float64), g.n, np.array(eu, dtype=np.int64),
+            np.array(ev, dtype=np.int64), cfg,
+        ),
+    ):
+        try:
+            results.append(f())
+        except ProjectionError as exc:
+            results.append(exc)
+    return results
 
 
 # --- subgradient ---------------------------------------------------------------
@@ -141,6 +243,82 @@ def test_projection_rejects_bad_input():
         project_vc_polytope(np.array([np.inf, 0.0]), g)
     with pytest.raises(ValueError):
         project_vc_polytope(np.zeros(3), g)
+
+
+# --- projection against the numpy reference --------------------------------------
+
+
+def assert_same_projection(y, g, cfg=OgdConfig()):
+    new, ref = project_both(y, g, cfg)
+    if isinstance(ref, ProjectionError):
+        assert isinstance(new, ProjectionError)
+        assert (new.cycles, new.residual, str(new)) == (ref.cycles, ref.residual, str(ref))
+        assert new.round_index is None
+    else:
+        assert isinstance(new, np.ndarray) and new.dtype == np.float64
+        # byte equality also tells +0.0 from -0.0
+        assert new.tobytes() == ref.tobytes()
+
+
+def sweep_graphs(rng):
+    yield Graph(1, ())
+    yield Graph(4, ())
+    for n in (2, 3, 5, 8):
+        yield Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
+    for _ in range(12):
+        yield gen_random_graph(2 + rng.randrange(12), rng.uniform(0.1, 0.9), rng)
+
+
+def test_projection_matches_numpy_reference_bitwise():
+    rng = SeededRng(800)
+    for g in sweep_graphs(rng):
+        n = g.n
+        for _ in range(8):
+            # OGD-style: one coordinate lowered from a feasible point
+            y = project_vc_polytope(random_feasible_point(g, rng), g)
+            y[rng.randrange(n)] -= rng.uniform(0.0, 2.0)
+            assert_same_projection(y, g)
+            # arbitrary points, inside and far outside the box
+            assert_same_projection([rng.uniform(-3.0, 4.0) for _ in range(n)], g)
+        # box corners, the rounding threshold and both signed zeros
+        for shift in range(6):
+            assert_same_projection([(-0.0, 0.0, 0.5, 1.0, -1.0, 2.0)[(k + shift) % 6] for k in range(n)], g)
+    # Dykstra's last cycle leaves coordinate 1 at -5.55e-17 here, so the
+    # final clip to the box shows in the bits
+    g = Graph(6, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (2, 3), (2, 4), (2, 5), (3, 5)))
+    y = [0.5781774818572005, -2.557767244538293, -0.28497710765818063,
+         3.182011446083443, -1.0618071913252987, -1.6648212537940803]
+    assert_same_projection(y, g)
+
+
+def test_projection_errors_match_numpy_reference():
+    rng = SeededRng(900)
+    cfgs = [OgdConfig(max_cycles=k) for k in (1, 2, 3, 5, 8)]
+    # a loose convergence test with a tight feasibility test stalls instead
+    cfgs.append(OgdConfig(conv_tol=0.05, feas_tol=1e-12))
+    raised = 0
+    for g in sweep_graphs(rng):
+        for cfg in cfgs:
+            for _ in range(3):
+                y = [rng.uniform(-3.0, 4.0) for _ in range(g.n)]
+                assert_same_projection(y, g, cfg)
+                raised += isinstance(project_both(y, g, cfg)[1], ProjectionError)
+    assert raised > 50  # the sweep does reach both error paths
+
+
+def test_learner_iterates_match_reference_bitwise():
+    rng = SeededRng(1000)
+    for n in (6, 10, 16, 20):
+        g = gen_random_graph(n, 0.4, rng)
+        seq = gen_uniform_weights(n, 150, 1.0, rng)
+        for mode in ("scaled", "paper"):
+            cfg = OgdConfig(step_mode=mode)
+            expected = reference_ogd_iterates(g, seq.rows, cfg)
+            learner = OgdVcLearner(g, cfg)
+            assert learner.x.tobytes() == expected[0].tobytes()
+            for t, w in enumerate(seq.rows, start=1):
+                learner.observe(w, 0.0)
+                assert learner.x.tobytes() == expected[t].tobytes(), (n, mode, t)
 
 
 # --- rounding --------------------------------------------------------------------

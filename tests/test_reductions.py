@@ -5,16 +5,24 @@ import itertools
 import numpy as np
 import pytest
 
-from regretlab.instances import Dnf3Formula, Graph, gen_random_dnf, gen_random_graph
+from regretlab.instances import (
+    Dnf3Formula,
+    Graph,
+    WeightSequence,
+    gen_random_dnf,
+    gen_random_graph,
+    gen_uniform_weights,
+)
 from regretlab.minmax import (
     brute_force_multi_matching,
     brute_force_multi_p3cmax,
     brute_force_multi_path,
+    is_vertex_cover,
     minimal_vertex_covers,
     multi_minmax_cost,
+    static_minmax_vc,
 )
-from regretlab.ogd import OgdConfig, ogd_run
-from regretlab.instances import gen_uniform_weights
+from regretlab.ogd import OgdConfig, ProjectionError, ogd_run
 from regretlab.reductions import (
     FtlMinMaxVcLearner,
     GapConfig,
@@ -33,6 +41,7 @@ from regretlab.reductions import (
 )
 from regretlab.rng import SeededRng
 from regretlab.traces import trace_to_csv
+from test_ogd import reference_ogd_iterates
 
 K4 = Graph(4, tuple(itertools.combinations(range(4), 2)))
 STAR6 = Graph(6, tuple((0, leaf) for leaf in range(1, 6)))
@@ -101,15 +110,77 @@ def test_ftl_learner_avoids_heavy_vertex():
     assert learner.play() == frozenset({0, 2})
 
 
-def test_ogd_learner_matches_batch_runner():
+def reference_ftl_play(g, cum):
+    """The FTL prune FtlMinMaxVcLearner.play replaced: drop each vertex in
+    turn and put it back unless the rest is still a vertex cover."""
+    deg = np.zeros(g.n, dtype=np.int64)
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    cover, _ = static_minmax_vc(g, cum)
+    kept = set(cover)
+    for v in sorted(kept, key=lambda v: (-cum[v], deg[v], -v)):
+        kept.discard(v)
+        if not is_vertex_cover(g, kept):
+            kept.add(v)
+    return frozenset(kept)
+
+
+def test_ftl_prune_matches_cover_check_reference_on_ties():
+    rng = SeededRng(78)
+    for _ in range(300):
+        n = 1 + rng.randrange(14)
+        g = gen_random_graph(n, rng.uniform(0.0, 1.0), rng)
+        learner = FtlMinMaxVcLearner(g)
+        for _ in range(3):
+            # small integer counts, as one-hot rows sum to, tie heavily
+            learner.cum = np.array([float(rng.randrange(4)) for _ in range(n)])
+            assert learner.play() == reference_ftl_play(g, learner.cum)
+
+
+@pytest.mark.parametrize("step_mode", ["scaled", "paper"])
+def test_ogd_learner_matches_batch_runner(step_mode):
     rng = SeededRng(77)
     g = gen_random_graph(7, 0.5, rng)
     seq = gen_uniform_weights(7, 25, 1.0, rng)
-    trace = ogd_run(g, seq, OgdConfig(), compute_benchmark=False)
-    learner = OgdVcLearner(g, OgdConfig())
+    cfg = OgdConfig(step_mode=step_mode)
+    trace = ogd_run(g, seq, cfg, compute_benchmark=False)
+    iterates = reference_ogd_iterates(g, seq.rows, cfg)
+    learner = OgdVcLearner(g, cfg)
     for t in range(seq.T):
+        assert learner.x.tobytes() == iterates[t].tobytes()
         assert learner.play() == trace.rows[t].action
         learner.observe(seq.rows[t], 0.0)
+    assert learner.x.tobytes() == iterates[seq.T].tobytes()
+
+
+def test_ogd_learner_rejects_bad_rows():
+    learner = OgdVcLearner(K4)
+    for row in ([1.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0], [-np.inf, 1.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="weight row"):
+            learner.observe(np.array(row), 0.0)
+    assert learner.t == 1  # nothing was stepped
+
+
+def test_gap_decider_projection_failure_names_the_round():
+    # one edge plus an isolated vertex: seed 6 weights vertex 2 in rounds 1
+    # and 2, which needs only the box step, so round 3 is the first to fail
+    g = Graph(3, ((0, 1),))
+    cfg = GapConfig(A=0.1, B=0.3, T_override=40)  # every cover is nonempty: never Yes
+    ocfg = OgdConfig(max_cycles=2)
+    seed = 6
+    with pytest.raises(ProjectionError) as gap_err:
+        gap_solver(g, cfg, OgdVcLearner(g, ocfg), SeededRng(seed))
+    # the same one-hot rows fail ogd_run in the same round
+    draw = SeededRng(seed)
+    rows = np.zeros((40, 3))
+    for t in range(40):
+        rows[t, draw.randrange(3)] = 1.0
+    with pytest.raises(ProjectionError) as run_err:
+        ogd_run(g, WeightSequence(3, rows), ocfg, compute_benchmark=False)
+    assert gap_err.value.round_index == run_err.value.round_index == 3
+    assert str(gap_err.value).startswith(f"round {gap_err.value.round_index}: ")
+    assert (gap_err.value.cycles, gap_err.value.residual) == (run_err.value.cycles, run_err.value.residual)
 
 
 # --- gap solver --------------------------------------------------------------------
