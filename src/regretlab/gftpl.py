@@ -13,6 +13,14 @@ that is either exactly optimal / additively eps-optimal, or
 multiplicatively (1-eps')-optimal with nonnegative payoffs; which one is
 declared by the config's eps schedule and drives auditing and error
 checks, not the call signature.
+
+Every oracle depends on the history only through its per-set summed
+profits P[mask] and excess K[mask]. The engine keeps one SetFold of the
+revealed rounds and reads two things off it: the hindsight benchmark of
+each prefix, right after the round is folded, and, with ``oracle=None``,
+the exact leader itself — the fold plus the perturbation rounds' per-set
+deltas, computed once per run. That leader is brute_oracle's set under
+its tie rule, so no round list is built or handed over.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from math import sqrt
 
 import numpy as np
 
-from .gkp import MAX_BRUTE_N, distinguisher_set, gkp_profit, prefix_best_values
+from .gkp import MAX_BRUTE_N, SetFold, distinguisher_set, gkp_profit, leader_set
 from .instances import GkpRound, GkpStatic
 from .rng import SeededRng
 from .traces import RegretTrace, RoundRecord
@@ -153,6 +161,14 @@ def gftpl_run(
     trace records, per round, the observed payoff, the oracle's claimed
     perturbed objective, the best static payoff on the revealed prefix,
     the running regret against it, and the running theorem bound.
+
+    ``oracle=None`` is the engine's exact leader: the maximizer over all
+    2^n sets of the history's SetFold plus the perturbation deltas, added
+    in slot order, with brute_oracle's tie rule. It picks the sets a
+    CachingBruteOracle would, with the same values, without building a
+    round list per round; it needs n <= MAX_BRUTE_N. Any other oracle is
+    called as oracle(static, history + perturbation rounds). The hindsight
+    benchmark comes from the same fold whenever n <= MAX_BRUTE_N.
     """
     rounds_stream = list(rounds_stream)
     T = len(rounds_stream)
@@ -162,6 +178,11 @@ def gftpl_run(
     for r in rounds_stream:
         if r.p.shape != (n,):
             raise ValueError("round profit vector length must match item count")
+    if oracle is None and n > MAX_BRUTE_N:
+        raise ValueError(
+            f"oracle=None is the exact leader over all 2^n sets: n={n} exceeds "
+            f"the enumeration guard MAX_BRUTE_N={MAX_BRUTE_N}"
+        )
     mode, _ = cfg.eps_schedule
     eps = _resolve_eps(cfg, T)
     eta = cfg.eta if cfg.eta is not None else default_eta(cfg, eps, T)
@@ -171,15 +192,38 @@ def gftpl_run(
     base = distinguisher_set(static, P=cfg.delta)
     pert_rounds = [GkpRound(a[j] * base[j].p, base[j].B) for j in range(cfg.N)]
 
+    fold = SetFold(static) if n <= MAX_BRUTE_N else None
+    if oracle is None:
+        tail = [fold.delta(r) for r in pert_rounds]
+        tail_P = [dP for dP, _ in tail]
+        # the capacity is the full weight w.sum(), so a dK is all zero
+        # unless some subset sum rounds above it; adding zeros is exact
+        tail_K = [dK for _, dK in tail if dK.any()]
+        cK = static.c * fold.K
+
     plays: list[frozenset] = []
     payoffs: list[float] = []
     claimed: list[float] = []
+    prefix_best: list[float] = []
     history: list[GkpRound] = []
     for t in range(1, T + 1):
-        try:
-            played, perturbed_obj = oracle(static, history + pert_rounds)
-        except Exception as exc:
-            raise RuntimeError(f"oracle failed at round {t}: {exc}") from exc
+        if oracle is None:
+            VP = fold.P
+            for dP in tail_P:
+                VP = VP + dP
+            if tail_K:
+                VK = fold.K
+                for dK in tail_K:
+                    VK = VK + dK
+                values = VP - static.c * VK
+            else:
+                values = VP - cK
+            played, perturbed_obj = leader_set(values)
+        else:
+            try:
+                played, perturbed_obj = oracle(static, history + pert_rounds)
+            except Exception as exc:
+                raise RuntimeError(f"oracle failed at round {t}: {exc}") from exc
         y = rounds_stream[t - 1]
         payoff = gkp_profit(played, static, y)
         if mode == "fptas" and payoff < 0:
@@ -190,12 +234,15 @@ def gftpl_run(
         plays.append(frozenset(played))
         payoffs.append(payoff)
         claimed.append(float(perturbed_obj))
-        history.append(y)
+        if oracle is not None:
+            history.append(y)
+        if fold is not None:
+            fold.add(y)
+            cK = static.c * fold.K
+            prefix_best.append(float((fold.P - cK).max()))
 
     benchmark = None
-    prefix_best = None
-    if n <= MAX_BRUTE_N:
-        prefix_best = prefix_best_values(static, rounds_stream)
+    if fold is not None:
         benchmark = prefix_best[-1] if prefix_best else 0.0
 
     records = []

@@ -10,9 +10,13 @@ is piecewise linear and convex in the set's total weight W, evaluable in
 O(log m) from the sorted capacities. Oracles: exhaustive subset search
 (ground truth), a caching variant of it for a growing history, a
 pseudo-polynomial profit-indexed DP, and the profit-scaling FPTAS built
-on it. The DP keeps only the reachable profit levels (at most 2^n), so
-its cost follows the distinct subset profits, not the width of the
-profit grid; the grid size still bounds which instances are accepted.
+on it. SetFold keeps the per-set aggregates P[mask] and K[mask] of a
+growing history; the hindsight sweep (prefix_best_values), the caching
+oracle's prefix and the FTPL engine's exact leader all fold through it,
+so they add the same floats in the same order. The DP keeps only the
+reachable profit levels (at most 2^n), so its cost follows the distinct
+subset profits, not the width of the profit grid; the grid size still
+bounds which instances are accepted.
 The distinguisher set is the n-round instance family whose induced
 payoff matrix tells every pair of item sets apart — the perturbation
 machinery of the FTPL engine.
@@ -150,6 +154,52 @@ def _subset_sums(v: np.ndarray) -> np.ndarray:
     return arr
 
 
+def leader_set(values: np.ndarray) -> tuple[frozenset, float]:
+    """The set maximizing values[mask], and the maximum.
+
+    Ties go to the lexicographically smallest set (compared as sorted index
+    tuples, so the empty set precedes everything), whose value is then 0.
+    """
+    vmax = values.max()
+    if values[0] == vmax:  # the empty set is the overall lexicographic minimum
+        return frozenset(), 0.0
+    ties = np.flatnonzero(values == vmax)
+    best_mask = min((int(m) for m in ties), key=_mask_members)
+    return frozenset(_mask_members(best_mask)), float(vmax)
+
+
+class SetFold:
+    """Per-set aggregates of a round history, for all 2^n item sets.
+
+    P[mask] is the summed profit of set mask over the folded rounds and
+    K[mask] its summed capacity excess k(W_mask), W_all[mask] being the
+    set's total weight. add() folds one round in place as
+    ``P += _subset_sums(p)`` then ``K += max(0, W_all - B)``, so rounds
+    folded in arrival order give the same floats wherever this is used.
+    """
+
+    __slots__ = ("n", "W_all", "P", "K")
+
+    def __init__(self, static: GkpStatic) -> None:
+        if static.n > MAX_BRUTE_N:
+            raise ValueError(f"n={static.n} exceeds enumeration guard {MAX_BRUTE_N}")
+        self.n = static.n
+        self.W_all = _subset_sums(static.w)
+        self.P = np.zeros(self.W_all.shape[0])
+        self.K = np.zeros(self.W_all.shape[0])
+
+    def delta(self, r: GkpRound) -> tuple[np.ndarray, np.ndarray]:
+        """The per-set (profit, excess) increments of one round."""
+        if r.p.shape != (self.n,):
+            raise ValueError("round profit vector length must match item count")
+        return _subset_sums(r.p), np.maximum(0.0, self.W_all - r.B)
+
+    def add(self, r: GkpRound) -> None:
+        dP, dK = self.delta(r)
+        self.P += dP
+        self.K += dK
+
+
 def brute_oracle(static: GkpStatic, rounds) -> tuple[frozenset, float]:
     """Exact maximizer over all 2^n item sets.
 
@@ -168,47 +218,37 @@ def brute_oracle(static: GkpStatic, rounds) -> tuple[frozenset, float]:
     f = ExcessFunction.from_rounds(rounds)
     W_all = _subset_sums(static.w)
     P_all = _subset_sums(p_s)
-    values = P_all - static.c * f.value_many(W_all)
-    vmax = values.max()
-    if values[0] == vmax:  # the empty set is the overall lexicographic minimum
-        return frozenset(), 0.0
-    ties = np.flatnonzero(values == vmax)
-    best_mask = min((int(m) for m in ties), key=_mask_members)
-    best = frozenset(_mask_members(best_mask))
+    best, _ = leader_set(P_all - static.c * f.value_many(W_all))
     return best, _aggregate_profit(best, static, p_s, f)
 
 
 def prefix_best_values(static: GkpStatic, rounds) -> list[float]:
     """values[t-1] = best summed objective any fixed set earns on rounds[:t].
 
-    One incremental sweep over per-set profit and excess aggregates, so T
-    prefixes cost O(T * 2^n) instead of T independent enumerations. The
-    maxima agree with brute_oracle up to float summation order.
+    One incremental SetFold sweep over per-set profit and excess
+    aggregates, so T prefixes cost O(T * 2^n) instead of T independent
+    enumerations. The maxima agree with brute_oracle up to float summation
+    order.
     """
-    n = static.n
-    if n > MAX_BRUTE_N:
-        raise ValueError(f"n={n} exceeds enumeration guard {MAX_BRUTE_N}")
-    W_all = _subset_sums(static.w)
-    P = np.zeros(W_all.shape[0])
-    K = np.zeros(W_all.shape[0])
+    fold = SetFold(static)
     out: list[float] = []
     for r in rounds:
-        if r.p.shape != (n,):
-            raise ValueError("round profit vector length must match item count")
-        P += _subset_sums(r.p)
-        K += np.maximum(0.0, W_all - r.B)
-        out.append(float((P - static.c * K).max()))
+        fold.add(r)
+        out.append(float((fold.P - static.c * fold.K).max()))
     return out
 
 
 class CachingBruteOracle:
-    """brute_oracle for callers that grow one history and re-query it.
+    """brute_oracle for callers that grow one history and re-query it
+    through the (static, rounds) oracle contract.
 
-    The FTPL engine asks for a maximizer of history-plus-perturbation every
-    round, so consecutive queries share all but a few rounds. This oracle
-    keeps per-set aggregates for the longest stable prefix of the query
-    and folds only the changing tail, making each query O(2^n) plus one
-    list comparison.
+    It is not the harness default: the harness runs gftpl_run with
+    ``oracle=None``, whose exact leader keeps the history's SetFold itself
+    and picks the sets this oracle would, with the same values. This class
+    serves callers that hand over whole round lists, consecutive queries
+    sharing all but a few rounds. It keeps the SetFold of the longest
+    stable prefix of the query and folds only the changing tail, making
+    each query O(2^n) plus one list comparison.
 
     The cached prefix is matched by a single list comparison against the
     query's leading rounds. It short-cuts on object identity and otherwise
@@ -228,40 +268,30 @@ class CachingBruteOracle:
 
     def __init__(self) -> None:
         self._static: GkpStatic | None = None
-        self._W_all: np.ndarray | None = None
-        self._P: np.ndarray | None = None
-        self._K: np.ndarray | None = None
+        self._fold: SetFold | None = None
         self._prefix: list[GkpRound] = []
         self._last: list[GkpRound] = []
         # tail slot, counted from the end of the query -> (round, dP, dK)
         self._tail: dict[int, tuple[GkpRound, np.ndarray, np.ndarray]] = {}
 
     def _bind(self, static: GkpStatic) -> None:
-        if static.n > MAX_BRUTE_N:
-            raise ValueError(f"n={static.n} exceeds enumeration guard {MAX_BRUTE_N}")
+        self._fold = SetFold(static)
         self._static = static
-        self._W_all = _subset_sums(static.w)
         self._last = []
         self._tail = {}
-        self._drop_prefix()
+        self._prefix = []
 
     def _drop_prefix(self) -> None:
         # keeps _last: the previous query still tells us which tail slots
         # are transient, so the refold can leave them out of the prefix
-        self._P = np.zeros(self._W_all.shape[0])
-        self._K = np.zeros(self._W_all.shape[0])
+        self._fold = SetFold(self._static)
         self._prefix = []
-
-    def _delta(self, r: GkpRound) -> tuple[np.ndarray, np.ndarray]:
-        if r.p.shape != (self._static.n,):
-            raise ValueError("round profit vector length must match item count")
-        return _subset_sums(r.p), np.maximum(0.0, self._W_all - r.B)
 
     def _tail_delta(self, slot: int, r: GkpRound) -> tuple[np.ndarray, np.ndarray]:
         cached = self._tail.get(slot)
         if cached is not None and cached[0] is r:
             return cached[1], cached[2]
-        dP, dK = self._delta(r)
+        dP, dK = self._fold.delta(r)
         self._tail[slot] = (r, dP, dK)
         return dP, dK
 
@@ -282,24 +312,17 @@ class CachingBruteOracle:
             and rounds[-1 - s] is self._last[-1 - s]
         ):
             s += 1
+        fold = self._fold
         for r in rounds[k : len(rounds) - s]:
-            dP, dK = self._delta(r)
-            self._P += dP
-            self._K += dK
+            fold.add(r)
             self._prefix.append(r)
         self._last = rounds
-        P, K = self._P, self._K
+        P, K = fold.P, fold.K
         for j in range(len(rounds) - s, len(rounds)):
             dP, dK = self._tail_delta(len(rounds) - 1 - j, rounds[j])
             P = P + dP
             K = K + dK
-        values = P - static.c * K
-        vmax = values.max()
-        if values[0] == vmax:  # the empty set is the overall lexicographic minimum
-            return frozenset(), 0.0
-        ties = np.flatnonzero(values == vmax)
-        best_mask = min((int(m) for m in ties), key=_mask_members)
-        return frozenset(_mask_members(best_mask)), float(vmax)
+        return leader_set(P - static.c * K)
 
 
 def _min_weight_dp(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .gftpl import GftplConfig, default_eta, epsilon_prime, gftpl_run
-from .gkp import CachingBruteOracle, fptas_oracle
+from .gkp import fptas_oracle
 from .instances import (
     GkpInstanceSet,
     GkpRound,
@@ -227,7 +227,7 @@ def _replica_gftpl(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
             return fptas_oracle(st, rs, rel) if rs else (frozenset(), 0.0)
 
     else:
-        oracle = CachingBruteOracle()  # fresh cache per replica
+        oracle = None  # the engine's exact leader
 
     trace = gftpl_run(static, rounds, oracle, gcfg, rng)
     row = {

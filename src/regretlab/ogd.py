@@ -114,13 +114,19 @@ def _project(y: list, eu: list, ev: list, cfg: OgdConfig) -> np.ndarray:
     would; indexing lists is what makes the per-edge loop fast. Each
     constraint set keeps its own correction (a full vector for the box, one
     scalar per edge since an edge's correction is equal on its two
-    endpoints and zero elsewhere). A cycle is the box
-    step, then the edges in index order. Edges whose correction is zero and
-    whose constraint holds at the post-box iterate would be identity steps,
-    so each cycle processes only the others. Converged means no coordinate
-    moved more than ``conv_tol`` in a cycle; the result is then clipped to
-    the box and returned as an array, or a ``ProjectionError`` is raised if
-    the feasibility residual exceeds ``feas_tol``.
+    endpoints and zero elsewhere). A cycle is the box step, then the active
+    edges in index order. Activity is fixed once per cycle, at the post-box
+    iterate: an edge is active if its correction is nonzero or its
+    constraint is violated there. The other edges are skipped for the whole
+    cycle even if an earlier edge step of that cycle lowers a shared
+    endpoint and violates them (this does occur); such an edge is taken up
+    in a later cycle. So the loop alone does not certify its result.
+    Converged means no coordinate moved more than ``conv_tol`` in a cycle;
+    the feasibility residual over every box and edge constraint is then
+    checked, and a ``ProjectionError`` is raised if it exceeds ``feas_tol``;
+    otherwise the result is clipped to the box and returned as an array.
+    Optimality is checked outside: the acceptance suite's criterion 3 tests
+    feasibility, nearness against feasible contenders and idempotence.
     """
     x = list(y)
     p_box = [0.0] * len(x)
@@ -172,6 +178,18 @@ def _project(y: list, eu: list, ev: list, cfg: OgdConfig) -> np.ndarray:
         residual=resid,
         cycles=cfg.max_cycles,
     )
+
+
+def checked_weight_row(w_row, n: int) -> np.ndarray:
+    """w_row as a float64 array, or a ValueError if it is not a finite
+    vector of length n. The online vertex-cover learners check every
+    revealed row with it before using it."""
+    w = np.asarray(w_row, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError(f"weight row must have length {n}")
+    if not np.isfinite(w).all():
+        raise ValueError("weight row must be finite")
+    return w
 
 
 def _edge_lists(g: Graph) -> tuple[list, list]:
@@ -231,12 +249,7 @@ class OgdVcLearner:
     def observe(self, w_row, cost: float) -> None:
         """Step on a revealed weight row; rejects a row that is not a
         finite vector of length n with a ValueError."""
-        w = np.asarray(w_row, dtype=np.float64)
-        if w.shape != (self.g.n,):
-            raise ValueError(f"weight row must have length {self.g.n}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weight row must be finite")
-        self._step(w)
+        self._step(checked_weight_row(w_row, self.g.n))
 
     def _step(self, w: np.ndarray) -> None:
         t = self.t

@@ -26,6 +26,7 @@ import numpy as np
 from .instances import Dnf3Formula, Graph, ProcTimeMatrix, WeightSequence, serialize_dnf
 from .minmax import PathChain, is_vertex_cover, static_minmax_vc
 from .ogd import OgdVcLearner  # re-exported: the gap decider's OGD learner
+from .ogd import checked_weight_row
 from .rng import SeededRng
 from .traces import RegretTrace, RoundRecord
 
@@ -126,7 +127,9 @@ class FtlMinMaxVcLearner:
         return frozenset(kept)
 
     def observe(self, w_row: np.ndarray, cost: float) -> None:
-        self.cum += w_row
+        """Add a revealed weight row to the running sums; rejects a row
+        that is not a finite vector of length n with a ValueError."""
+        self.cum += checked_weight_row(w_row, self.g.n)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ quirks or modulo bias.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -49,6 +51,21 @@ class SeededRng:
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+    def random_array(self, k: int) -> np.ndarray:
+        """The next k random() floats as one array, with the same values.
+
+        Output i mixes state + (i+1)*GOLDEN, so the k outputs are computed
+        at once in wrapping uint64 arithmetic; the state advances by k.
+        """
+        if k < 0:
+            raise ValueError("random_array() requires k >= 0")
+        z = np.uint64(self._state) + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + k * _GOLDEN) & _MASK64
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def uniform(self, low: float, high: float) -> float:
         """Uniform float in [low, high)."""

@@ -116,11 +116,9 @@ def _feasible_points(g, rng, count):
     iso = np.ones(g.n, dtype=bool)
     for u, v in g.edges:
         iso[u] = iso[v] = False
-    pts = np.empty((count, g.n))
-    for i in range(count):
-        u = np.array([rng.random() for _ in range(g.n)])
-        pts[i] = np.where(iso, u, 0.5 + 0.5 * u)
-    return pts
+    # the same draws, in the same order, as count * n calls of rng.random()
+    u = rng.random_array(count * g.n).reshape(count, g.n)
+    return np.where(iso, u, 0.5 + 0.5 * u)
 
 
 def test_criterion_3_projection_feasible_optimal_idempotent():

@@ -12,7 +12,16 @@ from regretlab.gftpl import (
     gftpl_run,
     theorem3_bound,
 )
-from regretlab.gkp import brute_oracle, fptas_oracle, gkp_profit
+from regretlab.gkp import (
+    MAX_BRUTE_N,
+    CachingBruteOracle,
+    SetFold,
+    _subset_sums,
+    brute_oracle,
+    fptas_oracle,
+    gkp_profit,
+    prefix_best_values,
+)
 from regretlab.instances import GkpRound, GkpStatic
 from regretlab.rng import SeededRng
 
@@ -274,3 +283,107 @@ def test_regret_per_round_shrinks_with_horizon():
             vals.append(regret / T)
         means[T] = sum(vals) / len(vals)
     assert means[512] < means[64]
+
+
+# --- the engine's exact leader (oracle=None) ---------------------------------------
+
+
+def trace_repr(tr):
+    """Every recorded number of a trace, as round-trip-exact text."""
+    rows = [
+        (r.t, tuple(sorted(r.action)), r.value, r.cumulative, sorted(r.extras.items()))
+        for r in tr.rows
+    ]
+    return repr((tr.algorithm, tr.benchmark, rows, sorted(tr.meta.items())))
+
+
+def tie_heavy_instance(rng, n, T):
+    """Dyadic weights, profits in quarters and a few capacity levels, so
+    every sum is exact. Items 2k and 2k+1 are twins (same weight, same
+    profit every round), so sets swapping one twin for the other tie."""
+    w = [(1 + rng.randrange(8)) / 8.0 for _ in range(n)]
+    w = [w[i - i % 2] for i in range(n)]
+    static = GkpStatic(n, w, (1 + rng.randrange(4)) / 2.0)
+    stream = []
+    for _ in range(T):
+        p = [rng.randrange(3) / 4.0 for _ in range(n)]
+        stream.append(GkpRound([p[i - i % 2] for i in range(n)], rng.randrange(4) * sum(w) / 8.0))
+    return static, stream
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exact_leader_matches_caching_oracle_bitwise(n):
+    rng = SeededRng(6100 + n)
+    for T in (0, 1, 2, 37, 300):
+        static, stream = tie_heavy_instance(rng, n, T)
+        for eta in (0.0, None):
+            cfg = GftplConfig(N=n, eta=eta, G_f=float(n), F_M=float(n))
+            seed = 6200 + 10 * n + T
+            exact = gftpl_run(static, stream, None, cfg, SeededRng(seed))
+            cached = gftpl_run(static, stream, CachingBruteOracle(), cfg, SeededRng(seed))
+            assert trace_repr(exact) == trace_repr(cached)
+            best = prefix_best_values(static, stream)
+            for tr in (exact, cached):
+                assert [r.extras["best_static_cum"] for r in tr.rows] == best
+                assert tr.benchmark == (best[-1] if best else 0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exact_leader_matches_brute_oracle_on_exact_sums(n):
+    # eta = 0: no perturbation and dyadic data, so every aggregate is exact
+    # and brute_oracle's value agrees to the bit, ties included
+    rng = SeededRng(6300 + n)
+    cfg = GftplConfig(N=n, eta=0.0, G_f=float(n), F_M=float(n))
+    tied = 0
+    for _ in range(4):
+        static, stream = tie_heavy_instance(rng, n, 100)
+        exact = gftpl_run(static, stream, None, cfg, SeededRng(1))
+        brute = gftpl_run(static, stream, brute_oracle, cfg, SeededRng(1))
+        assert trace_repr(exact) == trace_repr(brute)
+        # the leader of round t+1 is the sorted-tuple-smallest maximizer on
+        # rounds 1..t, the empty set first; count the rounds where it is one
+        # of several nonempty maximizers
+        fold = SetFold(static)
+        for t, y in enumerate(stream[:-1], start=1):
+            fold.add(y)
+            values = fold.P - static.c * fold.K
+            sets = [tuple(i for i in range(n) if m >> i & 1) for m in np.flatnonzero(values == values.max())]
+            assert exact.rows[t].action == frozenset(min(sets))
+            tied += len(sets) > 1 and min(sets) != ()
+    assert tied > 0 or n == 1  # the tie rule is exercised
+
+
+def test_exact_leader_adds_a_nonzero_perturbation_excess():
+    # random weights at n = 8: the full set's subset sum rounds above
+    # w.sum(), the perturbation rounds' capacity, so their excess deltas
+    # are not all zero and must be added as the caching oracle adds them
+    rng = SeededRng(8)
+    w = np.array([rng.random() for _ in range(8)])
+    assert _subset_sums(w)[-1] > w.sum()
+    static = GkpStatic(8, w, 1.0e3)
+    stream = [GkpRound([1.0 + rng.random() for _ in range(8)], 2.0 * w.sum()) for _ in range(20)]
+    cfg = GftplConfig(N=8, eta=0.5)
+    exact = gftpl_run(static, stream, None, cfg, SeededRng(2))
+    cached = gftpl_run(static, stream, CachingBruteOracle(), cfg, SeededRng(2))
+    assert all(r.action == frozenset(range(8)) for r in exact.rows)
+    assert trace_repr(exact) == trace_repr(cached)
+
+
+def test_callable_oracle_takes_prefix_best_from_the_same_fold():
+    rng = SeededRng(6400)
+    static, stream = tie_heavy_instance(rng, 5, 120)
+    tr = gftpl_run(static, stream, brute_oracle, GftplConfig(N=5), SeededRng(3))
+    best = prefix_best_values(static, stream)
+    assert [r.extras["best_static_cum"] for r in tr.rows] == best
+    assert tr.benchmark == best[-1]
+
+
+def test_exact_leader_guard_fires_before_round_one():
+    n = MAX_BRUTE_N + 1
+    static = GkpStatic(n, np.ones(n), 1.0)
+    stream = [GkpRound(np.ones(n), 1.0)]
+    for rounds in (stream, []):
+        rng = SeededRng(4)
+        with pytest.raises(ValueError, match="MAX_BRUTE_N"):
+            gftpl_run(static, rounds, None, GftplConfig(N=n, eta=1.0), rng)
+        assert rng.random() == SeededRng(4).random()  # no perturbation was drawn

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from regretlab import harness
 from regretlab.gftpl import GftplConfig, default_eta
+from regretlab.gkp import CachingBruteOracle, brute_oracle
 from regretlab.harness import (
     ExperimentConfig,
     compare_bounds,
@@ -13,6 +15,9 @@ from regretlab.harness import (
     run_experiment,
 )
 from regretlab.instances import (
+    GkpInstanceSet,
+    GkpRound,
+    GkpStatic,
     Graph,
     gen_random_gkp,
     gen_random_graph,
@@ -265,6 +270,64 @@ def test_run_gftpl_sweep_sets_vanishing_flag(tmp_path):
     assert "vanishing" in summary["bounds"]
     assert (tmp_path / "out" / "trace_T16_seed0.csv").exists()
     assert (tmp_path / "out" / "trace_T256_seed3.csv").exists()
+
+
+def _gftpl_default_oracle_configs(tmp_path):
+    """gftpl_gkp configs without an "oracle" key: random and tie-heavy
+    dyadic rounds, from a file and drawn per seed, with and without eta."""
+    inst = gen_random_gkp(5, 150, SeededRng(24))
+    random_file = tmp_path / "random.json"
+    random_file.write_text(serialize_gkp(inst))
+    rng = SeededRng(25)
+    w = [0.25, 0.25, 0.5, 0.5, 0.75, 0.75]  # twins: sets swapping one for the other tie
+    rounds = []
+    for _ in range(150):
+        p = [rng.randrange(3) / 4.0 for _ in range(6)]
+        rounds.append(GkpRound([p[i - i % 2] for i in range(6)], rng.randrange(4) * 0.375))
+    dyadic_file = tmp_path / "dyadic.json"
+    dyadic_file.write_text(serialize_gkp(GkpInstanceSet(GkpStatic(6, w, 1.5), rounds)))
+    return {
+        "file": ExperimentConfig("gftpl_gkp", {"gkp": str(random_file)}, 150, (0, 1)),
+        "random_sweep": ExperimentConfig(
+            "gftpl_gkp",
+            {"gkp": str(random_file)},
+            64,
+            (2, 3),
+            params={"round_source": "random", "T_sweep": [0, 1, 64, 200]},
+        ),
+        "dyadic_no_eta": ExperimentConfig(
+            "gftpl_gkp", {"gkp": str(dyadic_file)}, 150, (4, 5), params={"eta": 0.0}
+        ),
+        "dyadic": ExperimentConfig("gftpl_gkp", {"gkp": str(dyadic_file)}, 150, (6,)),
+    }
+
+
+@pytest.mark.parametrize("injected", ["CachingBruteOracle", "brute_oracle"])
+def test_gftpl_default_oracle_writes_the_files_of_an_injected_exact_oracle(
+    tmp_path, monkeypatch, injected
+):
+    # the harness's default is gftpl_run's own exact leader (oracle=None);
+    # handing the run a callable exact oracle instead changes no byte
+    configs = _gftpl_default_oracle_configs(tmp_path)
+    for name, cfg in configs.items():
+        run_experiment(cfg, tmp_path / "default" / name)
+
+    real_run = harness.gftpl_run
+
+    def run_with_oracle(static, rounds, oracle, cfg, rng):
+        assert oracle is None
+        oracle = CachingBruteOracle() if injected == "CachingBruteOracle" else brute_oracle
+        return real_run(static, rounds, oracle, cfg, rng)
+
+    monkeypatch.setattr(harness, "gftpl_run", run_with_oracle)
+    for name, cfg in configs.items():
+        run_experiment(cfg, tmp_path / "injected" / name)
+        files = sorted(p.name for p in (tmp_path / "default" / name).iterdir())
+        assert "summary.json" in files and len(files) > 1
+        assert files == sorted(p.name for p in (tmp_path / "injected" / name).iterdir())
+        for f in files:
+            got = (tmp_path / "default" / name / f).read_bytes()
+            assert got == (tmp_path / "injected" / name / f).read_bytes(), (name, f)
 
 
 # --- compare_bounds -----------------------------------------------------------------

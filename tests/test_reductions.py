@@ -46,6 +46,7 @@ from test_ogd import reference_ogd_iterates
 K4 = Graph(4, tuple(itertools.combinations(range(4), 2)))
 STAR6 = Graph(6, tuple((0, leaf) for leaf in range(1, 6)))
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
+PATH3 = Graph(3, ((0, 1), (1, 2)))
 
 
 def perfect_matchings_by_enumeration(g):
@@ -160,6 +161,26 @@ def test_ogd_learner_rejects_bad_rows():
         with pytest.raises(ValueError, match="weight row"):
             learner.observe(np.array(row), 0.0)
     assert learner.t == 1  # nothing was stepped
+
+
+def test_ftl_learner_rejects_non_finite_rows():
+    learner = FtlMinMaxVcLearner(PATH3)
+    for row in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [-np.inf, 1.0, 0.0]):
+        with pytest.raises(ValueError, match="weight row must be finite"):
+            learner.observe(np.array(row), 0.0)
+    assert learner.cum.tolist() == [0.0, 0.0, 0.0]  # nothing was added
+    assert learner.play() == frozenset({1})
+
+
+def test_ftl_learner_rejects_rows_of_the_wrong_length():
+    learner = FtlMinMaxVcLearner(PATH3)
+    # a length-1 row would broadcast into every vertex
+    for row in ([5.0], [1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="weight row must have length 3"):
+            learner.observe(np.array(row), 0.0)
+    assert learner.cum.tolist() == [0.0, 0.0, 0.0]
+    learner.observe([0.0, 5.0, 0.0], 5.0)  # a plain list of the right length is a row
+    assert learner.play() == frozenset({0, 2})
 
 
 def test_gap_decider_projection_failure_names_the_round():

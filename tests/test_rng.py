@@ -1,5 +1,6 @@
 """Deterministic-PRNG tests: frozen golden sequences and distribution sanity."""
 
+import numpy as np
 import pytest
 
 from regretlab.rng import SeededRng
@@ -56,6 +57,29 @@ def test_random_in_unit_interval():
         assert 0.0 <= x < 1.0
 
 
+@pytest.mark.parametrize("seed", [0, 42, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("k", [0, 1, 7, 1000, 20000])
+def test_random_array_matches_scalar_stream(seed, k):
+    # byte for byte, and the stream continues where k scalar draws leave it
+    a = SeededRng(seed)
+    b = SeededRng(seed)
+    b.next_u64()  # both mid-stream, so the state is not the seed
+    a.next_u64()
+    got = a.random_array(k)
+    want = np.array([b.random() for _ in range(k)], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (k,)
+    assert got.tobytes() == want.tobytes()
+    assert a.random() == b.random()
+    assert a.next_u64() == b.next_u64()
+
+
+def test_random_array_consecutive_calls_continue_the_stream():
+    a = SeededRng(5)
+    b = SeededRng(5)
+    got = np.concatenate([a.random_array(3), a.random_array(0), a.random_array(4)])
+    assert got.tolist() == [b.random() for _ in range(7)]
+
+
 def test_uniform_respects_bounds():
     r = SeededRng(8)
     for _ in range(1000):
@@ -92,3 +116,5 @@ def test_rejects_bad_arguments():
         r.randrange(0)
     with pytest.raises(ValueError):
         r.uniform(2.0, 1.0)
+    with pytest.raises(ValueError):
+        r.random_array(-1)
