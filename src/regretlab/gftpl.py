@@ -30,7 +30,7 @@ from math import sqrt
 
 import numpy as np
 
-from .gkp import MAX_BRUTE_N, SetFold, distinguisher_set, gkp_profit, leader_set
+from .gkp import MAX_BRUTE_N, SetFold, distinguisher_set, gkp_profit
 from .instances import GkpRound, GkpStatic
 from .rng import SeededRng
 from .traces import RegretTrace, RoundRecord
@@ -162,11 +162,11 @@ def gftpl_run(
     perturbed objective, the best static payoff on the revealed prefix,
     the running regret against it, and the running theorem bound.
 
-    ``oracle=None`` is the engine's exact leader: the maximizer over all
-    2^n sets of the history's SetFold plus the perturbation deltas, added
-    in slot order, with brute_oracle's tie rule. It picks the sets a
-    CachingBruteOracle would, with the same values, without building a
-    round list per round; it needs n <= MAX_BRUTE_N. Any other oracle is
+    ``oracle=None`` is the engine's exact leader: SetFold.leader of the
+    history's fold plus the perturbation deltas, added in slot order, with
+    brute_oracle's tie rule. It is the code CachingBruteOracle runs on its
+    tail, so it picks the same sets with the same values, without building
+    a round list per round; it needs n <= MAX_BRUTE_N. Any other oracle is
     called as oracle(static, history + perturbation rounds). The hindsight
     benchmark comes from the same fold whenever n <= MAX_BRUTE_N.
     """
@@ -195,11 +195,6 @@ def gftpl_run(
     fold = SetFold(static) if n <= MAX_BRUTE_N else None
     if oracle is None:
         tail = [fold.delta(r) for r in pert_rounds]
-        tail_P = [dP for dP, _ in tail]
-        # the capacity is the full weight w.sum(), so a dK is all zero
-        # unless some subset sum rounds above it; adding zeros is exact
-        tail_K = [dK for _, dK in tail if dK.any()]
-        cK = static.c * fold.K
 
     plays: list[frozenset] = []
     payoffs: list[float] = []
@@ -208,17 +203,7 @@ def gftpl_run(
     history: list[GkpRound] = []
     for t in range(1, T + 1):
         if oracle is None:
-            VP = fold.P
-            for dP in tail_P:
-                VP = VP + dP
-            if tail_K:
-                VK = fold.K
-                for dK in tail_K:
-                    VK = VK + dK
-                values = VP - static.c * VK
-            else:
-                values = VP - cK
-            played, perturbed_obj = leader_set(values)
+            played, perturbed_obj = fold.leader(tail, static.c)
         else:
             try:
                 played, perturbed_obj = oracle(static, history + pert_rounds)
@@ -238,8 +223,7 @@ def gftpl_run(
             history.append(y)
         if fold is not None:
             fold.add(y)
-            cK = static.c * fold.K
-            prefix_best.append(float((fold.P - cK).max()))
+            prefix_best.append(fold.best(static.c))
 
     benchmark = None
     if fold is not None:

@@ -13,10 +13,11 @@ pseudo-polynomial profit-indexed DP, and the profit-scaling FPTAS built
 on it. SetFold keeps the per-set aggregates P[mask] and K[mask] of a
 growing history; the hindsight sweep (prefix_best_values), the caching
 oracle's prefix and the FTPL engine's exact leader all fold through it,
-so they add the same floats in the same order. The DP keeps only the
-reachable profit levels (at most 2^n), so its cost follows the distinct
-subset profits, not the width of the profit grid; the grid size still
-bounds which instances are accepted.
+and the caching oracle and the engine both take their leader from
+SetFold.leader, so they add the same floats in the same order. The DP
+keeps only the reachable profit levels (at most 2^n), so its cost
+follows the distinct subset profits, not the width of the profit grid;
+the grid size still bounds which instances are accepted.
 The distinguisher set is the n-round instance family whose induced
 payoff matrix tells every pair of item sets apart — the perturbation
 machinery of the FTPL engine.
@@ -199,6 +200,23 @@ class SetFold:
         self.P += dP
         self.K += dK
 
+    def best(self, c: float) -> float:
+        """The best summed objective max(P - c*K) of the folded rounds."""
+        return float((self.P - c * self.K).max())
+
+    def leader(self, tail, c: float) -> tuple[frozenset, float]:
+        """leader_set of the fold plus the (dP, dK) pairs of ``tail``.
+
+        The pairs are added one by one in order (``P = P + dP``,
+        ``K = K + dK``), as folding those rounds would, and the fold itself
+        is left unchanged.
+        """
+        P, K = self.P, self.K
+        for dP, dK in tail:
+            P = P + dP
+            K = K + dK
+        return leader_set(P - c * K)
+
 
 def brute_oracle(static: GkpStatic, rounds) -> tuple[frozenset, float]:
     """Exact maximizer over all 2^n item sets.
@@ -234,7 +252,7 @@ def prefix_best_values(static: GkpStatic, rounds) -> list[float]:
     out: list[float] = []
     for r in rounds:
         fold.add(r)
-        out.append(float((fold.P - static.c * fold.K).max()))
+        out.append(fold.best(static.c))
     return out
 
 
@@ -317,12 +335,9 @@ class CachingBruteOracle:
             fold.add(r)
             self._prefix.append(r)
         self._last = rounds
-        P, K = fold.P, fold.K
-        for j in range(len(rounds) - s, len(rounds)):
-            dP, dK = self._tail_delta(len(rounds) - 1 - j, rounds[j])
-            P = P + dP
-            K = K + dK
-        return leader_set(P - static.c * K)
+        m = len(rounds)
+        tail = [self._tail_delta(m - 1 - j, rounds[j]) for j in range(m - s, m)]
+        return fold.leader(tail, static.c)
 
 
 def _min_weight_dp(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -20,6 +20,7 @@ from regretlab.gkp import (
     brute_oracle,
     fptas_oracle,
     gkp_profit,
+    leader_set,
     prefix_best_values,
 )
 from regretlab.instances import GkpRound, GkpStatic
@@ -326,6 +327,28 @@ def test_exact_leader_matches_caching_oracle_bitwise(n):
             for tr in (exact, cached):
                 assert [r.extras["best_static_cum"] for r in tr.rows] == best
                 assert tr.benchmark == (best[-1] if best else 0.0)
+
+
+def fresh_fold_oracle(static, rounds):
+    """The exact leader the long way: every round of the query, the
+    perturbation rounds included, folded afresh in order."""
+    fold = SetFold(static)
+    for r in rounds:
+        fold.add(r)
+    return leader_set(fold.P - static.c * fold.K)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exact_leader_adds_the_tail_as_a_fresh_fold_would(n):
+    # random perturbations make the sums inexact, so adding the tail in
+    # any other order (or pre-summed) changes bits somewhere in the sweep
+    rng = SeededRng(6500 + n)
+    for T in (1, 37, 150):
+        static, stream = tie_heavy_instance(rng, n, T)
+        cfg = GftplConfig(N=n, G_f=float(n), F_M=float(n))
+        exact = gftpl_run(static, stream, None, cfg, SeededRng(T))
+        fresh = gftpl_run(static, stream, fresh_fold_oracle, cfg, SeededRng(T))
+        assert trace_repr(exact) == trace_repr(fresh)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

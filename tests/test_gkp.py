@@ -455,6 +455,13 @@ def test_prefix_best_matches_per_prefix_brute_exactly():
             assert vals[t - 1] == brute_oracle(static, rounds[:t])[1]
 
 
+def test_prefix_best_is_zero_when_every_nonempty_set_loses():
+    # capacity 0 and a steep penalty: the empty set is the best fixed set
+    static = GkpStatic(3, [1.0, 2.0, 4.0], 10.0)
+    rounds = [GkpRound([1.0, 1.0, 1.0], 0.0) for _ in range(3)]
+    assert prefix_best_values(static, rounds) == [0.0, 0.0, 0.0]
+
+
 def test_prefix_best_trivial_and_guards():
     static = GkpStatic(2, [1.0, 2.0], 1.0)
     assert prefix_best_values(static, []) == []
