@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gftpl import GftplConfig, theorem3_bound
+from .gftpl import GftplConfig, run_eps, theorem3_bound
 from .gkp import brute_oracle, fptas_grid_info, fptas_oracle
 from .harness import load_experiment, run_experiment
 from .instances import (
@@ -170,9 +170,9 @@ def _cmd_bound(args) -> int:
             delta=args.delta,
             G_gamma=args.G_gamma,
             G_f=args.G_f,
+            eps_schedule=("additive", args.eps),
         )
-        eps = args.eps if args.eps is not None else (args.T**-0.5 if args.T else 0.0)
-        value = theorem3_bound(cfg, eps, args.T)
+        value = theorem3_bound(cfg, run_eps(cfg, args.T), args.T)
     sys.stdout.write(f"{value!r}\n")
     return 0
 

@@ -8,11 +8,12 @@ sees a perturbation, only a slightly longer instance list. Each round the
 engine asks the oracle for a maximizer of history-plus-perturbation,
 plays it, then reveals the true round.
 
-The oracle contract is a callable (static, rounds) -> (item set, value)
-that is either exactly optimal / additively eps-optimal, or
-multiplicatively (1-eps')-optimal with nonnegative payoffs; which one is
-declared by the config's eps schedule and drives auditing and error
-checks, not the call signature.
+The oracle contract is a callable (static, rounds) -> (item set, value),
+exactly / additively eps-optimal or multiplicatively (1-eps')-optimal
+with nonnegative payoffs; the config's eps schedule declares which.
+resolve_run fixes a run's eps (run_eps: the schedule's, else T^(-1/2))
+and eta (default_eta when unset) in one place, for the engine and for
+callers that need them first, such as the harness's FPTAS error.
 
 Every oracle depends on the history only through its per-set summed
 profits P[mask] and excess K[mask]. The engine keeps one SetFold of the
@@ -25,7 +26,7 @@ its tie rule, so no round list is built or handed over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import sqrt
 
 import numpy as np
@@ -42,6 +43,8 @@ __all__ = [
     "default_eta",
     "epsilon_prime",
     "gftpl_run",
+    "resolve_run",
+    "run_eps",
     "theorem3_bound",
 ]
 
@@ -140,11 +143,21 @@ def theorem3_bound(cfg: GftplConfig, eps: float, T: int) -> float:
     return cfg.N * sqrt(inner) + eps * T
 
 
-def _resolve_eps(cfg: GftplConfig, T: int) -> float:
+def run_eps(cfg: GftplConfig, T: int) -> float:
+    """The eps a run of horizon T uses: the schedule's eps, or T^(-1/2)
+    when that is None (0 for an empty horizon)."""
     eps = cfg.eps_schedule[1]
     if eps is None:
         return T ** -0.5 if T > 0 else 0.0
     return float(eps)
+
+
+def resolve_run(cfg: GftplConfig, T: int) -> tuple[GftplConfig, float]:
+    """cfg with eta filled in (default_eta when it is None), and run_eps."""
+    eps = run_eps(cfg, T)
+    if cfg.eta is None:
+        cfg = replace(cfg, eta=default_eta(cfg, eps, T))
+    return cfg, eps
 
 
 def gftpl_run(
@@ -184,24 +197,21 @@ def gftpl_run(
             f"the enumeration guard MAX_BRUTE_N={MAX_BRUTE_N}"
         )
     mode, _ = cfg.eps_schedule
-    eps = _resolve_eps(cfg, T)
-    eta = cfg.eta if cfg.eta is not None else default_eta(cfg, eps, T)
-    a = np.array([rng.uniform(0.0, eta) for _ in range(cfg.N)])
-    pert = PerturbationVector(a, eta)
+    cfg, eps = resolve_run(cfg, T)
+    pert = draw_perturbation(cfg, rng)
 
     base = distinguisher_set(static, P=cfg.delta)
-    pert_rounds = [GkpRound(a[j] * base[j].p, base[j].B) for j in range(cfg.N)]
+    pert_rounds = [GkpRound(pert.a[j] * base[j].p, base[j].B) for j in range(cfg.N)]
 
     fold = SetFold(static) if n <= MAX_BRUTE_N else None
     if oracle is None:
         tail = [fold.delta(r) for r in pert_rounds]
 
-    plays: list[frozenset] = []
-    payoffs: list[float] = []
-    claimed: list[float] = []
-    prefix_best: list[float] = []
+    records: list[RoundRecord] = []
     history: list[GkpRound] = []
-    for t in range(1, T + 1):
+    cum = 0.0
+    best = regret = float("nan")
+    for t, y in enumerate(rounds_stream, 1):
         if oracle is None:
             played, perturbed_obj = fold.leader(tail, static.c)
         else:
@@ -209,50 +219,39 @@ def gftpl_run(
                 played, perturbed_obj = oracle(static, history + pert_rounds)
             except Exception as exc:
                 raise RuntimeError(f"oracle failed at round {t}: {exc}") from exc
-        y = rounds_stream[t - 1]
+            history.append(y)
         payoff = gkp_profit(played, static, y)
         if mode == "fptas" and payoff < 0:
             raise ValueError(
                 f"round {t}: negative payoff {payoff} under the fptas schedule "
                 "(the multiplicative contract needs nonnegative payoffs)"
             )
-        plays.append(frozenset(played))
-        payoffs.append(payoff)
-        claimed.append(float(perturbed_obj))
-        if oracle is not None:
-            history.append(y)
+        cum += payoff
         if fold is not None:
             fold.add(y)
-            prefix_best.append(fold.best(static.c))
-
-    benchmark = None
-    if fold is not None:
-        benchmark = prefix_best[-1] if prefix_best else 0.0
-
-    records = []
-    cum = 0.0
-    for t in range(1, T + 1):
-        cum += payoffs[t - 1]
+            best = fold.best(static.c)
+            regret = best - cum
         extras = {
-            "perturbed_obj": claimed[t - 1],
-            "best_static_cum": prefix_best[t - 1] if prefix_best else float("nan"),
-            "regret": (prefix_best[t - 1] - cum) if prefix_best else float("nan"),
+            "perturbed_obj": float(perturbed_obj),
+            "best_static_cum": best,
+            "regret": regret,
             "theorem3_bound": theorem3_bound(cfg, eps, t),
         }
         records.append(
-            RoundRecord(t=t, action=plays[t - 1], value=payoffs[t - 1], cumulative=cum, extras=extras)
+            RoundRecord(t=t, action=frozenset(played), value=payoff, cumulative=cum, extras=extras)
         )
+
     return RegretTrace(
         algorithm="gftpl_gkp",
         rows=tuple(records),
-        benchmark=benchmark,
+        benchmark=None if fold is None else (best if T else 0.0),
         meta={
             "n": n,
             "T": T,
             "seed": rng.seed,
             "eps_mode": mode,
             "eps": eps,
-            "eta": eta,
+            "eta": cfg.eta,
             "perturbation": tuple(float(x) for x in pert.a),
         },
     )

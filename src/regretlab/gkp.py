@@ -10,12 +10,15 @@ is piecewise linear and convex in the set's total weight W, evaluable in
 O(log m) from the sorted capacities. Oracles: exhaustive subset search
 (ground truth), a caching variant of it for a growing history, a
 pseudo-polynomial profit-indexed DP, and the profit-scaling FPTAS built
-on it. SetFold keeps the per-set aggregates P[mask] and K[mask] of a
-growing history; the hindsight sweep (prefix_best_values), the caching
-oracle's prefix and the FTPL engine's exact leader all fold through it,
-and the caching oracle and the engine both take their leader from
-SetFold.leader, so they add the same floats in the same order. The DP
-keeps only the reachable profit levels (at most 2^n), so its cost
+on it. The round-list oracles read the history only through _summed, its
+summed profits p_s and excess function k; the two DPs share one grid
+guard and pick (_dp_set), and the FPTAS and fptas_grid_info one grid
+(_fptas_grid). SetFold keeps the per-set aggregates P[mask] and K[mask]
+of a growing history; the hindsight sweep (prefix_best_values), the
+caching oracle's prefix and the FTPL engine's exact leader all fold
+through it, and the caching oracle and the engine both take their leader
+from SetFold.leader, so they add the same floats in the same order. The
+DP keeps only the reachable profit levels (at most 2^n), so its cost
 follows the distinct subset profits, not the width of the profit grid;
 the grid size still bounds which instances are accepted.
 The distinguisher set is the n-round instance family whose induced
@@ -26,7 +29,7 @@ machinery of the FTPL engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor
+from math import floor, isfinite
 
 import numpy as np
 
@@ -114,23 +117,27 @@ def multi_gkp_profit(A, static: GkpStatic, rounds) -> float:
     Equals the round-by-round sum of gkp_profit by the piecewise-linear
     collapse of the penalty.
     """
+    return _aggregate_profit(A, static, _summed(static, rounds))
+
+
+def _summed(static: GkpStatic, rounds) -> tuple[np.ndarray, ExcessFunction] | None:
+    """The history summary every oracle reads: the rounds' summed profit
+    vector p_s and their excess function k, or None for no rounds."""
     rounds = list(rounds)
     for r in rounds:
         if r.p.shape != (static.n,):
             raise ValueError("round profit vector length must match item count")
     if not rounds:
-        _check_members(A, static.n)
-        return 0.0
-    p_s = np.sum([r.p for r in rounds], axis=0)
-    return _aggregate_profit(A, static, p_s, ExcessFunction.from_rounds(rounds))
+        return None
+    return np.sum([r.p for r in rounds], axis=0), ExcessFunction.from_rounds(rounds)
 
 
-def _aggregate_profit(A, static: GkpStatic, p_s: np.ndarray, f: ExcessFunction) -> float:
-    """multi_gkp_profit from the rounds' summed profits p_s and excess f,
-    for oracles that already hold both."""
+def _aggregate_profit(A, static: GkpStatic, summed) -> float:
+    """multi_gkp_profit from the history summary (p_s, f) of _summed."""
     members = _check_members(A, static.n)
-    if not members:
+    if not members or summed is None:
         return 0.0
+    p_s, f = summed
     W = float(static.w[members].sum())
     return float(p_s[members].sum()) - static.c * f.value(W)
 
@@ -227,17 +234,14 @@ def brute_oracle(static: GkpStatic, rounds) -> tuple[frozenset, float]:
     n = static.n
     if n > MAX_BRUTE_N:
         raise ValueError(f"n={n} exceeds enumeration guard {MAX_BRUTE_N}")
-    rounds = list(rounds)
-    if not rounds:
+    summed = _summed(static, rounds)
+    if summed is None:
         return frozenset(), 0.0
-    p_s = np.sum([r.p for r in rounds], axis=0)
-    if p_s.shape != (static.n,):
-        raise ValueError("round profit vector length must match item count")
-    f = ExcessFunction.from_rounds(rounds)
+    p_s, f = summed
     W_all = _subset_sums(static.w)
     P_all = _subset_sums(p_s)
     best, _ = leader_set(P_all - static.c * f.value_many(W_all))
-    return best, _aggregate_profit(best, static, p_s, f)
+    return best, _aggregate_profit(best, static, summed)
 
 
 def prefix_best_values(static: GkpStatic, rounds) -> list[float]:
@@ -384,6 +388,24 @@ def _min_weight_dp(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return levels, weight, chosen
 
 
+def _check_positive_finite(value: float, name: str) -> None:
+    if not (isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _dp_set(q: list[int], unit: float, static: GkpStatic, f: ExcessFunction) -> frozenset:
+    """The DP's set on the integer item levels q: of the reachable levels,
+    the least-weight set maximizing level*unit - c*k(weight), the smallest
+    level on ties. MAX_DP_CELLS caps the dense grid, in Python ints."""
+    cells = (sum(q) + 1) * max(static.n, 1)
+    if cells > MAX_DP_CELLS:
+        raise ValueError(f"grid overflow: {cells} DP cells exceed cap {MAX_DP_CELLS}")
+    levels, weight, chosen = _min_weight_dp(np.array(q, dtype=np.int64), static.w)
+    values = levels * unit - static.c * f.value_many(weight)
+    best_k = int(np.argmax(values))  # first (smallest level) on ties
+    return frozenset(int(i) for i in np.flatnonzero(chosen[best_k]))
+
+
 def exact_dp_oracle(
     static: GkpStatic, rounds, profit_grid: float
 ) -> tuple[frozenset, float]:
@@ -394,29 +416,32 @@ def exact_dp_oracle(
     scaled-profit level and maximizes level*profit_grid - c*k(min_weight)
     over those levels, the smallest level winning ties.
     """
-    if profit_grid <= 0:
-        raise ValueError("profit_grid must be positive")
-    n = static.n
-    rounds = list(rounds)
-    if not rounds:
+    _check_positive_finite(profit_grid, "profit_grid")
+    summed = _summed(static, rounds)
+    if summed is None:
         return frozenset(), 0.0
-    p_s = np.sum([r.p for r in rounds], axis=0)
-    if p_s.shape != (static.n,):
-        raise ValueError("round profit vector length must match item count")
+    p_s, f = summed
+    if not isfinite(float(p_s.max(initial=0.0)) / profit_grid):
+        raise ValueError(f"grid overflow: profit_grid={profit_grid!r} is too fine")
     scaled = p_s / profit_grid
     q = np.rint(scaled)
-    if np.abs(scaled - q).max() > 1e-9:
+    if np.abs(scaled - q).max(initial=0.0) > 1e-9:
         raise ValueError("scaled summed profits must be integers on the grid")
-    q = q.astype(np.int64)
-    cells = (int(q.sum()) + 1) * max(n, 1)
-    if cells > MAX_DP_CELLS:
-        raise ValueError(f"grid overflow: {cells} DP cells exceed cap {MAX_DP_CELLS}")
-    f = ExcessFunction.from_rounds(rounds)
-    levels, weight, chosen = _min_weight_dp(q, static.w)
-    values = levels * profit_grid - static.c * f.value_many(weight)
-    best_k = int(np.argmax(values))  # first (smallest level) on ties
-    best = frozenset(int(i) for i in np.flatnonzero(chosen[best_k]))
-    return best, _aggregate_profit(best, static, p_s, f)
+    best = _dp_set([int(x) for x in q], profit_grid, static, f)
+    return best, _aggregate_profit(best, static, summed)
+
+
+def _fptas_grid(p_s: np.ndarray, eps: float, n: int) -> tuple[list[int], float] | None:
+    """The FPTAS profit grid (q, K): every item's summed profit floored
+    onto the unit K = eps * P_max / n, as Python ints, and K. None when no
+    item has a positive summed profit."""
+    p_max = float(p_s.max(initial=0.0))
+    if p_max <= 0:
+        return None
+    K = eps * p_max / n
+    if not (K > 0 and isfinite(p_max / K)):
+        raise ValueError(f"grid overflow: eps={eps!r} makes the unit K={K!r} too fine")
+    return [floor(float(x) / K) for x in p_s], K
 
 
 def fptas_grid_info(static: GkpStatic, rounds, eps: float) -> dict:
@@ -426,19 +451,13 @@ def fptas_grid_info(static: GkpStatic, rounds, eps: float) -> dict:
     MAX_DP_CELLS guard caps. It is not the work done: the DP only visits
     the reachable levels, at most min(levels, 2^n) of them.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    rounds = list(rounds)
-    n = static.n
-    if not rounds or n == 0:
+    _check_positive_finite(eps, "eps")
+    summed = _summed(static, rounds)
+    grid = _fptas_grid(summed[0], eps, static.n) if summed else None
+    if grid is None:
         return {"K": 0.0, "levels": 0, "dp_cells": 0}
-    p_s = np.sum([r.p for r in rounds], axis=0)
-    p_max = float(p_s.max())
-    if p_max <= 0:
-        return {"K": 0.0, "levels": 0, "dp_cells": 0}
-    K = eps * p_max / n
-    levels = int(sum(floor(float(x) / K) for x in p_s)) + 1
-    return {"K": K, "levels": levels, "dp_cells": levels * n}
+    levels = sum(grid[0]) + 1
+    return {"K": grid[1], "levels": levels, "dp_cells": levels * static.n}
 
 
 def fptas_oracle(static: GkpStatic, rounds, eps: float) -> tuple[frozenset, float]:
@@ -453,33 +472,18 @@ def fptas_oracle(static: GkpStatic, rounds, eps: float) -> tuple[frozenset, floa
     tested regime. The grid-overflow guard still caps the dense grid size
     (see fptas_grid_info), so the instances accepted are unchanged.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    n = static.n
-    rounds = list(rounds)
-    if not rounds or n == 0:
+    _check_positive_finite(eps, "eps")
+    summed = _summed(static, rounds)
+    grid = _fptas_grid(summed[0], eps, static.n) if summed else None
+    if grid is None:
         return frozenset(), 0.0
-    p_s = np.sum([r.p for r in rounds], axis=0)
-    if p_s.shape != (static.n,):
-        raise ValueError("round profit vector length must match item count")
-    p_max = float(p_s.max())
-    if p_max <= 0:
-        return frozenset(), 0.0
-    K = eps * p_max / n
-    q = np.array([floor(float(x) / K) for x in p_s], dtype=np.int64)
-    cells = (int(q.sum()) + 1) * n
-    if cells > MAX_DP_CELLS:
-        raise ValueError(f"grid overflow: {cells} DP cells exceed cap {MAX_DP_CELLS}")
-    f = ExcessFunction.from_rounds(rounds)
-    levels, weight, chosen = _min_weight_dp(q, static.w)
-    proxy = levels * K - static.c * f.value_many(weight)
-    dp_set = frozenset(int(i) for i in np.flatnonzero(chosen[int(np.argmax(proxy))]))
+    dp_set = _dp_set(*grid, static, summed[1])
 
     # highest true profit wins; exact ties go to the lexicographically
     # smallest set (empty set first)
-    candidates = [frozenset(), dp_set] + [frozenset({i}) for i in range(n)]
+    candidates = [frozenset(), dp_set] + [frozenset({i}) for i in range(static.n)]
     value, _, best = min(
-        (-_aggregate_profit(A, static, p_s, f), tuple(sorted(A)), A) for A in candidates
+        (-_aggregate_profit(A, static, summed), tuple(sorted(A)), A) for A in candidates
     )
     return best, -value
 

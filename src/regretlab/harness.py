@@ -11,12 +11,12 @@ embarrassingly parallel and every output byte is a pure function of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .gftpl import GftplConfig, default_eta, epsilon_prime, gftpl_run
+from .gftpl import GftplConfig, epsilon_prime, gftpl_run, resolve_run
 from .gkp import fptas_oracle
 from .instances import (
     GkpInstanceSet,
@@ -203,8 +203,6 @@ def _replica_gftpl(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
     if g_f is None:
         g_f = max((float(np.clip(r.p, 0.0, None).sum()) for r in rounds), default=1.0)
         g_f = max(g_f, 1.0)
-    schedule = p.get("eps_schedule", "additive")
-    eps = p.get("eps")
     gcfg = GftplConfig(
         N=static.n,
         eta=p.get("eta"),
@@ -213,14 +211,12 @@ def _replica_gftpl(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
         G_gamma=float(p.get("G_gamma", 1.0)),
         G_f=float(g_f),
         F_M=float(p.get("F_M", g_f)),
-        eps_schedule=(schedule, eps),
+        eps_schedule=(p.get("eps_schedule", "additive"), p.get("eps")),
     )
     if p.get("oracle", "brute") == "fptas":
-        eps_run = eps if eps is not None else (T**-0.5 if T else 1.0)
-        if gcfg.eta is None and T:
-            # the oracle's relative error needs eta now; resolve it to the
-            # value gftpl_run would derive and hand that to the run as well
-            gcfg = replace(gcfg, eta=default_eta(gcfg, eps_run, T))
+        # the oracle's relative error needs eta now; resolve it as gftpl_run
+        # would and hand the resolved config to the run as well
+        gcfg, eps_run = resolve_run(gcfg, T)
         rel = epsilon_prime(eps_run, T, gcfg) if T else 1.0
 
         def oracle(st, rs):

@@ -14,7 +14,6 @@ import pytest
 
 from regretlab.gftpl import GftplConfig, gftpl_run
 from regretlab.gkp import (
-    CachingBruteOracle,
     ExcessFunction,
     brute_oracle,
     distinguisher_set,
@@ -210,7 +209,10 @@ GFTPL_GF = GFTPL_N * 255 / 64  # max possible per-round profit sum
 
 
 def _gftpl_replica(seed, T):
-    """Binding capacities and a real penalty slope keep static sets apart."""
+    """Binding capacities and a real penalty slope keep static sets apart.
+
+    The run uses the engine's exact leader (oracle=None); test_gftpl and
+    test_harness pin that it plays what CachingBruteOracle would."""
     rng = SeededRng(seed)
     w = np.array([(1 + rng.randrange(63)) / 32 for _ in range(GFTPL_N)])
     static = GkpStatic(GFTPL_N, w, 2.0)
@@ -222,7 +224,7 @@ def _gftpl_replica(seed, T):
         for _ in range(T)
     ]
     cfg = GftplConfig(N=GFTPL_N, G_f=GFTPL_GF, F_M=GFTPL_GF)
-    tr = gftpl_run(static, rounds, CachingBruteOracle(), cfg, SeededRng(90_000 + seed))
+    tr = gftpl_run(static, rounds, None, cfg, SeededRng(90_000 + seed))
     last = tr.rows[-1].extras
     return last["regret"], last["theorem3_bound"]
 

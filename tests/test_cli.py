@@ -5,6 +5,7 @@ import json
 import pytest
 
 from regretlab.cli import main
+from regretlab.gftpl import GftplConfig, theorem3_bound
 from regretlab.instances import (
     Graph,
     gen_random_gkp,
@@ -144,6 +145,22 @@ def test_bound_theorem3_cli(capsys):
     )
     assert code == 0
     assert float(out) == pytest.approx(2 * 240**0.5 + 10)
+
+
+@pytest.mark.parametrize("T", [0, 1, 100])
+def test_bound_theorem3_cli_defaults_eps_to_inverse_root_horizon(capsys, T):
+    code, out = run_cli(capsys, "bound", "theorem3", "--N", "3", "--T", str(T))
+    assert code == 0
+    eps = T**-0.5 if T else 0.0
+    assert out == f"{theorem3_bound(GftplConfig(N=3), eps, T)!r}\n"
+
+
+def test_bound_theorem3_cli_needs_no_eta(capsys):
+    # the bound never uses eta, so G_gamma = 0 (where default_eta is
+    # undefined) still prints the bound
+    code, out = run_cli(capsys, "bound", "theorem3", "--N", "2", "--T", "16", "--G-gamma", "0")
+    assert code == 0
+    assert float(out) == 0.25 * 16
 
 
 def test_help_exits_cleanly(capsys):

@@ -10,6 +10,8 @@ from regretlab.gftpl import (
     draw_perturbation,
     epsilon_prime,
     gftpl_run,
+    resolve_run,
+    run_eps,
     theorem3_bound,
 )
 from regretlab.gkp import (
@@ -116,6 +118,22 @@ def test_theorem3_bound_examples():
     assert theorem3_bound(cfg, 0.1, 0) == 0.0
     cfg2 = GftplConfig(N=1, kappa=1.0, delta=1.0, G_gamma=1.0, G_f=1.0)
     assert theorem3_bound(cfg2, 0.0, 4) == pytest.approx(2.0)
+
+
+def test_resolve_run_defaults_only_what_the_config_leaves_unset():
+    cfg = GftplConfig(N=2, G_f=3.0)
+    assert run_eps(cfg, 16) == 0.25 and run_eps(cfg, 0) == 0.0
+    resolved, eps = resolve_run(cfg, 16)
+    assert eps == 0.25 and resolved.eta == default_eta(cfg, 0.25, 16)
+    explicit = GftplConfig(N=2, eta=0.5, G_f=3.0, eps_schedule=("fptas", 0.3))
+    assert resolve_run(explicit, 16) == (explicit, 0.3)
+    static = GkpStatic(2, [1.0, 1.0], 0.5)
+    stream = [GkpRound([1.0, 2.0], 1.0)] * 16
+    for c in (cfg, explicit):
+        resolved, eps = resolve_run(c, 16)
+        tr = gftpl_run(static, stream, None, c, SeededRng(4))
+        assert (tr.meta["eps"], tr.meta["eta"]) == (eps, resolved.eta)
+        assert tr.rows[-1].extras["theorem3_bound"] == theorem3_bound(c, eps, 16)
 
 
 # --- gftpl_run -------------------------------------------------------------------------

@@ -217,6 +217,8 @@ def test_exact_dp_trivial_cases():
     best, value = exact_dp_oracle(free, [GkpRound([2.0, 1.0, 3.0], 0.0)], 1.0)
     assert best == frozenset({0, 1, 2})
     assert value == 6.0
+    # no items: the empty set, as every other oracle answers
+    assert exact_dp_oracle(GkpStatic(0, [], 1.0), [GkpRound([], 1.0)], 1.0) == (frozenset(), 0.0)
 
 
 def test_exact_dp_errors():
@@ -339,6 +341,74 @@ def test_dp_grid_guard_counts_the_dense_grid():
     assert info["dp_cells"] > MAX_DP_CELLS
     with pytest.raises(ValueError, match="grid overflow"):
         fptas_oracle(static, rounds, 1e-7)
+
+
+def _three_items():
+    """One round over three unit-weight items; the brute optimum is 5.25."""
+    return GkpStatic(3, [1.0, 1.0, 1.0], 0.5), [GkpRound([1.0, 2.0, 3.0], 1.5)]
+
+
+def _random_four():
+    """gen_random_gkp(4, 5, SeededRng(3)); the brute optimum is about 9.75."""
+    inst = gen_random_gkp(4, 5, SeededRng(3))
+    return inst.static, list(inst.rounds)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda st, rs: multi_gkp_profit({0}, st, rs),
+        brute_oracle,
+        lambda st, rs: exact_dp_oracle(st, rs, 1.0),
+        lambda st, rs: fptas_oracle(st, rs, 0.5),
+        lambda st, rs: fptas_grid_info(st, rs, 0.5),
+    ],
+    ids=["multi_gkp_profit", "brute_oracle", "exact_dp_oracle", "fptas_oracle", "fptas_grid_info"],
+)
+def test_every_history_reader_rejects_a_round_of_the_wrong_length(read):
+    static = GkpStatic(3, [1.0, 1.0, 1.0], 0.5)
+    for rounds in ([GkpRound([1.0, 2.0], 1.0)], [GkpRound([1.0, 2.0, 3.0], 1.0), GkpRound([1.0], 1.0)]):
+        with pytest.raises(ValueError, match="round profit vector length"):
+            read(static, rounds)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_dp_oracles_reject_non_finite_or_non_positive_grid_parameters(bad):
+    for static, rounds in (_three_items(), _random_four()):
+        with pytest.raises(ValueError, match="profit_grid must be positive and finite"):
+            exact_dp_oracle(static, rounds, bad)
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            fptas_oracle(static, rounds, bad)
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            fptas_grid_info(static, rounds, bad)
+
+
+@pytest.mark.parametrize("unit", [1e-19, 5e-324])
+def test_dp_oracles_refuse_grids_too_fine_to_count_in_int64(unit):
+    # 1e-19 puts the level sum past int64; the smallest subnormal makes the
+    # scaled profits infinite. Both are refused, neither wraps or crashes.
+    static, rounds = _three_items()
+    with pytest.raises(ValueError, match="grid overflow"):
+        exact_dp_oracle(static, rounds, unit)
+    with pytest.raises(ValueError, match="grid overflow"):
+        fptas_oracle(static, rounds, unit)
+
+
+def test_fptas_grid_info_counts_grids_past_int64():
+    info = fptas_grid_info(*_three_items(), 1e-19)
+    assert info["dp_cells"] == 3 * (floor(1 / 1e-19) + floor(2 / 1e-19) + floor(3 / 1e-19) + 1)
+    assert info["dp_cells"] > 2**63
+
+
+@pytest.mark.parametrize("eps", [0.5] + [10.0**-k for k in range(1, 20)])
+def test_fptas_guard_refuses_exactly_the_grids_counted_over_the_cap(eps):
+    for static, rounds in (_three_items(), _random_four()):
+        if fptas_grid_info(static, rounds, eps)["dp_cells"] > MAX_DP_CELLS:
+            with pytest.raises(ValueError, match="grid overflow"):
+                fptas_oracle(static, rounds, eps)
+        else:
+            _, value = fptas_oracle(static, rounds, eps)
+            assert value >= (1 - eps) * brute_oracle(static, rounds)[1]
 
 
 # --- FPTAS ---------------------------------------------------------------------------

@@ -254,6 +254,30 @@ def test_run_gftpl_fptas_resolves_default_eta(tmp_path):
         assert (tmp_path / "derived" / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
 
 
+def test_run_gftpl_fptas_sweep_resolves_eta_per_horizon(tmp_path):
+    # every horizon of a sweep derives its own eta; T=0 writes a header only
+    inst = gen_random_gkp(3, 6, SeededRng(26))
+    path = tmp_path / "inst.json"
+    path.write_text(serialize_gkp(inst))
+    params = {"oracle": "fptas", "G_f": 3.0}
+    sweep = run_experiment(
+        ExperimentConfig("gftpl_gkp", {"gkp": str(path)}, 6, (0, 1), params={**params, "T_sweep": [0, 1, 6]}),
+        tmp_path / "sweep",
+    )
+    assert [g["T"] for g in sweep["sweep"]] == [0, 1, 6]
+    for seed in (0, 1):
+        assert len((tmp_path / "sweep" / f"trace_T0_seed{seed}.csv").read_text().splitlines()) == 1
+    for T in (1, 6):
+        eta = default_eta(GftplConfig(N=3, G_f=3.0, F_M=3.0), T**-0.5, T)
+        run_experiment(
+            ExperimentConfig("gftpl_gkp", {"gkp": str(path)}, T, (0, 1), params={**params, "eta": eta}),
+            tmp_path / f"single{T}",
+        )
+        for seed in (0, 1):
+            got = (tmp_path / "sweep" / f"trace_T{T}_seed{seed}.csv").read_bytes()
+            assert got == (tmp_path / f"single{T}" / f"trace_seed{seed}.csv").read_bytes()
+
+
 def test_run_gftpl_sweep_sets_vanishing_flag(tmp_path):
     inst = gen_random_gkp(3, 1, SeededRng(22))
     path = tmp_path / "inst.json"
