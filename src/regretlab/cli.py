@@ -161,18 +161,21 @@ def _cmd_bench_oracle(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.theorem == "theorem2":
-        value = theorem2_bound(args.W, args.n, args.T)
-    else:
-        cfg = GftplConfig(
-            N=args.N,
-            kappa=args.kappa,
-            delta=args.delta,
-            G_gamma=args.G_gamma,
-            G_f=args.G_f,
-            eps_schedule=("additive", args.eps),
-        )
-        value = theorem3_bound(cfg, run_eps(cfg, args.T), args.T)
+    try:
+        if args.theorem == "theorem2":
+            value = theorem2_bound(args.W, args.n, args.T)
+        else:
+            cfg = GftplConfig(
+                N=args.N,
+                kappa=args.kappa,
+                delta=args.delta,
+                G_gamma=args.G_gamma,
+                G_f=args.G_f,
+                eps_schedule=("additive", args.eps),
+            )
+            value = theorem3_bound(cfg, run_eps(cfg, args.T), args.T)
+    except ValueError as exc:
+        args.usage_error(str(exc))  # exits 2
     sys.stdout.write(f"{value!r}\n")
     return 0
 
@@ -253,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     b3.add_argument("--G-f", type=float, default=1.0, dest="G_f")
     b3.add_argument("--G-gamma", type=float, default=1.0, dest="G_gamma")
     for p in (b2, b3):
-        p.set_defaults(func=_cmd_bound)
+        p.set_defaults(func=_cmd_bound, usage_error=p.error)
 
     return parser
 

@@ -16,22 +16,23 @@ and eta (default_eta when unset) in one place, for the engine and for
 callers that need them first, such as the harness's FPTAS error.
 
 Every oracle depends on the history only through its per-set summed
-profits P[mask] and excess K[mask]. The engine keeps one SetFold of the
-revealed rounds and reads two things off it: the hindsight benchmark of
-each prefix, right after the round is folded, and, with ``oracle=None``,
-the exact leader itself — the fold plus the perturbation rounds' per-set
-deltas, computed once per run. That leader is brute_oracle's set under
-its tie rule, so no round list is built or handed over.
+profits P[mask] and excess K[mask]. The adversary is oblivious and the
+whole stream is known before round 1, so the engine computes both things
+it reads off those aggregates in one gkp.fold_sweep before the play
+loop: the hindsight benchmark of every prefix and, with ``oracle=None``,
+every round's exact leader — the fold of the revealed prefix plus the
+perturbation rounds' per-set deltas. That leader is brute_oracle's set
+under its tie rule, so no round list is built or handed over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
-from .gkp import MAX_BRUTE_N, SetFold, distinguisher_set, gkp_profit
+from .gkp import MAX_BRUTE_N, distinguisher_set, fold_sweep, gkp_profit
 from .instances import GkpRound, GkpStatic
 from .rng import SeededRng
 from .traces import RegretTrace, RoundRecord
@@ -70,21 +71,30 @@ class GftplConfig:
     eps_schedule: tuple = ("additive", None)
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if self.eta is not None and self.eta < 0:
-            raise ValueError("eta must be nonnegative")
-        if self.kappa < 1:
-            raise ValueError("kappa must be >= 1")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if min(self.G_gamma, self.G_f, self.F_M) < 0:
-            raise ValueError("G_gamma, G_f, F_M must be nonnegative")
         mode, eps = self.eps_schedule
+        for name, value in (
+            ("eta", self.eta), ("kappa", self.kappa), ("delta", self.delta),
+            ("G_gamma", self.G_gamma), ("G_f", self.G_f), ("F_M", self.F_M), ("eps", eps),
+        ):
+            if value is not None and not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.N < 1:
+            raise ValueError(f"N must be >= 1, got {self.N!r}")
+        if self.eta is not None and self.eta < 0:
+            raise ValueError(f"eta must be nonnegative, got {self.eta!r}")
+        if self.kappa < 1:
+            raise ValueError(f"kappa must be >= 1, got {self.kappa!r}")
+        if self.delta <= 0:
+            raise ValueError(f"delta must be positive, got {self.delta!r}")
+        if min(self.G_gamma, self.G_f, self.F_M) < 0:
+            raise ValueError(
+                "G_gamma, G_f, F_M must be nonnegative, got "
+                f"{self.G_gamma!r}, {self.G_f!r}, {self.F_M!r}"
+            )
         if mode not in ("additive", "fptas"):
-            raise ValueError("eps schedule mode must be 'additive' or 'fptas'")
+            raise ValueError(f"eps schedule mode must be 'additive' or 'fptas', got {mode!r}")
         if eps is not None and eps < 0:
-            raise ValueError("eps must be nonnegative")
+            raise ValueError(f"eps must be nonnegative, got {eps!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +148,7 @@ def epsilon_prime(eps: float, T: int, cfg: GftplConfig) -> float:
 def theorem3_bound(cfg: GftplConfig, eps: float, T: int) -> float:
     """Regret guarantee N*sqrt(kappa*G_f*G_gamma*(G_f+2*eps)/delta*T) + eps*T."""
     if T < 0:
-        raise ValueError("T must be nonnegative")
+        raise ValueError(f"T must be nonnegative, got {T!r}")
     inner = cfg.kappa * cfg.G_f * cfg.G_gamma * (cfg.G_f + 2.0 * eps) / cfg.delta * T
     return cfg.N * sqrt(inner) + eps * T
 
@@ -175,13 +185,14 @@ def gftpl_run(
     perturbed objective, the best static payoff on the revealed prefix,
     the running regret against it, and the running theorem bound.
 
-    ``oracle=None`` is the engine's exact leader: SetFold.leader of the
-    history's fold plus the perturbation deltas, added in slot order, with
-    brute_oracle's tie rule. It is the code CachingBruteOracle runs on its
-    tail, so it picks the same sets with the same values, without building
-    a round list per round; it needs n <= MAX_BRUTE_N. Any other oracle is
-    called as oracle(static, history + perturbation rounds). The hindsight
-    benchmark comes from the same fold whenever n <= MAX_BRUTE_N.
+    ``oracle=None`` is the engine's exact leader: the fold of the history
+    plus the perturbation deltas, added in slot order, with brute_oracle's
+    tie rule, for all rounds at once by fold_sweep. It computes the floats
+    CachingBruteOracle computes round by round, so it picks the same sets
+    with the same values, without building a round list per round; it
+    needs n <= MAX_BRUTE_N. Any other oracle is called as
+    oracle(static, history + perturbation rounds). The hindsight benchmark
+    comes from the same sweep whenever n <= MAX_BRUTE_N.
     """
     rounds_stream = list(rounds_stream)
     T = len(rounds_stream)
@@ -203,9 +214,11 @@ def gftpl_run(
     base = distinguisher_set(static, P=cfg.delta)
     pert_rounds = [GkpRound(pert.a[j] * base[j].p, base[j].B) for j in range(cfg.N)]
 
-    fold = SetFold(static) if n <= MAX_BRUTE_N else None
-    if oracle is None:
-        tail = [fold.delta(r) for r in pert_rounds]
+    # the leaders never depend on the plays and the bests never depend on
+    # the oracle, so both come from one sweep before round 1
+    leaders = bests = None
+    if n <= MAX_BRUTE_N:
+        leaders, bests = fold_sweep(static, rounds_stream, pert_rounds if oracle is None else None)
 
     records: list[RoundRecord] = []
     history: list[GkpRound] = []
@@ -213,7 +226,7 @@ def gftpl_run(
     best = regret = float("nan")
     for t, y in enumerate(rounds_stream, 1):
         if oracle is None:
-            played, perturbed_obj = fold.leader(tail, static.c)
+            played, perturbed_obj = leaders[t - 1]
         else:
             try:
                 played, perturbed_obj = oracle(static, history + pert_rounds)
@@ -227,9 +240,8 @@ def gftpl_run(
                 "(the multiplicative contract needs nonnegative payoffs)"
             )
         cum += payoff
-        if fold is not None:
-            fold.add(y)
-            best = fold.best(static.c)
+        if bests is not None:
+            best = bests[t - 1]
             regret = best - cum
         extras = {
             "perturbed_obj": float(perturbed_obj),
@@ -244,7 +256,7 @@ def gftpl_run(
     return RegretTrace(
         algorithm="gftpl_gkp",
         rows=tuple(records),
-        benchmark=None if fold is None else (best if T else 0.0),
+        benchmark=None if bests is None else (best if T else 0.0),
         meta={
             "n": n,
             "T": T,

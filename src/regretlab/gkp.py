@@ -14,10 +14,13 @@ on it. The round-list oracles read the history only through _summed, its
 summed profits p_s and excess function k; the two DPs share one grid
 guard and pick (_dp_set), and the FPTAS and fptas_grid_info one grid
 (_fptas_grid). SetFold keeps the per-set aggregates P[mask] and K[mask]
-of a growing history; the hindsight sweep (prefix_best_values), the
-caching oracle's prefix and the FTPL engine's exact leader all fold
-through it, and the caching oracle and the engine both take their leader
-from SetFold.leader, so they add the same floats in the same order. The
+of a growing history, one round at a time; the caching oracle folds its
+prefix through it and takes its leader from SetFold.leader. fold_sweep
+computes the same floats for a whole horizon at once, on row blocks of
+the (rounds x 2^n) fold: every round's exact leader of the prefix plus a
+fixed tail (the FTPL engine's leader) and every prefix's hindsight
+benchmark (prefix_best_values). One tie rule serves them all: the first
+maximum in _lex_order, of which leader_set is the one-row case. The
 DP keeps only the reachable profit levels (at most 2^n), so its cost
 follows the distinct subset profits, not the width of the profit grid;
 the grid size still bounds which instances are accepted.
@@ -29,6 +32,7 @@ machinery of the FTPL engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import floor, isfinite
 
 import numpy as np
@@ -39,6 +43,8 @@ ItemSet = frozenset
 
 MAX_BRUTE_N = 20
 MAX_DP_CELLS = 20_000_000
+# fold_sweep computes this many cells of the (rounds x 2^n) fold at a time
+_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +160,41 @@ def _mask_members(mask: int) -> tuple[int, ...]:
 
 
 def _subset_sums(v: np.ndarray) -> np.ndarray:
-    """arr[mask] = sum of v over the bits of mask, for all 2^n masks."""
-    n = v.shape[0]
-    arr = np.zeros(1 << n)
+    """arr[..., mask] = sum of v[..., :] over the bits of mask, for all 2^n
+    masks; a 2-D v gives one row of subset sums per row of v."""
+    n = v.shape[-1]
+    arr = np.zeros(v.shape[:-1] + (1 << n,))
     for i in range(n):
-        arr[1 << i : 1 << (i + 1)] = arr[: 1 << i] + v[i]
+        arr[..., 1 << i : 1 << (i + 1)] = arr[..., : 1 << i] + v[..., i, None]
     return arr
+
+
+@lru_cache(maxsize=MAX_BRUTE_N + 1)
+def _lex_order(n: int) -> np.ndarray:
+    """All 2^n masks sorted as their sorted index tuples, the empty set
+    first: sorted(range(2**n), key=_mask_members), built in O(2^n).
+
+    The sets of items i..n-1 in that order are the empty set, then those
+    holding i (i joined to each set of items i+1..n-1, in their order),
+    then the nonempty ones without i.
+    """
+    order = np.zeros(1, dtype=np.intp)
+    for i in range(n - 1, -1, -1):
+        order = np.concatenate(([0], order | (1 << i), order[1:]))
+    order.flags.writeable = False
+    return order
+
+
+def _row_leaders(values: np.ndarray) -> list[tuple[frozenset, float]]:
+    """leader_set of each row of values (rows x 2^n): the first maximum
+    with the columns taken in _lex_order, the empty set giving (∅, 0.0)."""
+    order = _lex_order(values.shape[1].bit_length() - 1)
+    masks = order[values[:, order].argmax(axis=1)]
+    tops = values[np.arange(values.shape[0]), masks].tolist()
+    return [
+        (frozenset(_mask_members(mask)), top) if mask else (frozenset(), 0.0)
+        for mask, top in zip(masks.tolist(), tops)
+    ]
 
 
 def leader_set(values: np.ndarray) -> tuple[frozenset, float]:
@@ -167,13 +202,9 @@ def leader_set(values: np.ndarray) -> tuple[frozenset, float]:
 
     Ties go to the lexicographically smallest set (compared as sorted index
     tuples, so the empty set precedes everything), whose value is then 0.
+    It is one row of the rule fold_sweep applies to every round.
     """
-    vmax = values.max()
-    if values[0] == vmax:  # the empty set is the overall lexicographic minimum
-        return frozenset(), 0.0
-    ties = np.flatnonzero(values == vmax)
-    best_mask = min((int(m) for m in ties), key=_mask_members)
-    return frozenset(_mask_members(best_mask)), float(vmax)
+    return _row_leaders(values[None, :])[0]
 
 
 class SetFold:
@@ -183,7 +214,8 @@ class SetFold:
     K[mask] its summed capacity excess k(W_mask), W_all[mask] being the
     set's total weight. add() folds one round in place as
     ``P += _subset_sums(p)`` then ``K += max(0, W_all - B)``, so rounds
-    folded in arrival order give the same floats wherever this is used.
+    folded in arrival order give the same floats wherever this is used,
+    fold_sweep's row blocks included.
     """
 
     __slots__ = ("n", "W_all", "P", "K")
@@ -206,10 +238,6 @@ class SetFold:
         dP, dK = self.delta(r)
         self.P += dP
         self.K += dK
-
-    def best(self, c: float) -> float:
-        """The best summed objective max(P - c*K) of the folded rounds."""
-        return float((self.P - c * self.K).max())
 
     def leader(self, tail, c: float) -> tuple[frozenset, float]:
         """leader_set of the fold plus the (dP, dK) pairs of ``tail``.
@@ -244,20 +272,60 @@ def brute_oracle(static: GkpStatic, rounds) -> tuple[frozenset, float]:
     return best, _aggregate_profit(best, static, summed)
 
 
+def fold_sweep(
+    static: GkpStatic, rounds, tail=None
+) -> tuple[list[tuple[frozenset, float]] | None, list[float]]:
+    """Every round's exact leader and hindsight benchmark, in one pass.
+
+    Returns (leaders, bests). For round t, leaders[t-1] is leader_set of
+    the fold of rounds[:t-1] plus the per-set deltas of the ``tail``
+    rounds, and bests[t-1] = max(P - c*K) over the fold of rounds[:t].
+    ``tail=None`` skips the leaders and returns None for them.
+
+    The (rounds x 2^n) fold is computed in blocks of about _BLOCK_CELLS
+    cells (64 rounds at n = 6, one round from n = 12 up), the running P
+    and K carried from block to block, with the floats SetFold would
+    produce round by round: the same subset sums, the profits and excesses
+    accumulated sequentially along the rounds (as ``P += dP``), and the
+    tail deltas added one at a time in slot order.
+    """
+    fold = SetFold(static)
+    rounds = list(rounds)
+    for r in rounds:
+        if r.p.shape != (fold.n,):
+            raise ValueError("round profit vector length must match item count")
+    c = static.c
+    deltas = None if tail is None else [fold.delta(r) for r in tail]
+    leaders = None if tail is None else []
+    bests: list[float] = []
+    step = max(1, _BLOCK_CELLS >> fold.n)
+    for lo in range(0, len(rounds), step):
+        block = rounds[lo : lo + step]
+        dP = _subset_sums(np.array([r.p for r in block]))
+        dK = np.maximum(0.0, fold.W_all - np.array([r.B for r in block])[:, None])
+        # row 0 is the carried fold, row j the fold through block round j
+        P = np.add.accumulate(np.vstack((fold.P, dP)), axis=0)
+        K = np.add.accumulate(np.vstack((fold.K, dK)), axis=0)
+        if deltas is not None:
+            LP, LK = P[:-1], K[:-1]
+            for tP, tK in deltas:
+                LP = LP + tP
+                LK = LK + tK
+            leaders.extend(_row_leaders(LP - c * LK))
+        bests.extend((P[1:] - c * K[1:]).max(axis=1).tolist())
+        fold.P, fold.K = P[-1].copy(), K[-1].copy()
+    return leaders, bests
+
+
 def prefix_best_values(static: GkpStatic, rounds) -> list[float]:
     """values[t-1] = best summed objective any fixed set earns on rounds[:t].
 
-    One incremental SetFold sweep over per-set profit and excess
+    The bests of fold_sweep: one pass over per-set profit and excess
     aggregates, so T prefixes cost O(T * 2^n) instead of T independent
     enumerations. The maxima agree with brute_oracle up to float summation
     order.
     """
-    fold = SetFold(static)
-    out: list[float] = []
-    for r in rounds:
-        fold.add(r)
-        out.append(fold.best(static.c))
-    return out
+    return fold_sweep(static, rounds)[1]
 
 
 class CachingBruteOracle:
@@ -265,8 +333,8 @@ class CachingBruteOracle:
     through the (static, rounds) oracle contract.
 
     It is not the harness default: the harness runs gftpl_run with
-    ``oracle=None``, whose exact leader keeps the history's SetFold itself
-    and picks the sets this oracle would, with the same values. This class
+    ``oracle=None``, whose exact leader comes from fold_sweep and picks the
+    sets this oracle would, with the same values. This class
     serves callers that hand over whole round lists, consecutive queries
     sharing all but a few rounds. It keeps the SetFold of the longest
     stable prefix of the query and folds only the changing tail, making

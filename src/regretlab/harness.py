@@ -191,6 +191,16 @@ def _gftpl_round_stream(static, base_rounds, T: int, source: str, rng: SeededRng
     ]
 
 
+def _max_round_profit(rounds) -> float:
+    """The largest summed profit vector of any round (1.0 for no rounds),
+    as one row-sum over the stacked (T, n) profits. Profits are
+    nonnegative (GkpRound rejects others), and each row sums as its own
+    vector would."""
+    if not rounds:
+        return 1.0
+    return float(np.array([r.p for r in rounds]).sum(axis=1).max())
+
+
 def _replica_gftpl(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
     gkp: GkpInstanceSet = inst["gkp"]
     static = gkp.static
@@ -201,8 +211,7 @@ def _replica_gftpl(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
     # positive profits summed, and the penalty only subtracts
     g_f = p.get("G_f")
     if g_f is None:
-        g_f = max((float(np.clip(r.p, 0.0, None).sum()) for r in rounds), default=1.0)
-        g_f = max(g_f, 1.0)
+        g_f = max(_max_round_profit(rounds), 1.0)
     gcfg = GftplConfig(
         N=static.n,
         eta=p.get("eta"),

@@ -217,9 +217,9 @@ def round_half(x) -> frozenset:
 def theorem2_bound(W: float, n: int, T: int) -> float:
     """Additive regret term 3*W*sqrt(n*T); callers add 2*OPT."""
     if W < 0:
-        raise ValueError("W must be nonnegative")
+        raise ValueError(f"W must be nonnegative, got {W!r}")
     if n < 1 or T < 0:
-        raise ValueError("need n >= 1 and T >= 0")
+        raise ValueError(f"need n >= 1 and T >= 0, got n={n!r}, T={T!r}")
     return 3.0 * W * sqrt(n * T)
 
 

@@ -163,6 +163,25 @@ def test_bound_theorem3_cli_needs_no_eta(capsys):
     assert float(out) == 0.25 * 16
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("theorem3", "--N", "0", "--T", "10"), "N must be >= 1, got 0"),
+        (("theorem3", "--N", "2", "--T", "10", "--kappa", "nan"), "kappa must be finite, got nan"),
+        (("theorem3", "--N", "2", "--T", "-1"), "T must be nonnegative, got -1"),
+        (("theorem2", "--W", "-1", "--n", "3", "--T", "10"), "W must be nonnegative, got -1.0"),
+        (("theorem2", "--n", "0", "--T", "10"), "need n >= 1 and T >= 0, got n=0, T=10"),
+    ],
+)
+def test_bound_rejects_invalid_values_as_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"regretlab bound {argv[0]}: error: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_help_exits_cleanly(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -18,8 +18,12 @@ from regretlab.gkp import (
     MAX_BRUTE_N,
     CachingBruteOracle,
     SetFold,
+    _lex_order,
+    _mask_members,
     _subset_sums,
     brute_oracle,
+    distinguisher_set,
+    fold_sweep,
     fptas_oracle,
     gkp_profit,
     leader_set,
@@ -27,6 +31,7 @@ from regretlab.gkp import (
 )
 from regretlab.instances import GkpRound, GkpStatic
 from regretlab.rng import SeededRng
+from regretlab.traces import RegretTrace, RoundRecord
 
 
 def dyadic_stream(rng, n, T, cap_units=512):
@@ -57,6 +62,14 @@ def test_config_validation():
         GftplConfig(N=1, delta=0.0)
     with pytest.raises(ValueError):
         GftplConfig(N=1, eps_schedule=("nope", 0.1))
+
+
+@pytest.mark.parametrize("field", ["eta", "kappa", "delta", "G_gamma", "G_f", "F_M", "eps"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_parameters(field, value):
+    kwargs = {"eps_schedule": ("additive", value)} if field == "eps" else {field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        GftplConfig(N=2, **kwargs)
 
 
 def test_perturbation_vector_range_checked():
@@ -428,3 +441,145 @@ def test_exact_leader_guard_fires_before_round_one():
         with pytest.raises(ValueError, match="MAX_BRUTE_N"):
             gftpl_run(static, rounds, None, GftplConfig(N=n, eta=1.0), rng)
         assert rng.random() == SeededRng(4).random()  # no perturbation was drawn
+
+
+# --- the whole-horizon sweep (fold_sweep) against the per-round engine -------------
+
+
+def reference_gftpl_run(static, rounds_stream, oracle, cfg, rng):
+    """The per-round engine fold_sweep replaced.
+
+    Each round it asked SetFold.leader for the leader of the fold plus the
+    perturbation deltas, then folded the round in and read the benchmark
+    off the fold. Its floats are the reference gftpl_run must reproduce
+    bit for bit.
+    """
+    rounds_stream = list(rounds_stream)
+    T = len(rounds_stream)
+    n = static.n
+    mode, _ = cfg.eps_schedule
+    cfg, eps = resolve_run(cfg, T)
+    pert = draw_perturbation(cfg, rng)
+    base = distinguisher_set(static, P=cfg.delta)
+    pert_rounds = [GkpRound(pert.a[j] * base[j].p, base[j].B) for j in range(cfg.N)]
+    fold = SetFold(static)
+    tail = [fold.delta(r) for r in pert_rounds]
+    records = []
+    history = []
+    cum = 0.0
+    best = float("nan")
+    for t, y in enumerate(rounds_stream, 1):
+        if oracle is None:
+            played, perturbed_obj = fold.leader(tail, static.c)
+        else:
+            played, perturbed_obj = oracle(static, history + pert_rounds)
+            history.append(y)
+        payoff = gkp_profit(played, static, y)
+        cum += payoff
+        fold.add(y)
+        best = float((fold.P - static.c * fold.K).max())
+        extras = {
+            "perturbed_obj": float(perturbed_obj),
+            "best_static_cum": best,
+            "regret": best - cum,
+            "theorem3_bound": theorem3_bound(cfg, eps, t),
+        }
+        records.append(
+            RoundRecord(t=t, action=frozenset(played), value=payoff, cumulative=cum, extras=extras)
+        )
+    return RegretTrace(
+        algorithm="gftpl_gkp",
+        rows=tuple(records),
+        benchmark=best if T else 0.0,
+        meta={
+            "n": n,
+            "T": T,
+            "seed": rng.seed,
+            "eps_mode": mode,
+            "eps": eps,
+            "eta": cfg.eta,
+            "perturbation": tuple(float(x) for x in pert.a),
+        },
+    )
+
+
+def random_instance(rng, n, T):
+    """Random weights, profits and capacities: inexact sums everywhere."""
+    w = [rng.random() for _ in range(n)]
+    static = GkpStatic(n, w, 0.5 + rng.random())
+    stream = [GkpRound([rng.random() for _ in range(n)], rng.uniform(0.0, sum(w))) for _ in range(T)]
+    return static, stream
+
+
+BLOCK_EDGE_HORIZONS = (0, 1, 63, 64, 65, 129, 300)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("make", [tie_heavy_instance, random_instance])
+def test_sweep_reproduces_the_per_round_engine(n, make):
+    # the horizons cross the block edges of every n (64 rounds a block at
+    # n = 6, 4 at n = 10); the traces must agree to the last bit
+    rng = SeededRng(7100 + n)
+    for T in BLOCK_EDGE_HORIZONS:
+        static, stream = make(rng, n, T)
+        for eta in (0.0, None):
+            cfg = GftplConfig(N=n, eta=eta, G_f=float(n), F_M=float(n))
+            for oracle in (None, CachingBruteOracle):
+                seed = 7200 + 10 * n + T
+                new = gftpl_run(static, stream, oracle and oracle(), cfg, SeededRng(seed))
+                ref = reference_gftpl_run(static, stream, oracle and oracle(), cfg, SeededRng(seed))
+                assert trace_repr(new) == trace_repr(ref), (T, eta, oracle)
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_sweep_reproduces_the_per_round_engine_one_round_a_block(n):
+    rng = SeededRng(7300 + n)
+    static, stream = random_instance(rng, n, 5)
+    cfg = GftplConfig(N=n, G_f=float(n), F_M=float(n))
+    new = gftpl_run(static, stream, None, cfg, SeededRng(n))
+    ref = reference_gftpl_run(static, stream, None, cfg, SeededRng(n))
+    assert trace_repr(new) == trace_repr(ref)
+
+
+def test_exact_leader_makes_no_per_round_fold_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-round SetFold call")
+
+    rng = SeededRng(7400)
+    static, stream = random_instance(rng, 6, 200)
+    cfg = GftplConfig(N=6, G_f=6.0, F_M=6.0)
+    ref = reference_gftpl_run(static, stream, None, cfg, SeededRng(1))
+    monkeypatch.setattr(SetFold, "add", refuse)
+    monkeypatch.setattr(SetFold, "leader", refuse)
+    assert trace_repr(gftpl_run(static, stream, None, cfg, SeededRng(1))) == trace_repr(ref)
+
+
+def test_sweep_bests_are_prefix_best_values_and_need_no_tail():
+    rng = SeededRng(7500)
+    static, stream = random_instance(rng, 7, 150)
+    leaders, bests = fold_sweep(static, stream)
+    assert leaders is None
+    assert bests == prefix_best_values(static, stream)
+    fold = SetFold(static)
+    for t, y in enumerate(stream):
+        fold.add(y)
+        assert bests[t] == float((fold.P - static.c * fold.K).max())
+    # an empty tail makes the leader of round t follow the plain prefix
+    leaders, _ = fold_sweep(static, stream, [])
+    fold = SetFold(static)
+    for t, y in enumerate(stream):
+        assert leaders[t] == fold.leader([], static.c)
+        fold.add(y)
+
+
+def test_sweep_guards_the_enumeration():
+    n = MAX_BRUTE_N + 1
+    with pytest.raises(ValueError, match="enumeration guard"):
+        fold_sweep(GkpStatic(n, np.ones(n), 1.0), [])
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_lex_order_is_the_sorted_tuple_order(n):
+    order = _lex_order(n)
+    assert order.tolist() == sorted(range(2**n), key=_mask_members)
+    assert _lex_order(n) is order and not order.flags.writeable

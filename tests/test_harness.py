@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from regretlab import harness
@@ -352,6 +353,26 @@ def test_gftpl_default_oracle_writes_the_files_of_an_injected_exact_oracle(
         for f in files:
             got = (tmp_path / "default" / name / f).read_bytes()
             assert got == (tmp_path / "injected" / name / f).read_bytes(), (name, f)
+
+
+def old_payoff_ceiling(rounds):
+    """The per-round expression the harness's default G_f used to be."""
+    return max((float(np.clip(r.p, 0.0, None).sum()) for r in rounds), default=1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 33, 130, 199])
+def test_payoff_ceiling_matches_the_per_round_sums(n):
+    rng = SeededRng(n)
+    for T in (0, 1, 5, 64):
+        rounds = [
+            GkpRound([rng.random() * 10.0 ** (rng.randrange(7) - 3) for _ in range(n)], 1.0)
+            for _ in range(T)
+        ]
+        assert harness._max_round_profit(rounds) == old_payoff_ceiling(rounds)
+        zeros = [GkpRound(np.zeros(n), 1.0), GkpRound(-np.zeros(n), 0.0)]
+        for rs in (zeros, rounds + zeros):
+            got, old = harness._max_round_profit(rs), old_payoff_ceiling(rs)
+            assert got == old and max(got, 1.0) == max(old, 1.0)
 
 
 # --- compare_bounds -----------------------------------------------------------------
