@@ -20,7 +20,7 @@ import numpy as np
 
 from .gftpl import GftplConfig, run_eps, theorem3_bound
 from .gkp import brute_oracle, fptas_grid_info, fptas_oracle
-from .harness import load_experiment, run_experiment
+from .harness import _read_experiment, _run_experiment
 from .instances import (
     gen_onehot_weights,
     gen_random_dnf,
@@ -73,9 +73,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg_path = Path(args.config)
-    cfg = load_experiment(cfg_path)
+    cfg, inst = _read_experiment(cfg_path)
     out_dir = Path(args.out) if args.out else cfg_path.parent / f"{cfg_path.stem}_out"
-    summary = run_experiment(cfg, out_dir)
+    summary = _run_experiment(cfg, inst, out_dir)
     report = summary["bounds"]
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(f"traces and summary.json written to {out_dir}\n")

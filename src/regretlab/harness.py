@@ -97,6 +97,13 @@ def load_experiment(path) -> ExperimentConfig:
     explicit ``"seeds"`` list or as ``"base_seed"`` + ``"num_seeds"``
     (replica s then uses base_seed + s).
     """
+    return _read_experiment(path)[0]
+
+
+def _read_experiment(path) -> tuple[ExperimentConfig, dict]:
+    """The config at ``path`` and its parsed instance files, each file
+    parsed once: :func:`load_experiment` keeps the config, and the ``run``
+    command hands both to :func:`_run_experiment`."""
     path = Path(path)
     obj = json.loads(path.read_text())
     if not isinstance(obj, dict):
@@ -121,8 +128,7 @@ def load_experiment(path) -> ExperimentConfig:
         seeds=seeds,
         params=dict(obj.get("params", {})),
     )
-    _load_instances(cfg)  # existence + parse check up front
-    return cfg
+    return cfg, _load_instances(cfg)  # raises if a file is missing or does not parse
 
 
 def _load_instances(cfg: ExperimentConfig) -> dict:
@@ -307,9 +313,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     the single configured T is used.  Identical configs produce
     byte-identical files.
     """
+    return _run_experiment(cfg, _load_instances(cfg), out_dir)
+
+
+def _run_experiment(cfg: ExperimentConfig, inst: dict, out_dir) -> dict:
+    """:func:`run_experiment` on instance files already parsed into ``inst``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    inst = _load_instances(cfg)
     replica = _REPLICAS[cfg.algorithm]
     horizons = [int(t) for t in cfg.params.get("T_sweep", [])] or [cfg.T]
     sweep = "T_sweep" in cfg.params

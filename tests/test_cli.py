@@ -1,20 +1,24 @@
 """Command-line interface, end to end on tiny inputs."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from regretlab import harness
 from regretlab.cli import main
 from regretlab.gftpl import GftplConfig, theorem3_bound
 from regretlab.instances import (
     Graph,
     gen_random_gkp,
+    gen_uniform_weights,
     parse_dnf,
     parse_gkp,
     parse_graph,
     parse_weights,
     serialize_gkp,
     serialize_graph,
+    serialize_weights,
 )
 from regretlab.rng import SeededRng
 
@@ -83,6 +87,34 @@ def test_run_experiment_cli(capsys, tmp_path):
     assert report["all_ok"]
     assert (tmp_path / "out" / "summary.json").exists()
     assert (tmp_path / "out" / "trace_seed1.csv").exists()
+
+
+def test_run_parses_each_instance_file_once(capsys, tmp_path, monkeypatch):
+    g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+    (tmp_path / "g.txt").write_text(serialize_graph(g))
+    (tmp_path / "w.csv").write_text(serialize_weights(gen_uniform_weights(5, 20, 1.0, SeededRng(3))))
+    (tmp_path / "k.json").write_text(serialize_gkp(gen_random_gkp(4, 20, SeededRng(4))))
+    calls = Counter()
+
+    def counting(name, parse):
+        def wrapped(text):
+            calls[name] += 1
+            return parse(text)
+        return wrapped
+
+    for name in ("parse_graph", "parse_weights", "parse_gkp"):
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    configs = {
+        "ogd.json": ({"algorithm": "ogd_vc", "instance": {"graph": "g.txt", "weights": "w.csv"}},
+                     {"parse_graph": 1, "parse_weights": 1}),
+        "gftpl.json": ({"algorithm": "gftpl_gkp", "instance": {"gkp": "k.json"}}, {"parse_gkp": 1}),
+    }
+    for name, (cfg, expected) in configs.items():
+        (tmp_path / name).write_text(json.dumps(cfg | {"T": 20, "seeds": [0, 1]}))
+        calls.clear()
+        code, _ = run_cli(capsys, "run", str(tmp_path / name), "-o", str(tmp_path / f"out_{name}"))
+        assert code == 0
+        assert calls == expected, name
 
 
 # --- verify ------------------------------------------------------------------------

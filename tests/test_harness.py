@@ -126,7 +126,9 @@ def test_load_experiment_base_seed_fanout(tmp_path):
 
 def test_load_experiment_rejects_bad_configs(tmp_path):
     write_graph(tmp_path)
+    (tmp_path / "garbled.txt").write_text("not a graph\n")
     cases = [
+        {"algorithm": "ogd_vc", "instance": {"graph": "garbled.txt"}, "T": 5, "seeds": [1]},
         {"algorithm": "ogd_vc", "T": 5, "seeds": [1]},  # no instance for role
         {"algorithm": "ogd_vc", "instance": {"graph": "missing.txt"}, "T": 5, "seeds": [1]},
         {"algorithm": "ogd_vc", "instance": {"graph": "g.txt"}, "T": 5},  # no seeds

@@ -227,6 +227,42 @@ def test_projection_against_cvxpy():
         assert np.linalg.norm(out - x.value) < 1e-5
 
 
+def test_projection_against_scipy():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = SeededRng(450)
+    cfg = OgdConfig()
+    cases = []
+    for _ in range(6):
+        n = 3 + rng.randrange(6)
+        g = gen_random_graph(n, 0.5, rng)
+        # outside the box, at the box corners, and OGD-style: one coordinate
+        # of a projected point lowered
+        cases.append((g, np.array([rng.uniform(-1.0, 2.0) for _ in range(n)])))
+        cases.append((g, np.array([float(rng.randrange(2)) for _ in range(n)])))
+        y = project_vc_polytope(random_feasible_point(g, rng), g)
+        y[rng.randrange(n)] -= rng.uniform(0.0, 1.0)
+        cases.append((g, y))
+    for g, y in cases:
+        A = np.zeros((g.m, g.n))
+        for e, (u, v) in enumerate(g.edges):
+            A[e, u] = A[e, v] = 1.0
+        cons = [{"type": "ineq", "fun": lambda x, A=A: A @ x - 1.0, "jac": lambda x, A=A: A}]
+        res = optimize.minimize(
+            lambda x, y=y: float(np.sum((x - y) ** 2)),
+            np.ones(g.n),
+            jac=lambda x, y=y: 2.0 * (x - y),
+            bounds=[(0.0, 1.0)] * g.n,
+            constraints=cons if g.m else [],
+            method="SLSQP",
+            options={"ftol": 1e-14, "maxiter": 1000},
+        )
+        assert res.success, res.message
+        out = project_vc_polytope(y, g, cfg)
+        assert fractional_feasible(out, g, tol=cfg.feas_tol)
+        assert np.linalg.norm(out - res.x) < 1e-5
+        assert np.sum((out - y) ** 2) <= np.sum((res.x - y) ** 2) + 1e-9
+
+
 def test_projection_reports_nonconvergence_with_residual():
     g = Graph(2, ((0, 1),))
     cfg = OgdConfig(max_cycles=1)
@@ -235,6 +271,26 @@ def test_projection_reports_nonconvergence_with_residual():
     assert e.value.residual >= 0
     assert e.value.cycles == 1
     assert "did not converge" in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("W_bound", float("nan"), "W_bound must be finite, got nan"),
+        ("W_bound", float("inf"), "W_bound must be finite, got inf"),
+        ("feas_tol", float("nan"), "feas_tol must be finite, got nan"),
+        ("feas_tol", float("inf"), "feas_tol must be finite, got inf"),
+        ("conv_tol", float("nan"), "conv_tol must be finite, got nan"),
+        ("conv_tol", float("-inf"), "conv_tol must be finite, got -inf"),
+        ("max_cycles", 2.5, "max_cycles must be an int, got 2.5"),
+        ("max_cycles", True, "max_cycles must be an int, got True"),
+        ("max_cycles", 0, "max_cycles must be >= 1, got 0"),
+        ("W_bound", 0.0, "W_bound must be positive, got 0.0"),
+    ],
+)
+def test_config_rejects_values_it_cannot_use(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        OgdConfig(**{field: value})
 
 
 def test_projection_rejects_bad_input():
