@@ -32,7 +32,7 @@ from .instances import (
     parse_graph,
     serialize_instances,
 )
-from .ogd import OgdConfig, fractional_feasible, project_vc_polytope, theorem2_bound
+from .ogd import fractional_feasible, project_vc_polytope, theorem2_bound
 from .reductions import validate_correspondence
 from .rng import SeededRng
 
@@ -108,14 +108,13 @@ def _feasible_sample(g, rng: SeededRng) -> np.ndarray:
 def _cmd_verify_projection(args) -> int:
     g = parse_graph(Path(args.graph).read_text())
     rng = SeededRng(args.seed)
-    cfg = OgdConfig()
     fails = {"feasible": 0, "idempotent": 0, "optimal": 0}
     for _ in range(args.trials):
         y = np.array([rng.uniform(-2.0, 3.0) for _ in range(g.n)])
-        x = project_vc_polytope(y, g, cfg)
+        x = project_vc_polytope(y, g)
         if not fractional_feasible(x, g, tol=1e-8):
             fails["feasible"] += 1
-        if np.linalg.norm(project_vc_polytope(x, g, cfg) - x) > 1e-8:
+        if np.linalg.norm(project_vc_polytope(x, g) - x) > 1e-8:
             fails["idempotent"] += 1
         d = np.linalg.norm(y - x)
         for _ in range(args.candidates):

@@ -34,6 +34,14 @@ from .traces import RegretTrace, trace_to_csv
 
 ALGORITHMS = ("ogd_vc", "gftpl_gkp", "gap_solver")
 
+# the string-valued params each algorithm switches on, with their allowed
+# values, the default first
+_SELECTORS = {
+    "ogd_vc": {"weight_gen": ("uniform", "onehot")},
+    "gftpl_gkp": {"oracle": ("brute", "fptas"), "round_source": ("file", "random")},
+    "gap_solver": {"learner": ("ftl", "ogd")},
+}
+
 # algorithms whose per-round column is a payoff to maximize rather than a
 # cost to minimize; regret direction flips accordingly
 _MAXIMIZING = frozenset({"gftpl_gkp"})
@@ -87,6 +95,18 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be nonnegative")
+        for key in _SELECTORS[self.algorithm]:
+            _selector(self, key)
+
+
+def _selector(cfg: ExperimentConfig, key: str) -> str:
+    """``cfg.params[key]``, or its default when absent; a ValueError names
+    the key, the value and the allowed values when it is none of them."""
+    allowed = _SELECTORS[cfg.algorithm][key]
+    value = cfg.params.get(key, allowed[0])
+    if value not in allowed:
+        raise ValueError(f"unknown {key} {value!r}; pick from {allowed}")
+    return value
 
 
 def load_experiment(path) -> ExperimentConfig:
@@ -163,7 +183,7 @@ def _replica_ogd(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
         seq = type(seq)(seq.n, seq.rows[:T])
     else:
         rng = SeededRng(seed)
-        if cfg.params.get("weight_gen", "uniform") == "onehot":
+        if _selector(cfg, "weight_gen") == "onehot":
             seq = gen_onehot_weights(g.n, T, rng)
         else:
             seq = gen_uniform_weights(g.n, T, ocfg.W_bound, rng)
@@ -185,8 +205,6 @@ def _gftpl_round_stream(static, base_rounds, T: int, source: str, rng: SeededRng
         if len(base_rounds) < T:
             raise ValueError(f"instance file has {len(base_rounds)} rounds, need T={T}")
         return list(base_rounds[:T])
-    if source != "random":
-        raise ValueError("round_source must be 'file' or 'random'")
     total = static.total_weight
     return [
         GkpRound(
@@ -212,7 +230,7 @@ def _replica_gftpl(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
     static = gkp.static
     p = cfg.params
     rng = SeededRng(seed)
-    rounds = _gftpl_round_stream(static, gkp.rounds, T, p.get("round_source", "file"), rng)
+    rounds = _gftpl_round_stream(static, gkp.rounds, T, _selector(cfg, "round_source"), rng)
     # a safe payoff ceiling when none is given: no round pays more than its
     # positive profits summed, and the penalty only subtracts
     g_f = p.get("G_f")
@@ -228,7 +246,7 @@ def _replica_gftpl(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
         F_M=float(p.get("F_M", g_f)),
         eps_schedule=(p.get("eps_schedule", "additive"), p.get("eps")),
     )
-    if p.get("oracle", "brute") == "fptas":
+    if _selector(cfg, "oracle") == "fptas":
         # the oracle's relative error needs eta now; resolve it as gftpl_run
         # would and hand the resolved config to the run as well
         gcfg, eps_run = resolve_run(gcfg, T)
@@ -263,7 +281,7 @@ def _replica_gap(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
         c_exp=float(p.get("c_exp", 0.5)),
         T_override=T,
     )
-    learner = OgdVcLearner(g) if p.get("learner", "ftl") == "ogd" else FtlMinMaxVcLearner(g)
+    learner = OgdVcLearner(g) if _selector(cfg, "learner") == "ogd" else FtlMinMaxVcLearner(g)
     res = gap_solver(g, gap_cfg, learner, SeededRng(seed), eps=float(p.get("eps", 1.0)))
     row = {
         "seed": seed,

@@ -10,20 +10,19 @@ and projects back onto Q in the l2 norm. Rounding at 1/2 at most doubles
 the fractional cost, which is where the factor 2 in the regret guarantee
 comes from.
 
-The projection is Dykstra's method (Boyle and Dykstra, 1986) over the box
-and the m edge half-spaces, in one loop that both the learner and
-:func:`project_vc_polytope` run. Its first cycle visits every coordinate
-and tests every edge; later cycles visit only the coordinates that the
-previous cycle moved and test only the edges at coordinates that fell, and
-compute the same floats in the same order as full cycles would (the
-argument is in ``_project``). The one O(n + m) pass left after the first
-cycle is the final feasibility check.
+Each step lowers (or raises) one coordinate i* of a feasible point, so
+the learner projects exactly: every other constraint still holds, and the
+projection is a 1-D water-fill over the breakpoints 1 - x_j of i*'s
+neighbours (see :class:`OgdVcLearner`). Dykstra's method (Boyle and
+Dykstra, 1986) over the box and the m edge half-spaces projects an
+arbitrary point, in :func:`project_vc_polytope`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, sqrt
+from operator import add, sub
 
 import numpy as np
 
@@ -46,7 +45,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OgdConfig:
-    """Run parameters: weight scale, step-size mode, projection tolerances.
+    """Run parameters: weight scale and step-size mode.
 
     ``step_mode`` is either "paper" (step 1/sqrt(t), the verbatim update
     rule) or "scaled" (step sqrt(n)/(W_bound*sqrt(t)), the diameter-over-
@@ -55,33 +54,30 @@ class OgdConfig:
 
     W_bound: float = 1.0
     step_mode: str = "scaled"
-    feas_tol: float = 1e-8
-    conv_tol: float = 1e-10
-    max_cycles: int = 20_000
 
     def __post_init__(self):
-        for name in ("W_bound", "feas_tol", "conv_tol"):
-            value = getattr(self, name)
-            if not isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+        if not isfinite(self.W_bound):
+            raise ValueError(f"W_bound must be finite, got {self.W_bound!r}")
+        if self.W_bound <= 0:
+            raise ValueError(f"W_bound must be positive, got {self.W_bound!r}")
         if self.step_mode not in ("paper", "scaled"):
             raise ValueError(f"step_mode must be 'paper' or 'scaled', got {self.step_mode!r}")
-        if isinstance(self.max_cycles, bool) or not isinstance(self.max_cycles, int):
-            raise ValueError(f"max_cycles must be an int, got {self.max_cycles!r}")
-        if self.max_cycles < 1:
-            raise ValueError(f"max_cycles must be >= 1, got {self.max_cycles!r}")
+
+
+# Dykstra's tolerances: the largest feasibility residual accepted, the
+# per-cycle move that counts as converged, and the cycle limit
+FEAS_TOL = 1e-8
+CONV_TOL = 1e-10
+MAX_CYCLES = 20_000
 
 
 class ProjectionError(RuntimeError):
     """Dykstra cycling failed to converge; carries the feasibility residual."""
 
-    def __init__(self, message: str, residual: float, cycles: int, round_index: int | None = None):
+    def __init__(self, message: str, residual: float, cycles: int):
         super().__init__(message)
         self.residual = residual
         self.cycles = cycles
-        self.round_index = round_index
 
 
 def subgradient(w, x) -> np.ndarray:
@@ -109,33 +105,30 @@ def fractional_feasible(x, g: Graph, tol: float = 1e-8) -> bool:
     return all(x[u] + x[v] >= 1.0 - tol for u, v in g.edges)
 
 
-def _residual(x: list, eu: list, ev: list) -> float:
+def _residual(x: list, edges: list) -> float:
     """Largest violation of a box or edge constraint at x, or 0."""
     resid = max(0.0, -min(x), max(x) - 1.0)
-    if eu:
-        resid = max(resid, max([1.0 - (x[i] + x[j]) for i, j in zip(eu, ev)]))
+    if edges:
+        resid = max(resid, max([1.0 - (x[i] + x[j]) for _, i, j in edges]))
     return resid
 
 
-def _incidence(n: int, eu: list, ev: list) -> list:
-    """For each vertex, the indices of its edges in increasing order."""
-    inc = [[] for _ in range(n)]
-    for e, (i, j) in enumerate(zip(eu, ev)):
-        inc[i].append(e)
-        inc[j].append(e)
-    return inc
-
-
-def _project(y: list, eu: list, ev: list, cfg: OgdConfig, inc: list | None = None) -> np.ndarray:
+def _project(
+    y: list,
+    eu: list,
+    ev: list,
+    feas_tol: float = FEAS_TOL,
+    conv_tol: float = CONV_TOL,
+    max_cycles: int = MAX_CYCLES,
+) -> np.ndarray:
     """Dykstra's method over the box and the edge half-spaces.
 
-    ``y`` is the point as a list of floats, ``eu``/``ev`` the edge
-    endpoints as lists of ints and ``inc`` their :func:`_incidence` lists
-    (built here when not given). The loop runs on Python floats, which are
+    ``y`` is the point as a list of floats and ``eu``/``ev`` the edge
+    endpoints as lists of ints. The loop runs on Python floats, which are
     IEEE doubles, so each step rounds exactly as float64 array arithmetic
     would; indexing lists is what makes the per-edge loop fast. Each
     constraint set keeps its own correction (a full vector for the box, one
-    scalar ``mu`` per edge since an edge's correction is equal on its two
+    scalar per edge since an edge's correction is equal on its two
     endpoints and zero elsewhere). A cycle is the box step, then the active
     edges in index order. Activity is fixed once per cycle, at the post-box
     iterate: an edge is active if its correction is nonzero or its
@@ -143,28 +136,6 @@ def _project(y: list, eu: list, ev: list, cfg: OgdConfig, inc: list | None = Non
     cycle even if an earlier edge step of that cycle lowers a shared
     endpoint and violates them (this does occur); such an edge is taken up
     in a later cycle. So the loop alone does not certify its result.
-
-    Cycle 1 visits every coordinate and tests every edge. From cycle 2 on a
-    cycle does only the work whose result can differ from a no-op, so every
-    float and its order stay those of the full cycle:
-
-    - The box step visits the endpoints of the previous cycle's active
-      edges and the coordinates with a nonzero box correction, each once.
-      Every other coordinate has correction 0.0, lies in [0, 1] (the box
-      step last wrote it and no edge step has touched it since) and is not
-      -0.0 (the box step of cycle 1 turned every -0.0 into +0.0, and no
-      later step makes one), so adding 0.0 and clipping return it
-      unchanged and add 0 to the cycle's largest move.
-    - The active edges are those with ``mu != 0``, plus those with
-      ``mu == 0`` that touch a coordinate which fell since the last
-      activity test (in the previous cycle's edge steps or in this cycle's
-      box step) and have ``x[i] + x[j] < 1.0``, sorted into index order.
-      An edge with ``mu == 0`` whose endpoints have not fallen is inactive:
-      when it was last evaluated, at a test or in its own step with
-      ``s >= 1`` (which leaves its endpoints as they are), its rounded sum
-      was >= 1; neither endpoint has fallen since, and rounded addition is
-      monotone in each argument, so the rounded sum is still >= 1.
-
     Converged means no coordinate moved more than ``conv_tol`` in a cycle;
     the feasibility residual over every box and edge constraint is then
     checked, and a ``ProjectionError`` is raised if it exceeds ``feas_tol``;
@@ -173,65 +144,30 @@ def _project(y: list, eu: list, ev: list, cfg: OgdConfig, inc: list | None = Non
     feasibility, nearness against feasible contenders and idempotence.
     """
     x = list(y)
-    n = len(x)
-    if inc is None:
-        inc = _incidence(n, eu, ev)
-    p_box = [0.0] * n
+    p_box = [0.0] * len(x)
     mu = [0.0] * len(eu)
-    box = range(n)  # coordinates the box step visits
-    held = set()  # edges with mu != 0
-    fell = set()  # coordinates that fell since the last activity test
-    for cycle in range(1, cfg.max_cycles + 1):
-        # box set; ``touched`` collects the next cycle's box coordinates
-        delta = 0.0
-        touched = set()
-        for k in box:
-            a = x[k]
-            v = a + p_box[k]
-            b = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-            r = v - b
-            p_box[k] = r
-            if r != 0.0:
-                touched.add(k)
-            if b < a:
-                fell.add(k)
-            d = abs(b - a)
-            if d > delta:
-                delta = d
-            x[k] = b
-        if cycle == 1:
-            violated = [e for e in range(len(eu)) if x[eu[e]] + x[ev[e]] < 1.0]
-        elif fell:
-            violated = {e for k in fell for e in inc[k] if x[eu[e]] + x[ev[e]] < 1.0}
-        else:
-            violated = ()
-        active = sorted(held.union(violated))
-        fell = set()
-        for e in active:
-            i = eu[e]
-            j = ev[e]
+    edges = list(zip(range(len(eu)), eu, ev))
+    for cycle in range(1, max_cycles + 1):
+        # box set
+        v = list(map(add, x, p_box))
+        nx = [0.0 if a < 0.0 else 1.0 if a > 1.0 else a for a in v]
+        p_box = list(map(sub, v, nx))
+        delta = max(map(abs, map(sub, nx, x)))
+        x = nx
+        active = [(e, i, j) for e, i, j in edges if mu[e] != 0.0 or x[i] + x[j] < 1.0]
+        for e, i, j in active:
             xi = x[i]
             xj = x[j]
-            m_e = mu[e]
-            vi = xi - m_e
-            vj = xj - m_e
+            vi = xi - mu[e]
+            vj = xj - mu[e]
             s = vi + vj
             if s >= 1.0:
-                if m_e:
-                    mu[e] = 0.0
-                    held.discard(e)
+                mu[e] = 0.0
             else:
                 half_gap = (1.0 - s) / 2.0
                 vi += half_gap
                 vj += half_gap
                 mu[e] = half_gap
-                held.add(e)
-            touched.add(i)
-            touched.add(j)
-            if vi < xi:
-                fell.add(i)
-            if vj < xj:
-                fell.add(j)
             d = abs(vi - xi)
             dj = abs(vj - xj)
             if dj > d:
@@ -240,10 +176,9 @@ def _project(y: list, eu: list, ev: list, cfg: OgdConfig, inc: list | None = Non
                 delta = d
             x[i] = vi
             x[j] = vj
-        box = touched
-        if delta <= cfg.conv_tol:
-            resid = _residual(x, eu, ev)
-            if resid > cfg.feas_tol:
+        if delta <= conv_tol:
+            resid = _residual(x, edges)
+            if resid > feas_tol:
                 raise ProjectionError(
                     f"projection stalled after {cycle} cycles with feasibility "
                     f"residual {resid:.3e}",
@@ -251,12 +186,12 @@ def _project(y: list, eu: list, ev: list, cfg: OgdConfig, inc: list | None = Non
                     cycles=cycle,
                 )
             return np.clip(x, 0.0, 1.0)
-    resid = _residual(x, eu, ev)
+    resid = _residual(x, edges)
     raise ProjectionError(
-        f"projection did not converge in {cfg.max_cycles} cycles "
+        f"projection did not converge in {max_cycles} cycles "
         f"(feasibility residual {resid:.3e})",
         residual=resid,
-        cycles=cfg.max_cycles,
+        cycles=max_cycles,
     )
 
 
@@ -272,20 +207,24 @@ def checked_weight_row(w_row, n: int) -> np.ndarray:
     return w
 
 
-def _edge_lists(g: Graph) -> tuple[list, list]:
-    """The edge endpoints of g as two lists of ints, in edge order."""
-    return [u for u, _ in g.edges], [v for _, v in g.edges]
+def neighbour_lists(g: Graph) -> list[list[int]]:
+    """For each vertex of g, its neighbours in edge order."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
 
 
-def project_vc_polytope(y, g: Graph, cfg: OgdConfig | None = None) -> np.ndarray:
-    """l2-nearest point of the fractional cover polytope of g."""
-    cfg = cfg or OgdConfig()
+def project_vc_polytope(y, g: Graph) -> np.ndarray:
+    """l2-nearest point of the fractional cover polytope of g, by
+    Dykstra's method."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (g.n,):
         raise ValueError(f"point must have length {g.n}")
     if not np.all(np.isfinite(y)):
         raise ValueError("point must be finite")
-    return _project(y.tolist(), *_edge_lists(g), cfg)
+    return _project(y.tolist(), [u for u, _ in g.edges], [v for _, v in g.edges])
 
 
 def round_half(x) -> frozenset:
@@ -310,8 +249,20 @@ class OgdVcLearner:
     takes the subgradient step for the revealed row,
     y = x - (scale/sqrt(t)) * w_{i*} e_{i*} with i* the first argmax of
     w*x, and projects y back onto the cover polytope. ``scale`` is 1 in
-    "paper" mode and sqrt(n)/W_bound in "scaled" mode. The edge and
-    incidence lists the projection runs on are built once here.
+    "paper" mode and sqrt(n)/W_bound in "scaled" mode.
+
+    The projection is exact. Only coordinate i* moved off the feasible
+    point x, so every edge away from i* still holds, and for x_{i*} = z the
+    nearest choice of each neighbour j is max(x_j, 1 - z). What is left is
+    the 1-D convex problem
+
+        min over z in [0,1] of (z - y_{i*})^2 + sum_j max(0, b_j - z)^2,
+
+    with breakpoints b_j = 1 - x_j. Its stationary point is
+    z = (y_{i*} + b_1 + ... + b_k) / (k + 1) over the k largest
+    breakpoints, for the first k at which the next breakpoint is not above
+    z; clipping that z to [0, 1] gives the minimizer. Every other
+    coordinate keeps its value. The neighbour lists are built once here.
     :func:`ogd_run` drives the same learner, so the gap decider and the
     batch runner step alike.
     """
@@ -321,8 +272,7 @@ class OgdVcLearner:
         self.cfg = cfg or OgdConfig()
         self.x = np.full(g.n, 0.5)
         self.t = 1
-        self._eu, self._ev = _edge_lists(g)
-        self._inc = _incidence(g.n, self._eu, self._ev)
+        self._adj = neighbour_lists(g)
         self._scale = sqrt(g.n) / self.cfg.W_bound if self.cfg.step_mode == "scaled" else 1.0
 
     def play(self) -> frozenset:
@@ -336,14 +286,25 @@ class OgdVcLearner:
     def _step(self, w: np.ndarray) -> None:
         t = self.t
         i_star = int(np.argmax(w * self.x))  # argmax returns the first maximizer
-        y = self.x.tolist()
-        y[i_star] -= (self._scale / sqrt(t)) * float(w[i_star])
-        try:
-            self.x = _project(y, self._eu, self._ev, self.cfg, self._inc)
-        except ProjectionError as exc:
-            raise ProjectionError(
-                f"round {t}: {exc}", residual=exc.residual, cycles=exc.cycles, round_index=t
-            ) from None
+        x = self.x.tolist()
+        y = x[i_star] - (self._scale / sqrt(t)) * float(w[i_star])
+        nbrs = self._adj[i_star]
+        z = y
+        k = 0
+        total = 0.0  # the k largest breakpoints, summed largest first
+        for b in sorted([1.0 - x[j] for j in nbrs], reverse=True):
+            if b <= z:
+                break
+            total += b
+            k += 1
+            z = (y + total) / (k + 1)
+        z = 0.0 if z < 0.0 else 1.0 if z > 1.0 else z
+        x[i_star] = z
+        low = 1.0 - z
+        for j in nbrs:
+            if x[j] < low:
+                x[j] = low
+        self.x = np.array(x)
         self.t = t + 1
 
 
@@ -359,8 +320,7 @@ def ogd_run(
     A thin driver over :class:`OgdVcLearner`: each round it records the
     learner's play, then steps the learner on the row. The trace charges
     each round the integral cover's cost and also logs the fractional
-    iterate's cost and the running additive bound 3*W_bound*sqrt(n*t). A
-    ``ProjectionError`` carries the failing round in ``round_index``. The
+    iterate's cost and the running additive bound 3*W_bound*sqrt(n*t). The
     benchmark is the exact hindsight optimum when the graph is small
     enough to enumerate.
     """

@@ -26,7 +26,7 @@ import numpy as np
 from .instances import Dnf3Formula, Graph, ProcTimeMatrix, WeightSequence, serialize_dnf
 from .minmax import PathChain, is_vertex_cover, static_minmax_vc
 from .ogd import OgdVcLearner  # re-exported: the gap decider's OGD learner
-from .ogd import checked_weight_row
+from .ogd import checked_weight_row, neighbour_lists
 from .rng import SeededRng
 from .traces import RegretTrace, RoundRecord
 
@@ -108,10 +108,7 @@ class FtlMinMaxVcLearner:
     def __init__(self, g: Graph):
         self.g = g
         self.cum = np.zeros(g.n)
-        self._adj: list[list[int]] = [[] for _ in range(g.n)]
-        for u, v in g.edges:
-            self._adj[u].append(v)
-            self._adj[v].append(u)
+        self._adj = neighbour_lists(g)
 
     def play(self) -> frozenset:
         cover, _ = static_minmax_vc(self.g, self.cum)

@@ -1,6 +1,7 @@
 """Command-line interface, end to end on tiny inputs."""
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -115,6 +116,62 @@ def test_run_parses_each_instance_file_once(capsys, tmp_path, monkeypatch):
         code, _ = run_cli(capsys, "run", str(tmp_path / name), "-o", str(tmp_path / f"out_{name}"))
         assert code == 0
         assert calls == expected, name
+
+
+@pytest.mark.parametrize(
+    "algorithm, params",
+    [
+        ("gap_solver", {"A": 0.2, "B": 0.6, "learner": "ogd"}),
+        ("ogd_vc", {"weight_gen": "onehot"}),
+        ("ogd_vc", {"step_mode": "paper"}),
+    ],
+    ids=["gap_learner_ogd", "weight_gen_onehot", "step_mode_paper"],
+)
+def test_run_ogd_paths_play_covers_and_rerun_byte_identically(capsys, tmp_path, algorithm, params):
+    g = Graph(7, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)))
+    (tmp_path / "g.txt").write_text(serialize_graph(g))
+    cfg = {"algorithm": algorithm, "instance": {"graph": "g.txt"}, "T": 60, "seeds": [0, 1, 2], "params": params}
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        run_cli(capsys, "run", str(tmp_path / "exp.json"), "-o", str(out))
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert names == ["summary.json", "trace_seed0.csv", "trace_seed1.csv", "trace_seed2.csv"]
+    played = 0
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        if name.endswith(".csv"):
+            header, *rows = (outs[0] / name).read_text().split("\n")
+            col = header.split(",").index("played_set")
+            for row in rows:
+                cell = row.split(",")[col]
+                cover = {int(v) for v in cell.split(";")} if cell else set()
+                assert all(u in cover or v in cover for u, v in g.edges), (name, row)
+                played += 1
+    assert played > 0
+
+
+@pytest.mark.parametrize(
+    "algorithm, instance, key, value, allowed",
+    [
+        ("gap_solver", "graph", "learner", "OGD", "('ftl', 'ogd')"),
+        ("ogd_vc", "graph", "weight_gen", "one-hot", "('uniform', 'onehot')"),
+        ("gftpl_gkp", "gkp", "oracle", "FPTAS", "('brute', 'fptas')"),
+        ("gftpl_gkp", "gkp", "round_source", "files", "('file', 'random')"),
+    ],
+)
+def test_run_rejects_unknown_selector_values(capsys, tmp_path, algorithm, instance, key, value, allowed):
+    (tmp_path / "graph").write_text(serialize_graph(Graph(3, ((0, 1), (1, 2)))))
+    (tmp_path / "gkp").write_text(serialize_gkp(gen_random_gkp(3, 4, SeededRng(5))))
+    params = {"A": 0.2, "B": 0.6} if algorithm == "gap_solver" else {}
+    cfg = {"algorithm": algorithm, "instance": {instance: instance}, "T": 4, "seeds": [0],
+           "params": params | {key: value}}
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))
+    message = f"unknown {key} '{value}'; pick from {allowed}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_cli(capsys, "run", str(tmp_path / "exp.json"), "-o", str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 # --- verify ------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Projected OGD: subgradients, the Dykstra projection, rounding, bounds.
+"""Projected OGD: subgradients, the projections, rounding, bounds.
 
-The projection is checked against a dense grid search (single edge),
-against independently constructed feasible points, and — when cvxpy is
-installed — against a QP solver. The list-based Dykstra loop is also held
+Dykstra's projection is checked against a dense grid search (single edge),
+against independently constructed feasible points, and against QP solvers
+(scipy; cvxpy when installed). The list-based Dykstra loop is also held
 bit for bit to the numpy version it replaced, kept here as the reference.
+Each exact OGD step is held bit for bit to a numpy water-fill, certified
+optimal by its closed-form KKT multipliers, and compared with Dykstra's
+projection of the same point.
 """
 
 from math import sqrt
@@ -14,6 +17,9 @@ import pytest
 from regretlab.instances import Graph, WeightSequence, gen_random_graph, gen_uniform_weights
 from regretlab.minmax import best_static_vc_hindsight, is_vertex_cover
 from regretlab.ogd import (
+    CONV_TOL,
+    FEAS_TOL,
+    MAX_CYCLES,
     OgdConfig,
     OgdVcLearner,
     ProjectionError,
@@ -43,7 +49,7 @@ def random_feasible_point(g, rng):
     return z
 
 
-def reference_project(y, n, eu, ev, cfg):
+def reference_project(y, n, eu, ev, feas_tol=FEAS_TOL, conv_tol=CONV_TOL, max_cycles=MAX_CYCLES):
     """The numpy Dykstra loop the list-based ``_project`` replaced.
 
     Indexing numpy arrays per edge made it slow; its float operations are
@@ -53,7 +59,7 @@ def reference_project(y, n, eu, ev, cfg):
     p_box = np.zeros(n)
     m = eu.shape[0]
     mu = np.zeros(m)
-    for cycle in range(1, cfg.max_cycles + 1):
+    for cycle in range(1, max_cycles + 1):
         v = x + p_box
         nx = np.clip(v, 0.0, 1.0)
         p_box = v - nx
@@ -79,13 +85,13 @@ def reference_project(y, n, eu, ev, cfg):
                     delta = d
                 x[i] = vi
                 x[j] = vj
-        if delta <= cfg.conv_tol:
+        if delta <= conv_tol:
             resid = 0.0
             if m:
                 resid = max(0.0, float((1.0 - (x[eu] + x[ev])).max()))
             box_resid = max(0.0, float(-x.min()), float(x.max() - 1.0))
             resid = max(resid, box_resid)
-            if resid > cfg.feas_tol:
+            if resid > feas_tol:
                 raise ProjectionError(
                     f"projection stalled after {cycle} cycles with feasibility "
                     f"residual {resid:.3e}",
@@ -98,39 +104,104 @@ def reference_project(y, n, eu, ev, cfg):
         resid = max(0.0, float((1.0 - (x[eu] + x[ev])).max()))
     resid = max(resid, 0.0, float(-x.min()), float(x.max() - 1.0))
     raise ProjectionError(
-        f"projection did not converge in {cfg.max_cycles} cycles "
+        f"projection did not converge in {max_cycles} cycles "
         f"(feasibility residual {resid:.3e})",
         residual=resid,
-        cycles=cfg.max_cycles,
+        cycles=max_cycles,
     )
 
 
+def neighbours(g, k):
+    """The neighbours of vertex k, read off the edge list."""
+    return np.array([v if u == k else u for u, v in g.edges if k in (u, v)], dtype=np.int64)
+
+
+def step_scale(g, cfg):
+    return sqrt(g.n) / cfg.W_bound if cfg.step_mode == "scaled" else 1.0
+
+
+def step_point(x, w, t, scale):
+    """(i*, y) of the OGD step from x on row w: y is x less the step along
+    the full subgradient vector, so only coordinate i* moves."""
+    return int(np.argmax(w * x)), x - (scale / sqrt(t)) * subgradient(w, x)
+
+
+def reference_water_fill(x, i, y_i, nbrs):
+    """The exact OGD step in numpy: x with coordinate i moved to y_i,
+    projected onto the cover polytope. Every candidate
+    z_k = (y_i + b_1 + ... + b_k) / (k + 1) over the breakpoints
+    b = 1 - x[nbrs] in descending order comes from one cumsum; the first k
+    whose next breakpoint is not above z_k wins, clipped to [0, 1]."""
+    b = np.sort(1.0 - x[nbrs])[::-1]
+    z = (y_i + np.concatenate(([0.0], np.cumsum(b)))) / np.arange(1, b.size + 2)
+    k = int(np.argmax(np.append(z[:-1] >= b, True)))
+    out = x.copy()
+    out[i] = np.clip(z[k], 0.0, 1.0)
+    out[nbrs] = np.maximum(x[nbrs], 1.0 - out[i])
+    return out
+
+
+def certify_step(g, x, i, y_i, out, tol=1e-12):
+    """KKT certificate that ``out`` is the l2 projection of x with
+    coordinate i moved to y_i (x feasible), with the closed-form
+    multipliers lam_j = max(0, 1 - z - x_j) on the edges (i, j) and zero on
+    every other edge. The objective is half the squared distance."""
+    z = float(out[i])
+    lam = {int(j): max(0.0, 1.0 - z - x[j]) for j in neighbours(g, i)}
+    # primal feasibility, exactly in floats
+    assert 0.0 <= out.min() and out.max() <= 1.0
+    assert all(out[u] + out[v] >= 1.0 for u, v in g.edges)
+    # stationarity at i: (z - y_i) - sum(lam) = 0, or of the box's sign
+    # where z sits on a bound of [0, 1]
+    r = (z - y_i) - sum(lam.values())
+    if z == 0.0:
+        assert r >= -tol, (r, "z = 0 needs -y_i - sum(b_j) >= 0")
+    elif z == 1.0:
+        assert r <= tol, (r, "z = 1 needs y_i >= 1")
+    else:
+        assert abs(r) <= tol, r
+    for j, lam_j in lam.items():
+        # stationarity at each neighbour (its other edges carry no
+        # multiplier), and complementary slackness on the edge (i, j)
+        assert abs((out[j] - x[j]) - lam_j) <= tol, (j, lam_j)
+        if lam_j > 0.0:
+            assert abs(out[j] + z - 1.0) <= tol, (j, lam_j)
+    untouched = [k for k in range(g.n) if k != i and k not in lam]
+    assert out[untouched].tobytes() == x[untouched].tobytes()
+
+
+def reference_step(g, x, i, y):
+    """The numpy water-fill of y (x with coordinate i moved), once it has
+    passed :func:`certify_step` and lies within 1e-9 of Dykstra's
+    projection of y. A learner step that matches its bits passes both."""
+    out = reference_water_fill(x, i, y[i], neighbours(g, i))
+    certify_step(g, x, i, y[i], out)
+    assert np.abs(out - project_vc_polytope(y, g)).max() <= 1e-9
+    return out
+
+
 def reference_ogd_iterates(g, rows, cfg):
-    """Iterates x_1..x_{T+1} of the OGD update as the gap decider's learner
-    wrote it before it shared ``ogd_run``'s stepper: a full subgradient
-    vector step, then the reference projection."""
-    eu = np.array([u for u, _ in g.edges], dtype=np.int64)
-    ev = np.array([v for _, v in g.edges], dtype=np.int64)
-    scale = sqrt(g.n) / cfg.W_bound if cfg.step_mode == "scaled" else 1.0
+    """Iterates x_1..x_{T+1} of the OGD update, each step the
+    :func:`reference_step` of the full-subgradient point."""
+    scale = step_scale(g, cfg)
     x = np.full(g.n, 0.5)
     out = [x]
     for t, w in enumerate(rows, start=1):
-        y = x - (scale / sqrt(t)) * subgradient(w, x)
-        x = reference_project(y, g.n, eu, ev, cfg)
+        x = reference_step(g, x, *step_point(x, w, t, scale))
         out.append(x)
     return out
 
 
-def project_both(y, g, cfg):
+def project_both(y, g, **tols):
     """(new, reference) projections of y, or the two ProjectionErrors."""
     eu = [u for u, _ in g.edges]
     ev = [v for _, v in g.edges]
     results = []
     for f in (
-        lambda: _project(list(map(float, y)), eu, ev, cfg),
+        lambda: _project(list(map(float, y)), eu, ev, **tols),
         lambda: reference_project(
             np.array(y, dtype=np.float64), g.n, np.array(eu, dtype=np.int64),
-            np.array(ev, dtype=np.int64), cfg,
+            np.array(ev, dtype=np.int64), **tols,
         ),
     ):
         try:
@@ -230,7 +301,6 @@ def test_projection_against_cvxpy():
 def test_projection_against_scipy():
     optimize = pytest.importorskip("scipy.optimize")
     rng = SeededRng(450)
-    cfg = OgdConfig()
     cases = []
     for _ in range(6):
         n = 3 + rng.randrange(6)
@@ -257,17 +327,15 @@ def test_projection_against_scipy():
             options={"ftol": 1e-14, "maxiter": 1000},
         )
         assert res.success, res.message
-        out = project_vc_polytope(y, g, cfg)
-        assert fractional_feasible(out, g, tol=cfg.feas_tol)
+        out = project_vc_polytope(y, g)
+        assert fractional_feasible(out, g, tol=FEAS_TOL)
         assert np.linalg.norm(out - res.x) < 1e-5
         assert np.sum((out - y) ** 2) <= np.sum((res.x - y) ** 2) + 1e-9
 
 
 def test_projection_reports_nonconvergence_with_residual():
-    g = Graph(2, ((0, 1),))
-    cfg = OgdConfig(max_cycles=1)
     with pytest.raises(ProjectionError) as e:
-        project_vc_polytope(np.array([-3.0, -3.0]), g, cfg)
+        _project([-3.0, -3.0], [0], [1], max_cycles=1)
     assert e.value.residual >= 0
     assert e.value.cycles == 1
     assert "did not converge" in str(e.value)
@@ -278,13 +346,6 @@ def test_projection_reports_nonconvergence_with_residual():
     [
         ("W_bound", float("nan"), "W_bound must be finite, got nan"),
         ("W_bound", float("inf"), "W_bound must be finite, got inf"),
-        ("feas_tol", float("nan"), "feas_tol must be finite, got nan"),
-        ("feas_tol", float("inf"), "feas_tol must be finite, got inf"),
-        ("conv_tol", float("nan"), "conv_tol must be finite, got nan"),
-        ("conv_tol", float("-inf"), "conv_tol must be finite, got -inf"),
-        ("max_cycles", 2.5, "max_cycles must be an int, got 2.5"),
-        ("max_cycles", True, "max_cycles must be an int, got True"),
-        ("max_cycles", 0, "max_cycles must be >= 1, got 0"),
         ("W_bound", 0.0, "W_bound must be positive, got 0.0"),
     ],
 )
@@ -304,12 +365,11 @@ def test_projection_rejects_bad_input():
 # --- projection against the numpy reference --------------------------------------
 
 
-def assert_same_projection(y, g, cfg=OgdConfig()):
-    new, ref = project_both(y, g, cfg)
+def assert_same_projection(y, g, **tols):
+    new, ref = project_both(y, g, **tols)
     if isinstance(ref, ProjectionError):
         assert isinstance(new, ProjectionError)
         assert (new.cycles, new.residual, str(new)) == (ref.cycles, ref.residual, str(ref))
-        assert new.round_index is None
     else:
         assert isinstance(new, np.ndarray) and new.dtype == np.float64
         # byte equality also tells +0.0 from -0.0
@@ -349,16 +409,16 @@ def test_projection_matches_numpy_reference_bitwise():
 
 def test_projection_errors_match_numpy_reference():
     rng = SeededRng(900)
-    cfgs = [OgdConfig(max_cycles=k) for k in (1, 2, 3, 5, 8)]
+    tols = [{"max_cycles": k} for k in (1, 2, 3, 5, 8)]
     # a loose convergence test with a tight feasibility test stalls instead
-    cfgs.append(OgdConfig(conv_tol=0.05, feas_tol=1e-12))
+    tols.append({"conv_tol": 0.05, "feas_tol": 1e-12})
     raised = 0
     for g in sweep_graphs(rng):
-        for cfg in cfgs:
+        for tol in tols:
             for _ in range(3):
                 y = [rng.uniform(-3.0, 4.0) for _ in range(g.n)]
-                assert_same_projection(y, g, cfg)
-                raised += isinstance(project_both(y, g, cfg)[1], ProjectionError)
+                assert_same_projection(y, g, **tol)
+                raised += isinstance(project_both(y, g, **tol)[1], ProjectionError)
     assert raised > 50  # the sweep does reach both error paths
 
 
@@ -375,6 +435,44 @@ def test_learner_iterates_match_reference_bitwise():
             for t, w in enumerate(seq.rows, start=1):
                 learner.observe(w, 0.0)
                 assert learner.x.tobytes() == expected[t].tobytes(), (n, mode, t)
+
+
+def check_exact_step(g, x, w, t, cfg):
+    """One learner step from the feasible x on row w in round t equals its
+    :func:`reference_step` bit for bit; returns (i*, y, stepped iterate)."""
+    x = np.array(x, dtype=np.float64)
+    w = np.array(w, dtype=np.float64)
+    learner = OgdVcLearner(g, cfg)
+    learner.x, learner.t = x, t
+    learner.observe(w, 0.0)
+    assert learner.t == t + 1
+    i, y = step_point(x, w, t, step_scale(g, cfg))
+    assert learner.x.tobytes() == reference_step(g, x, i, y).tobytes()
+    return i, y, learner.x
+
+
+def test_exact_step_edge_cases():
+    paper = OgdConfig(step_mode="paper")
+    star = Graph(4, ((0, 1), (0, 2), (0, 3)))
+    # a negative weight on i*: the coordinate rises, past 1 into the clip
+    i, y, out = check_exact_step(star, [0.25, 0.75, 0.75, 0.75], [-1.0, -2.0, -2.0, -2.0], 1, paper)
+    assert i == 0 and y[0] == 1.25 and out[0] == 1.0 and out.tolist()[1:] == [0.75] * 3
+    i, y, out = check_exact_step(star, [0.25, 0.75, 0.75, 0.75], [-0.5, -2.0, -2.0, -2.0], 4, paper)
+    assert i == 0 and out[0] == 0.5
+    # a long step: the water level falls below 0 and clips there, and every
+    # neighbour rises to 1
+    i, y, out = check_exact_step(star, [0.5, 0.5, 0.5, 0.5], [3.0, 0.0, 0.0, 0.0], 1, paper)
+    assert i == 0 and y[0] == -2.5 and out.tolist() == [0.0, 1.0, 1.0, 1.0]
+    # an isolated i*: the box clip alone
+    lone = Graph(3, ((0, 1),))
+    i, y, out = check_exact_step(lone, [0.5, 0.5, 0.5], [0.0, 0.0, 2.0], 1, paper)
+    assert i == 2 and out.tolist() == [0.5, 0.5, 0.0]
+    i, y, out = check_exact_step(lone, [0.5, 0.5, 0.5], [0.0, 0.0, 0.25], 1, paper)
+    assert i == 2 and out.tolist() == [0.5, 0.5, 0.25]
+    # water-fill over some of the breakpoints: x_1 = 0.9 stays, x_2 and x_3
+    # rise to 1 - z
+    i, y, out = check_exact_step(star, [0.5, 0.9, 0.6, 0.5], [1.0, 0.0, 0.0, 0.0], 1, paper)
+    assert i == 0 and out[1] == 0.9 and out[2] == out[3] == 1.0 - out[0] and 0.1 < out[0] < 0.4
 
 
 # --- rounding --------------------------------------------------------------------
@@ -466,12 +564,3 @@ def test_ogd_rejects_weights_above_bound():
     seq = WeightSequence(2, [[2.0, 0.0]])
     with pytest.raises(ValueError, match="W_bound"):
         ogd_run(g, seq, OgdConfig(W_bound=1.0))
-
-
-def test_ogd_projection_failure_carries_round_index():
-    g = Graph(2, ((0, 1),))
-    seq = WeightSequence(2, [[1.0, 0.0]] * 3)
-    with pytest.raises(ProjectionError) as e:
-        ogd_run(g, seq, OgdConfig(max_cycles=1))
-    assert e.value.round_index is not None
-    assert "round" in str(e.value)

@@ -8,7 +8,6 @@ import pytest
 from regretlab.instances import (
     Dnf3Formula,
     Graph,
-    WeightSequence,
     gen_random_dnf,
     gen_random_graph,
     gen_uniform_weights,
@@ -22,7 +21,7 @@ from regretlab.minmax import (
     multi_minmax_cost,
     static_minmax_vc,
 )
-from regretlab.ogd import OgdConfig, ProjectionError, ogd_run
+from regretlab.ogd import OgdConfig, ogd_run
 from regretlab.reductions import (
     FtlMinMaxVcLearner,
     GapConfig,
@@ -181,27 +180,6 @@ def test_ftl_learner_rejects_rows_of_the_wrong_length():
     assert learner.cum.tolist() == [0.0, 0.0, 0.0]
     learner.observe([0.0, 5.0, 0.0], 5.0)  # a plain list of the right length is a row
     assert learner.play() == frozenset({0, 2})
-
-
-def test_gap_decider_projection_failure_names_the_round():
-    # one edge plus an isolated vertex: seed 6 weights vertex 2 in rounds 1
-    # and 2, which needs only the box step, so round 3 is the first to fail
-    g = Graph(3, ((0, 1),))
-    cfg = GapConfig(A=0.1, B=0.3, T_override=40)  # every cover is nonempty: never Yes
-    ocfg = OgdConfig(max_cycles=2)
-    seed = 6
-    with pytest.raises(ProjectionError) as gap_err:
-        gap_solver(g, cfg, OgdVcLearner(g, ocfg), SeededRng(seed))
-    # the same one-hot rows fail ogd_run in the same round
-    draw = SeededRng(seed)
-    rows = np.zeros((40, 3))
-    for t in range(40):
-        rows[t, draw.randrange(3)] = 1.0
-    with pytest.raises(ProjectionError) as run_err:
-        ogd_run(g, WeightSequence(3, rows), ocfg, compute_benchmark=False)
-    assert gap_err.value.round_index == run_err.value.round_index == 3
-    assert str(gap_err.value).startswith(f"round {gap_err.value.round_index}: ")
-    assert (gap_err.value.cycles, gap_err.value.residual) == (run_err.value.cycles, run_err.value.residual)
 
 
 # --- gap solver --------------------------------------------------------------------
