@@ -30,5 +30,5 @@ for T in (125, 500, 2000, 8000):
     )
 
 # every round: the rounded cover never pays more than twice the iterate
-assert all(r.value <= 2.0 * r.extras["frac_cost"] for r in tr.rows)
+assert all(c <= 2.0 * f for c, f in zip(tr.values, tr.extras["frac_cost"], strict=True))
 print("per-round check: integral cost <= 2 * fractional cost on every round")

@@ -73,7 +73,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg_path = Path(args.config)
-    cfg, inst = _read_experiment(cfg_path)
+    try:
+        cfg, inst = _read_experiment(cfg_path)
+    except (OSError, ValueError) as exc:
+        args.usage_error(str(exc))  # exits 2, before any output is written
     out_dir = Path(args.out) if args.out else cfg_path.parent / f"{cfg_path.stem}_out"
     summary = _run_experiment(cfg, inst, out_dir)
     report = summary["bounds"]
@@ -217,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a JSON-configured experiment")
     run.add_argument("config")
     run.add_argument("-o", "--out", default=None, help="output directory")
-    run.set_defaults(func=_cmd_run)
+    run.set_defaults(func=_cmd_run, usage_error=run.error)
 
     verify = sub.add_parser("verify", help="re-prove a guarantee on a concrete input")
     verify_sub = verify.add_subparsers(dest="what", required=True)

@@ -35,7 +35,7 @@ import numpy as np
 from .gkp import MAX_BRUTE_N, distinguisher_set, fold_sweep, gkp_profit
 from .instances import GkpRound, GkpStatic
 from .rng import SeededRng
-from .traces import RegretTrace, RoundRecord
+from .traces import RegretTrace
 
 __all__ = [
     "GftplConfig",
@@ -220,10 +220,9 @@ def gftpl_run(
     if n <= MAX_BRUTE_N:
         leaders, bests = fold_sweep(static, rounds_stream, pert_rounds if oracle is None else None)
 
-    records: list[RoundRecord] = []
+    played_sets, payoffs, perturbed_objs, regrets = [], [], [], []
     history: list[GkpRound] = []
     cum = 0.0
-    best = regret = float("nan")
     for t, y in enumerate(rounds_stream, 1):
         if oracle is None:
             played, perturbed_obj = leaders[t - 1]
@@ -240,23 +239,26 @@ def gftpl_run(
                 "(the multiplicative contract needs nonnegative payoffs)"
             )
         cum += payoff
+        played_sets.append(frozenset(played))
+        payoffs.append(payoff)
+        perturbed_objs.append(float(perturbed_obj))
         if bests is not None:
-            best = bests[t - 1]
-            regret = best - cum
-        extras = {
-            "perturbed_obj": float(perturbed_obj),
-            "best_static_cum": best,
-            "regret": regret,
-            "theorem3_bound": theorem3_bound(cfg, eps, t),
-        }
-        records.append(
-            RoundRecord(t=t, action=frozenset(played), value=payoff, cumulative=cum, extras=extras)
-        )
+            regrets.append(bests[t - 1] - cum)
 
+    benchmark = None if bests is None else (bests[-1] if T else 0.0)
+    if bests is None:  # n above the enumeration guard: no benchmark columns
+        bests = regrets = [float("nan")] * T
     return RegretTrace(
         algorithm="gftpl_gkp",
-        rows=tuple(records),
-        benchmark=None if bests is None else (best if T else 0.0),
+        actions=played_sets,
+        values=payoffs,
+        extras={
+            "perturbed_obj": perturbed_objs,
+            "best_static_cum": bests,
+            "regret": regrets,
+            "theorem3_bound": [theorem3_bound(cfg, eps, t) for t in range(1, T + 1)],
+        },
+        benchmark=benchmark,
         meta={
             "n": n,
             "T": T,

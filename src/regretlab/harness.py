@@ -11,7 +11,7 @@ embarrassingly parallel and every output byte is a pure function of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +97,12 @@ class ExperimentConfig:
             raise ValueError("seeds must be nonnegative")
         for key in _SELECTORS[self.algorithm]:
             _selector(self, key)
+        _horizons(self)
+        # GftplConfig's G_f default needs the rounds, so a replica builds it
+        if self.algorithm == "ogd_vc":
+            _ogd_config(self)
+        elif self.algorithm == "gap_solver":
+            _gap_config(self)
 
 
 def _selector(cfg: ExperimentConfig, key: str) -> str:
@@ -107,6 +113,51 @@ def _selector(cfg: ExperimentConfig, key: str) -> str:
     if value not in allowed:
         raise ValueError(f"unknown {key} {value!r}; pick from {allowed}")
     return value
+
+
+def _horizons(cfg: ExperimentConfig) -> list[int]:
+    """The horizons a run sweeps: ``params.T_sweep``, or the configured T
+    alone; a ValueError names T_sweep unless it lists nonnegative ints."""
+    sweep = cfg.params.get("T_sweep", [])
+    try:
+        horizons = [int(T) for T in sweep]
+    except (TypeError, ValueError):
+        raise ValueError(f"T_sweep must be a list of horizons, got {sweep!r}") from None
+    if any(T < 0 for T in horizons):
+        raise ValueError(f"T_sweep horizons must be nonnegative, got {horizons}")
+    return horizons or [cfg.T]
+
+
+def _number(cfg: ExperimentConfig, key: str, default: float | None = None) -> float:
+    """``cfg.params[key]`` as a float, or ``default`` when absent; a
+    ValueError names a key that is absent without a default or no number."""
+    if key not in cfg.params and default is None:
+        raise ValueError(f"{cfg.algorithm} needs param {key!r}")
+    value = cfg.params.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"param {key!r} must be a number, got {value!r}") from None
+
+
+def _ogd_config(cfg: ExperimentConfig) -> OgdConfig:
+    """The OGD parameters of an ogd_vc config, defaults filled in."""
+    return OgdConfig(
+        W_bound=_number(cfg, "W_bound", 1.0),
+        step_mode=cfg.params.get("step_mode", "scaled"),
+    )
+
+
+def _gap_config(cfg: ExperimentConfig) -> tuple[GapConfig, float]:
+    """The gap parameters of a gap_solver config and its eps, defaults
+    filled in; each replica sets the horizon as T_override."""
+    gap_cfg = GapConfig(
+        A=_number(cfg, "A"),
+        B=_number(cfg, "B"),
+        p_coeff=_number(cfg, "p_coeff", 1.0),
+        c_exp=_number(cfg, "c_exp", 0.5),
+    )
+    return gap_cfg, _number(cfg, "eps", 1.0)
 
 
 def load_experiment(path) -> ExperimentConfig:
@@ -172,10 +223,7 @@ def _load_instances(cfg: ExperimentConfig) -> dict:
 
 def _replica_ogd(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
     g = inst["graph"]
-    ocfg = OgdConfig(
-        W_bound=float(cfg.params.get("W_bound", 1.0)),
-        step_mode=cfg.params.get("step_mode", "scaled"),
-    )
+    ocfg = _ogd_config(cfg)
     if "weights" in inst:
         seq = inst["weights"]
         if seq.T < T:
@@ -265,7 +313,7 @@ def _replica_gftpl(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
         "cumulative": trace.cumulative,
         "benchmark": trace.benchmark,
         "regret": compute_regret(trace) if T else 0.0,
-        "bound": trace.rows[-1].extras["theorem3_bound"] if T else 0.0,
+        "bound": trace.extras["theorem3_bound"][-1] if T else 0.0,
     }
     row["ok"] = row["regret"] <= row["bound"]
     return trace, row
@@ -273,16 +321,9 @@ def _replica_gftpl(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
 
 def _replica_gap(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
     g = inst["graph"]
-    p = cfg.params
-    gap_cfg = GapConfig(
-        A=float(p["A"]),
-        B=float(p["B"]),
-        p_coeff=float(p.get("p_coeff", 1.0)),
-        c_exp=float(p.get("c_exp", 0.5)),
-        T_override=T,
-    )
+    gap_cfg, eps = _gap_config(cfg)
     learner = OgdVcLearner(g) if _selector(cfg, "learner") == "ogd" else FtlMinMaxVcLearner(g)
-    res = gap_solver(g, gap_cfg, learner, SeededRng(seed), eps=float(p.get("eps", 1.0)))
+    res = gap_solver(g, replace(gap_cfg, T_override=T), learner, SeededRng(seed), eps=eps)
     row = {
         "seed": seed,
         "T": res.T,
@@ -301,20 +342,15 @@ _REPLICAS = {"ogd_vc": _replica_ogd, "gftpl_gkp": _replica_gftpl, "gap_solver": 
 # ---------------------------------------------------------------------------
 
 
-def _mean(values) -> float | None:
-    values = list(values)
-    return sum(values) / len(values) if values else None
-
-
 def _summarize_rows(rows: list[dict]) -> dict:
     out: dict = {"per_seed": rows}
     regrets = [r["regret"] for r in rows if r.get("regret") is not None]
     if regrets:
-        out["mean_regret"] = _mean(regrets)
+        out["mean_regret"] = sum(regrets) / len(regrets)
         out["max_regret"] = max(regrets)
     bounds = [r["bound"] for r in rows if r.get("bound") is not None]
     if bounds:
-        out["mean_bound"] = _mean(bounds)
+        out["mean_bound"] = sum(bounds) / len(bounds)
     decisions = [r["decision"] for r in rows if "decision" in r]
     if decisions:
         out["yes_count"] = sum(d == "Yes" for d in decisions)
@@ -339,7 +375,7 @@ def _run_experiment(cfg: ExperimentConfig, inst: dict, out_dir) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     replica = _REPLICAS[cfg.algorithm]
-    horizons = [int(t) for t in cfg.params.get("T_sweep", [])] or [cfg.T]
+    horizons = _horizons(cfg)
     sweep = "T_sweep" in cfg.params
 
     summary: dict = {
@@ -351,8 +387,6 @@ def _run_experiment(cfg: ExperimentConfig, inst: dict, out_dir) -> dict:
     }
     groups = []
     for T in horizons:
-        if T < 0:
-            raise ValueError("every horizon must be nonnegative")
         rows = []
         for seed in cfg.seeds:
             try:

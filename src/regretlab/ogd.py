@@ -28,7 +28,7 @@ import numpy as np
 
 from .instances import Graph, WeightSequence
 from .minmax import MAX_HINDSIGHT_N, best_static_vc_hindsight
-from .traces import RegretTrace, RoundRecord
+from .traces import RegretTrace, running_sums
 
 __all__ = [
     "OgdConfig",
@@ -332,30 +332,14 @@ def ogd_run(
         raise ValueError("weights exceed the configured W_bound")
     n = g.n
     learner = OgdVcLearner(g, cfg)
-    records = []
-    cum_int = 0.0
-    cum_frac = 0.0
-    for t in range(1, seq.T + 1):
-        x = learner.x
+    played_sets = []
+    int_costs = []
+    frac_costs = []
+    for w in rows:
         played = learner.play()
-        w = rows[t - 1]
-        int_cost = float(w[list(played)].max()) if played else 0.0
-        frac_cost = float((w * x).max())
-        cum_int += int_cost
-        cum_frac += frac_cost
-        records.append(
-            RoundRecord(
-                t=t,
-                action=played,
-                value=int_cost,
-                cumulative=cum_int,
-                extras={
-                    "frac_cost": frac_cost,
-                    "cum_frac": cum_frac,
-                    "bound_additive": theorem2_bound(cfg.W_bound, n, t),
-                },
-            )
-        )
+        played_sets.append(played)
+        int_costs.append(float(w[list(played)].max()) if played else 0.0)
+        frac_costs.append(float((w * learner.x).max()))
         learner._step(w)
 
     benchmark = None
@@ -363,7 +347,13 @@ def ogd_run(
         _, benchmark = best_static_vc_hindsight(g, seq)
     return RegretTrace(
         algorithm="ogd_vc",
-        rows=tuple(records),
+        actions=played_sets,
+        values=int_costs,
+        extras={
+            "frac_cost": frac_costs,
+            "cum_frac": running_sums(frac_costs),
+            "bound_additive": [theorem2_bound(cfg.W_bound, n, t) for t in range(1, seq.T + 1)],
+        },
         benchmark=benchmark,
         meta={
             "n": n,

@@ -28,7 +28,7 @@ from .minmax import PathChain, is_vertex_cover, static_minmax_vc
 from .ogd import OgdVcLearner  # re-exported: the gap decider's OGD learner
 from .ogd import checked_weight_row, neighbour_lists
 from .rng import SeededRng
-from .traces import RegretTrace, RoundRecord
+from .traces import RegretTrace
 
 # Refuse to pre-draw absurdly long adversary streams; callers with a huge
 # computed horizon should set T_override instead.
@@ -57,13 +57,13 @@ class GapConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.A < self.B <= 1.0:
-            raise ValueError("need 0 <= A < B <= 1")
+            raise ValueError(f"need 0 <= A < B <= 1, got A={self.A!r}, B={self.B!r}")
         if not 0.0 <= self.c_exp < 1.0:
-            raise ValueError("regret exponent must lie in [0, 1)")
+            raise ValueError(f"regret exponent c_exp must lie in [0, 1), got {self.c_exp!r}")
         if self.p_coeff <= 0.0:
-            raise ValueError("regret coefficient must be positive")
+            raise ValueError(f"regret coefficient p_coeff must be positive, got {self.p_coeff!r}")
         if self.T_override is not None and self.T_override < 0:
-            raise ValueError("T_override must be nonnegative")
+            raise ValueError(f"T_override must be nonnegative, got {self.T_override!r}")
 
 
 def gap_horizon(cfg: GapConfig, eps: float, n: int) -> int:
@@ -186,27 +186,28 @@ def gap_solver(
 
     decision = "No"
     yes_round = None
-    records = []
-    cum = 0.0
+    played_sets = []
+    costs = []
     for t in range(1, T + 1):
         played = learner.play()
         if not is_vertex_cover(g, played):
             raise ValueError(f"learner emitted a non-cover at round {t}")
+        played_sets.append(played)
         if len(played) < threshold:
             decision, yes_round = "Yes", t
-            records.append(RoundRecord(t=t, action=played, value=0.0, cumulative=cum))
+            costs.append(0.0)
             break
         u = targets[t - 1]
         w_row = np.zeros(g.n)
         w_row[u] = 1.0
         cost = 1.0 if u in played else 0.0
-        cum += cost
-        records.append(RoundRecord(t=t, action=played, value=cost, cumulative=cum))
+        costs.append(cost)
         learner.observe(w_row, cost)
 
     trace = RegretTrace(
         algorithm="gap_solver",
-        rows=tuple(records),
+        actions=played_sets,
+        values=costs,
         meta={
             "n": g.n,
             "m": g.m,
@@ -373,10 +374,7 @@ def is_three_colorable(g: Graph, n_colors: int = 3) -> bool:
         raise ValueError("coloring check guarded to n <= 12")
 
     colors = [-1] * g.n
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = neighbour_lists(g)
 
     def extend(v: int) -> bool:
         if v == g.n:

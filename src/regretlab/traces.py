@@ -1,22 +1,24 @@
 """Per-round regret ledgers and their CSV surface.
 
-A trace is the complete record of one online run: per-round action, the
-cost or payoff it incurred, and the exact running sum. Traces are
-validated on construction — the cumulative column must be the exact
-(floating-point-equal) prefix sum of the per-round column and round
-indices must start at 1 and increase strictly.
+A trace stores one online run as columns: the action played each round,
+the cost or payoff it incurred, and any algorithm-specific float columns.
+Round t is entry t - 1 of every column, so the round index is implicit.
+On construction the trace checks that every column has one entry per
+round and computes the exact running sum of its values, once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping
 
-__all__ = ["RoundRecord", "RegretTrace", "trace_to_csv"]
+__all__ = ["RegretTrace", "running_sums", "trace_to_csv"]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def running_sums(values) -> tuple[float, ...]:
+    """Prefix sums added left to right from 0.0, so a leading -0.0 sums to 0.0."""
+    return tuple(accumulate(values, initial=0.0))[1:]
 
 
 def format_action(action) -> str:
@@ -29,103 +31,70 @@ def format_action(action) -> str:
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    """One round: the action played, its cost-or-payoff, the running sum,
-    and any algorithm-specific extra columns."""
-
-    t: int
-    action: object
-    value: float
-    cumulative: float
-    extras: Mapping[str, float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class RegretTrace:
-    """Full run record plus the hindsight benchmark and run metadata.
+    """Full run record as columns, plus the hindsight benchmark and run
+    metadata.
 
     ``algorithm`` identifies the objective direction ("ogd_vc" and
     "gap_solver" minimize cost, "gftpl_gkp" maximizes payoff) and picks
-    the CSV column layout. ``benchmark`` is the best static action's
+    the CSV column layout. ``actions`` and ``values`` hold each round's
+    played action and its cost-or-payoff; ``extras`` maps each further
+    column's name to a tuple of floats. ``cumulatives`` is derived: the
+    running sum of ``values``. ``benchmark`` is the best static action's
     total in hindsight, when the run computed one.
     """
 
     algorithm: str
-    rows: tuple[RoundRecord, ...]
+    actions: tuple
+    values: tuple[float, ...]
+    extras: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
     benchmark: float | None = None
     meta: Mapping[str, object] = field(default_factory=dict)
+    cumulatives: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        running = 0.0
-        prev_t = 0
-        for k, r in enumerate(self.rows):
-            if k == 0 and r.t != 1:
-                raise ValueError("round indices must start at 1")
-            if r.t <= prev_t:
-                raise ValueError("round indices must increase strictly")
-            prev_t = r.t
-            running += r.value
-            if r.cumulative != running:
-                raise ValueError(
-                    f"t={r.t}: cumulative {r.cumulative!r} is not the exact "
-                    f"prefix sum {running!r}"
-                )
+        if self.algorithm not in _LAYOUTS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}; pick from {tuple(_LAYOUTS)}")
+        object.__setattr__(self, "actions", tuple(self.actions))
+        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "extras", {k: tuple(v) for k, v in self.extras.items()})
+        for name, col in (("values", self.values), *self.extras.items()):
+            if len(col) != self.T:
+                raise ValueError(f"column {name!r} has {len(col)} entries for {self.T} rounds")
+        object.__setattr__(self, "cumulatives", running_sums(self.values))
 
     @property
     def T(self) -> int:
-        return len(self.rows)
+        return len(self.actions)
 
     @property
     def cumulative(self) -> float:
-        return self.rows[-1].cumulative if self.rows else 0.0
+        return self.cumulatives[-1] if self.cumulatives else 0.0
 
 
-# column layouts: (csv name, record accessor) pairs per algorithm id
+# CSV layouts: each algorithm's float columns, after the leading "t" and
+# "played_set", as (csv name, trace column) pairs. A trace column is
+# "values", "cumulatives" or the name of an extras column.
 _LAYOUTS = {
     "ogd_vc": (
-        ("t", "t"),
-        ("played_set", "action"),
-        ("int_cost", "value"),
-        ("frac_cost", "frac_cost"),
-        ("cum_int", "cumulative"),
-        ("cum_frac", "cum_frac"),
-        ("bound_additive", "bound_additive"),
+        ("int_cost", "values"), ("frac_cost", "frac_cost"), ("cum_int", "cumulatives"),
+        ("cum_frac", "cum_frac"), ("bound_additive", "bound_additive"),
     ),
     "gftpl_gkp": (
-        ("t", "t"),
-        ("played_set", "action"),
-        ("payoff", "value"),
-        ("cum_payoff", "cumulative"),
-        ("best_static_cum", "best_static_cum"),
-        ("regret", "regret"),
-        ("theorem3_bound", "theorem3_bound"),
+        ("payoff", "values"), ("cum_payoff", "cumulatives"), ("best_static_cum", "best_static_cum"),
+        ("regret", "regret"), ("theorem3_bound", "theorem3_bound"),
     ),
-    "gap_solver": (
-        ("t", "t"),
-        ("played_set", "action"),
-        ("cost", "value"),
-        ("cum_cost", "cumulative"),
-    ),
+    "gap_solver": (("cost", "values"), ("cum_cost", "cumulatives")),
 }
 
 
 def trace_to_csv(trace: RegretTrace) -> str:
-    """Render a trace in its algorithm's CSV layout (LF line endings)."""
-    layout = _LAYOUTS.get(trace.algorithm, _LAYOUTS["gap_solver"])
-    lines = [",".join(name for name, _ in layout)]
-    for r in trace.rows:
-        cells = []
-        for _, key in layout:
-            if key == "t":
-                cells.append(str(r.t))
-            elif key == "action":
-                cells.append(format_action(r.action))
-            elif key == "value":
-                cells.append(_fmt(r.value))
-            elif key == "cumulative":
-                cells.append(_fmt(r.cumulative))
-            else:
-                cells.append(_fmt(r.extras[key]))
-        lines.append(",".join(cells))
-    return "\n".join(lines)
+    """Render a trace in its algorithm's CSV layout (LF line endings),
+    formatting each column once and joining the rows across them."""
+    layout = _LAYOUTS[trace.algorithm]
+    columns = [[str(t) for t in range(1, trace.T + 1)], [format_action(a) for a in trace.actions]]
+    for _, key in layout:
+        floats = getattr(trace, key) if key in ("values", "cumulatives") else trace.extras[key]
+        columns.append([repr(float(x)) for x in floats])
+    header = ",".join(["t", "played_set", *(name for name, _ in layout)])
+    return "\n".join([header, *map(",".join, zip(*columns))])

@@ -94,9 +94,9 @@ def test_criterion_2_rounding_never_exceeds_twice_fractional(ogd_fleet):
     rounds = 0
     bad = 0
     for _, _, tr in ogd_fleet:
-        for row in tr.rows:
+        for int_cost, frac_cost in zip(tr.values, tr.extras["frac_cost"], strict=True):
             rounds += 1
-            if row.value > 2.0 * row.extras["frac_cost"]:  # exact, no slack
+            if int_cost > 2.0 * frac_cost:  # exact, no slack
                 bad += 1
     report(
         2,
@@ -225,8 +225,7 @@ def _gftpl_replica(seed, T):
     ]
     cfg = GftplConfig(N=GFTPL_N, G_f=GFTPL_GF, F_M=GFTPL_GF)
     tr = gftpl_run(static, rounds, None, cfg, SeededRng(90_000 + seed))
-    last = tr.rows[-1].extras
-    return last["regret"], last["theorem3_bound"]
+    return tr.extras["regret"][-1], tr.extras["theorem3_bound"][-1]
 
 
 def test_criterion_6_gftpl_regret_rate_shrinks_and_stays_bounded():

@@ -1,7 +1,6 @@
 """Command-line interface, end to end on tiny inputs."""
 
 import json
-import re
 from collections import Counter
 
 import pytest
@@ -162,16 +161,61 @@ def test_run_ogd_paths_play_covers_and_rerun_byte_identically(capsys, tmp_path, 
     ],
 )
 def test_run_rejects_unknown_selector_values(capsys, tmp_path, algorithm, instance, key, value, allowed):
+    params = {"A": 0.2, "B": 0.6} if algorithm == "gap_solver" else {}
+    message = f"unknown {key} '{value}'; pick from {allowed}"
+    assert_run_usage_error(capsys, tmp_path, algorithm, instance, params | {key: value}, message)
+
+
+def assert_run_usage_error(capsys, tmp_path, algorithm, instance, params, message):
+    """``regretlab run`` on the config exits 2 with one error line, the
+    given message, and writes no output directory."""
     (tmp_path / "graph").write_text(serialize_graph(Graph(3, ((0, 1), (1, 2)))))
     (tmp_path / "gkp").write_text(serialize_gkp(gen_random_gkp(3, 4, SeededRng(5))))
-    params = {"A": 0.2, "B": 0.6} if algorithm == "gap_solver" else {}
     cfg = {"algorithm": algorithm, "instance": {instance: instance}, "T": 4, "seeds": [0],
-           "params": params | {key: value}}
+           "params": params}
     (tmp_path / "exp.json").write_text(json.dumps(cfg))
-    message = f"unknown {key} '{value}'; pick from {allowed}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run_cli(capsys, "run", str(tmp_path / "exp.json"), "-o", str(tmp_path / "out"))
+    for out in (("-o", str(tmp_path / "out")), ()):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(tmp_path / "exp.json"), *out])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"regretlab run: error: {message}"
+        assert "Traceback" not in captured.err
     assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "exp_out").exists()
+
+
+@pytest.mark.parametrize(
+    "algorithm, params, message",
+    [
+        ("ogd_vc", {"step_mode": "Paper"}, "step_mode must be 'paper' or 'scaled', got 'Paper'"),
+        ("ogd_vc", {"W_bound": -1}, "W_bound must be positive, got -1.0"),
+        ("ogd_vc", {"W_bound": "one"}, "param 'W_bound' must be a number, got 'one'"),
+        ("ogd_vc", {"T_sweep": [4, -1]}, "T_sweep horizons must be nonnegative, got [4, -1]"),
+        ("ogd_vc", {"T_sweep": 4}, "T_sweep must be a list of horizons, got 4"),
+        ("gap_solver", {"B": 0.6}, "gap_solver needs param 'A'"),
+        ("gap_solver", {"A": 0.2, "B": 0.6, "c_exp": 1.0},
+         "regret exponent c_exp must lie in [0, 1), got 1.0"),
+        ("gftpl_gkp", {"T_sweep": [4, -1]}, "T_sweep horizons must be nonnegative, got [4, -1]"),
+    ],
+    ids=["step_mode", "W_bound_negative", "W_bound_text", "T_sweep_negative", "T_sweep_scalar",
+         "gap_missing_A", "gap_c_exp", "gftpl_T_sweep"],
+)
+def test_run_rejects_bad_params_before_writing(capsys, tmp_path, algorithm, params, message):
+    instance = "gkp" if algorithm == "gftpl_gkp" else "graph"
+    assert_run_usage_error(capsys, tmp_path, algorithm, instance, params, message)
+
+
+def test_run_rejects_a_missing_instance_file_as_a_usage_error(capsys, tmp_path):
+    (tmp_path / "exp.json").write_text(
+        json.dumps({"algorithm": "ogd_vc", "instance": {"graph": "nope.txt"}, "T": 4, "seeds": [0]})
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(tmp_path / "exp.json")])
+    assert exc.value.code == 2
+    assert "No such file or directory" in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "exp_out").exists()
 
 
 # --- verify ------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from regretlab.gkp import (
 )
 from regretlab.instances import GkpRound, GkpStatic
 from regretlab.rng import SeededRng
-from regretlab.traces import RegretTrace, RoundRecord
+from regretlab.traces import RegretTrace
 
 
 def dyadic_stream(rng, n, T, cap_units=512):
@@ -146,7 +146,7 @@ def test_resolve_run_defaults_only_what_the_config_leaves_unset():
         resolved, eps = resolve_run(c, 16)
         tr = gftpl_run(static, stream, None, c, SeededRng(4))
         assert (tr.meta["eps"], tr.meta["eta"]) == (eps, resolved.eta)
-        assert tr.rows[-1].extras["theorem3_bound"] == theorem3_bound(c, eps, 16)
+        assert tr.extras["theorem3_bound"][-1] == theorem3_bound(c, eps, 16)
 
 
 # --- gftpl_run -------------------------------------------------------------------------
@@ -167,9 +167,9 @@ def test_run_zero_eta_is_follow_the_leader():
     stream = dyadic_stream(rng, n, 20)
     cfg = GftplConfig(N=n, eta=0.0, G_f=float(n))
     tr = gftpl_run(static, stream, brute_oracle, cfg, SeededRng(5))
-    for t, rec in enumerate(tr.rows, start=1):
+    for t, played in enumerate(tr.actions, start=1):
         expect, _ = brute_oracle(static, stream[: t - 1])
-        assert rec.action == expect
+        assert played == expect
 
 
 def test_run_constant_adversary_settles_after_one_round():
@@ -179,10 +179,9 @@ def test_run_constant_adversary_settles_after_one_round():
     cfg = GftplConfig(N=3, eta=0.0, G_f=3.5)
     tr = gftpl_run(static, stream, brute_oracle, cfg, SeededRng(6))
     best, best_value = brute_oracle(static, [y])
-    for rec in tr.rows[1:]:
-        assert rec.action == best
+    assert all(played == best for played in tr.actions[1:])
     # missing out on at most the first round keeps regret within one payoff
-    final_regret = tr.rows[-1].extras["regret"]
+    final_regret = tr.extras["regret"][-1]
     assert final_regret <= best_value + 1e-12
 
 
@@ -193,8 +192,7 @@ def test_run_deterministic_given_seed():
     cfg = GftplConfig(N=3, G_f=3.0)
     t1 = gftpl_run(static, stream, brute_oracle, cfg, SeededRng(9))
     t2 = gftpl_run(static, stream, brute_oracle, cfg, SeededRng(9))
-    assert t1.rows == t2.rows
-    assert t1.meta == t2.meta
+    assert trace_repr(t1) == trace_repr(t2)
     t3 = gftpl_run(static, stream, brute_oracle, cfg, SeededRng(10))
     assert t3.meta["perturbation"] != t1.meta["perturbation"]
 
@@ -209,10 +207,16 @@ def test_run_records_single_perturbation_and_bounds():
     assert a.shape == (3,)
     assert a.min() >= 0.0 and a.max() <= tr.meta["eta"]
     cum = 0.0
-    for t, rec in enumerate(tr.rows, start=1):
-        cum += rec.value
-        assert rec.extras["regret"] == rec.extras["best_static_cum"] - cum
-        assert rec.extras["theorem3_bound"] == theorem3_bound(cfg, tr.meta["eps"], t)
+    ex = tr.extras
+    columns = zip(
+        tr.values, tr.cumulatives, ex["best_static_cum"], ex["regret"], ex["theorem3_bound"],
+        strict=True,
+    )
+    for t, (payoff, total, best, regret, bound) in enumerate(columns, start=1):
+        cum += payoff
+        assert total == cum
+        assert regret == best - cum == best - total
+        assert bound == theorem3_bound(cfg, tr.meta["eps"], t)
 
 
 def test_run_additive_audit_with_exact_oracle():
@@ -225,9 +229,9 @@ def test_run_additive_audit_with_exact_oracle():
     tr = gftpl_run(static, stream, brute_oracle, cfg, SeededRng(12))
     a = np.array(tr.meta["perturbation"])
     sample_rng = SeededRng(13)
-    for t, rec in enumerate(tr.rows, start=1):
+    for t, played in enumerate(tr.actions, start=1):
         history = stream[: t - 1]
-        mine = perturbed_payoff(rec.action, static, history, a)
+        mine = perturbed_payoff(played, static, history, a)
         for _ in range(100):
             bits = sample_rng.randrange(1 << n)
             other = {i for i in range(n) if bits >> i & 1}
@@ -257,9 +261,9 @@ def test_run_fptas_audit():
     tr = gftpl_run(static, stream, oracle, cfg, SeededRng(14))
     a = np.array(tr.meta["perturbation"])
     sample_rng = SeededRng(15)
-    for t, rec in enumerate(tr.rows, start=1):
+    for t, played in enumerate(tr.actions, start=1):
         history = stream[: t - 1]
-        mine = perturbed_payoff(rec.action, static, history, a)
+        mine = perturbed_payoff(played, static, history, a)
         for _ in range(100):
             bits = sample_rng.randrange(1 << n)
             other = {i for i in range(n) if bits >> i & 1}
@@ -309,8 +313,8 @@ def test_regret_per_round_shrinks_with_horizon():
             g_max = max(float(np.sum(y.p)) for y in stream)
             cfg = GftplConfig(N=n, G_f=g_max, F_M=g_max)
             tr = gftpl_run(static, stream, brute_oracle, cfg, SeededRng(4000 + s))
-            bound = tr.rows[-1].extras["theorem3_bound"]
-            regret = tr.rows[-1].extras["regret"]
+            bound = tr.extras["theorem3_bound"][-1]
+            regret = tr.extras["regret"][-1]
             assert regret <= bound
             vals.append(regret / T)
         means[T] = sum(vals) / len(vals)
@@ -322,11 +326,9 @@ def test_regret_per_round_shrinks_with_horizon():
 
 def trace_repr(tr):
     """Every recorded number of a trace, as round-trip-exact text."""
-    rows = [
-        (r.t, tuple(sorted(r.action)), r.value, r.cumulative, sorted(r.extras.items()))
-        for r in tr.rows
-    ]
-    return repr((tr.algorithm, tr.benchmark, rows, sorted(tr.meta.items())))
+    actions = [tuple(sorted(a)) for a in tr.actions]
+    columns = (actions, tr.values, tr.cumulatives, sorted(tr.extras.items()))
+    return repr((tr.algorithm, tr.benchmark, columns, sorted(tr.meta.items())))
 
 
 def tie_heavy_instance(rng, n, T):
@@ -356,7 +358,7 @@ def test_exact_leader_matches_caching_oracle_bitwise(n):
             assert trace_repr(exact) == trace_repr(cached)
             best = prefix_best_values(static, stream)
             for tr in (exact, cached):
-                assert [r.extras["best_static_cum"] for r in tr.rows] == best
+                assert list(tr.extras["best_static_cum"]) == best
                 assert tr.benchmark == (best[-1] if best else 0.0)
 
 
@@ -402,7 +404,7 @@ def test_exact_leader_matches_brute_oracle_on_exact_sums(n):
             fold.add(y)
             values = fold.P - static.c * fold.K
             sets = [tuple(i for i in range(n) if m >> i & 1) for m in np.flatnonzero(values == values.max())]
-            assert exact.rows[t].action == frozenset(min(sets))
+            assert exact.actions[t] == frozenset(min(sets))
             tied += len(sets) > 1 and min(sets) != ()
     assert tied > 0 or n == 1  # the tie rule is exercised
 
@@ -419,7 +421,7 @@ def test_exact_leader_adds_a_nonzero_perturbation_excess():
     cfg = GftplConfig(N=8, eta=0.5)
     exact = gftpl_run(static, stream, None, cfg, SeededRng(2))
     cached = gftpl_run(static, stream, CachingBruteOracle(), cfg, SeededRng(2))
-    assert all(r.action == frozenset(range(8)) for r in exact.rows)
+    assert all(a == frozenset(range(8)) for a in exact.actions)
     assert trace_repr(exact) == trace_repr(cached)
 
 
@@ -428,7 +430,7 @@ def test_callable_oracle_takes_prefix_best_from_the_same_fold():
     static, stream = tie_heavy_instance(rng, 5, 120)
     tr = gftpl_run(static, stream, brute_oracle, GftplConfig(N=5), SeededRng(3))
     best = prefix_best_values(static, stream)
-    assert [r.extras["best_static_cum"] for r in tr.rows] == best
+    assert list(tr.extras["best_static_cum"]) == best
     assert tr.benchmark == best[-1]
 
 
@@ -464,7 +466,8 @@ def reference_gftpl_run(static, rounds_stream, oracle, cfg, rng):
     pert_rounds = [GkpRound(pert.a[j] * base[j].p, base[j].B) for j in range(cfg.N)]
     fold = SetFold(static)
     tail = [fold.delta(r) for r in pert_rounds]
-    records = []
+    actions, payoffs = [], []
+    extras = {"perturbed_obj": [], "best_static_cum": [], "regret": [], "theorem3_bound": []}
     history = []
     cum = 0.0
     best = float("nan")
@@ -478,18 +481,17 @@ def reference_gftpl_run(static, rounds_stream, oracle, cfg, rng):
         cum += payoff
         fold.add(y)
         best = float((fold.P - static.c * fold.K).max())
-        extras = {
-            "perturbed_obj": float(perturbed_obj),
-            "best_static_cum": best,
-            "regret": best - cum,
-            "theorem3_bound": theorem3_bound(cfg, eps, t),
-        }
-        records.append(
-            RoundRecord(t=t, action=frozenset(played), value=payoff, cumulative=cum, extras=extras)
-        )
+        actions.append(frozenset(played))
+        payoffs.append(payoff)
+        extras["perturbed_obj"].append(float(perturbed_obj))
+        extras["best_static_cum"].append(best)
+        extras["regret"].append(best - cum)
+        extras["theorem3_bound"].append(theorem3_bound(cfg, eps, t))
     return RegretTrace(
         algorithm="gftpl_gkp",
-        rows=tuple(records),
+        actions=actions,
+        values=payoffs,
+        extras=extras,
         benchmark=best if T else 0.0,
         meta={
             "n": n,

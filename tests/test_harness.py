@@ -28,19 +28,18 @@ from regretlab.instances import (
     serialize_weights,
 )
 from regretlab.rng import SeededRng
-from regretlab.traces import RegretTrace, RoundRecord
+from regretlab.traces import RegretTrace
 
 
 def one_round_trace(algorithm, cumulative, benchmark):
-    row = RoundRecord(t=1, action=frozenset(), value=cumulative, cumulative=cumulative)
-    return RegretTrace(algorithm=algorithm, rows=(row,), benchmark=benchmark)
+    return RegretTrace(algorithm, [frozenset()], [cumulative], benchmark=benchmark)
 
 
 # --- compute_regret ---------------------------------------------------------------
 
 
 def test_regret_empty_trace_is_zero():
-    tr = RegretTrace(algorithm="ogd_vc", rows=(), benchmark=None)
+    tr = RegretTrace(algorithm="ogd_vc", actions=(), values=(), benchmark=None)
     assert compute_regret(tr) == 0.0
 
 

@@ -520,9 +520,8 @@ def test_ogd_run_single_edge_drifts_to_free_vertex():
     g = Graph(2, ((0, 1),))
     seq = WeightSequence(2, [[1.0, 0.0]] * 60)
     tr = ogd_run(g, seq)
-    tail = tr.rows[-10:]
-    assert all(r.action == frozenset({1}) for r in tail)
-    assert all(r.value == 0.0 for r in tail)
+    assert all(a == frozenset({1}) for a in tr.actions[-10:])
+    assert all(v == 0.0 for v in tr.values[-10:])
     assert tr.benchmark == 0.0  # hindsight cover {1} is free
 
 
@@ -533,10 +532,10 @@ def test_ogd_plays_are_covers_and_ratio_is_exact():
         g = gen_random_graph(n, 0.5, rng)
         seq = gen_uniform_weights(n, 40, 1.0, rng)
         tr = ogd_run(g, seq)
-        for r in tr.rows:
-            assert is_vertex_cover(g, r.action)
+        for played, int_cost, frac_cost in zip(tr.actions, tr.values, tr.extras["frac_cost"]):
+            assert is_vertex_cover(g, played)
             # half-rounding at most doubles the fractional cost, exactly
-            assert r.value <= 2.0 * r.extras["frac_cost"]
+            assert int_cost <= 2.0 * frac_cost
 
 
 def test_ogd_scaled_mode_meets_theorem2_bound():

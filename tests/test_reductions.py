@@ -149,7 +149,7 @@ def test_ogd_learner_matches_batch_runner(step_mode):
     learner = OgdVcLearner(g, cfg)
     for t in range(seq.T):
         assert learner.x.tobytes() == iterates[t].tobytes()
-        assert learner.play() == trace.rows[t].action
+        assert learner.play() == trace.actions[t]
         learner.observe(seq.rows[t], 0.0)
     assert learner.x.tobytes() == iterates[seq.T].tobytes()
 
@@ -248,9 +248,8 @@ def test_gap_solver_adversary_is_oblivious():
 def test_gap_solver_costs_and_trace():
     cfg = GapConfig(A=0.25, B=0.75, T_override=30)
     res = gap_solver(K4, cfg, FtlMinMaxVcLearner(K4), SeededRng(5))
-    for rec in res.trace.rows:
-        u = res.targets[rec.t - 1]
-        assert rec.value == (1.0 if u in rec.action else 0.0)
+    for u, played, cost in zip(res.targets, res.trace.actions, res.trace.values, strict=True):
+        assert cost == (1.0 if u in played else 0.0)
     text = trace_to_csv(res.trace)
     assert text.splitlines()[0] == "t,played_set,cost,cum_cost"
 

@@ -2,35 +2,47 @@
 
 import pytest
 
-from regretlab.traces import RegretTrace, RoundRecord, format_action, trace_to_csv
+from regretlab.traces import RegretTrace, format_action, running_sums, trace_to_csv
 
 
-def _rec(t, value, cumulative, **extras):
-    return RoundRecord(t=t, action=frozenset({0}), value=value, cumulative=cumulative, extras=extras)
+def test_cumulatives_are_the_exact_running_sum():
+    values = (0.1, 0.2, -0.0, 0.3)
+    tr = RegretTrace(algorithm="gap_solver", actions=[frozenset({0})] * 4, values=values)
+    running = 0.0
+    for v, c in zip(values, tr.cumulatives, strict=True):
+        running += v
+        assert repr(c) == repr(running)
+    assert tr.cumulatives[1] == 0.1 + 0.2 != 0.3  # added in order, not rounded
+    assert tr.cumulative == tr.cumulatives[-1]
+    # the sum starts at 0.0, so a leading -0.0 cost prints as 0.0
+    first = RegretTrace(algorithm="gap_solver", actions=[frozenset()], values=[-0.0])
+    assert repr(first.cumulatives[0]) == "0.0"
+    assert trace_to_csv(first).split("\n")[1] == "1,,-0.0,0.0"
+    assert running_sums([]) == ()
 
 
-def test_prefix_sum_enforced_exactly():
-    rows = (_rec(1, 0.1, 0.1), _rec(2, 0.2, 0.1 + 0.2))
-    RegretTrace(algorithm="gap_solver", rows=rows)  # exact sum accepted
-    bad = (_rec(1, 0.1, 0.1), _rec(2, 0.2, 0.3))  # 0.1+0.2 != 0.3 in floats
-    with pytest.raises(ValueError, match="prefix sum"):
-        RegretTrace(algorithm="gap_solver", rows=bad)
-
-
-def test_round_indices_validated():
-    with pytest.raises(ValueError, match="start at 1"):
-        RegretTrace(algorithm="gap_solver", rows=(_rec(2, 1.0, 1.0),))
-    with pytest.raises(ValueError, match="increase"):
+def test_columns_must_have_one_entry_per_round():
+    with pytest.raises(ValueError, match="column 'values' has 1 entries for 2 rounds"):
+        RegretTrace(algorithm="gap_solver", actions=[frozenset(), frozenset()], values=[1.0])
+    with pytest.raises(ValueError, match="column 'frac_cost' has 3 entries for 2 rounds"):
         RegretTrace(
-            algorithm="gap_solver",
-            rows=(_rec(1, 1.0, 1.0), _rec(1, 1.0, 2.0)),
+            algorithm="ogd_vc",
+            actions=[frozenset(), frozenset()],
+            values=[1.0, 1.0],
+            extras={"frac_cost": [0.5, 0.5, 0.5]},
         )
 
 
+def test_unknown_algorithm_is_rejected():
+    with pytest.raises(ValueError, match="unknown algorithm 'ogd'"):
+        RegretTrace(algorithm="ogd", actions=(), values=())
+
+
 def test_empty_trace():
-    tr = RegretTrace(algorithm="ogd_vc", rows=())
+    tr = RegretTrace(algorithm="ogd_vc", actions=(), values=())
     assert tr.T == 0
     assert tr.cumulative == 0.0
+    assert tr.cumulatives == ()
 
 
 def test_format_action():
@@ -41,38 +53,34 @@ def test_format_action():
 
 
 def test_ogd_csv_layout():
-    rows = (
-        RoundRecord(
-            t=1,
-            action=frozenset({1, 0}),
-            value=0.5,
-            cumulative=0.5,
-            extras={"frac_cost": 0.25, "cum_frac": 0.25, "bound_additive": 3.0},
-        ),
+    tr = RegretTrace(
+        algorithm="ogd_vc",
+        actions=[frozenset({1, 0})],
+        values=[0.5],
+        extras={"frac_cost": [0.25], "cum_frac": [0.25], "bound_additive": [3.0]},
     )
-    csv = trace_to_csv(RegretTrace(algorithm="ogd_vc", rows=rows))
-    lines = csv.split("\n")
+    lines = trace_to_csv(tr).split("\n")
     assert lines[0] == "t,played_set,int_cost,frac_cost,cum_int,cum_frac,bound_additive"
     assert lines[1] == "1,0;1,0.5,0.25,0.5,0.25,3.0"
 
 
 def test_gftpl_csv_layout():
-    rows = (
-        RoundRecord(
-            t=1,
-            action=frozenset(),
-            value=1.5,
-            cumulative=1.5,
-            extras={"best_static_cum": 2.0, "regret": 0.5, "theorem3_bound": 4.0},
-        ),
+    tr = RegretTrace(
+        algorithm="gftpl_gkp",
+        actions=[frozenset()],
+        values=[1.5],
+        extras={
+            "perturbed_obj": [9.0],  # kept on the trace, not in the CSV
+            "best_static_cum": [2.0],
+            "regret": [0.5],
+            "theorem3_bound": [4.0],
+        },
     )
-    csv = trace_to_csv(RegretTrace(algorithm="gftpl_gkp", rows=rows))
-    lines = csv.split("\n")
+    lines = trace_to_csv(tr).split("\n")
     assert lines[0] == "t,played_set,payoff,cum_payoff,best_static_cum,regret,theorem3_bound"
     assert lines[1] == "1,,1.5,1.5,2.0,0.5,4.0"
 
 
 def test_gap_solver_csv_layout():
-    rows = (_rec(1, 1.0, 1.0),)
-    csv = trace_to_csv(RegretTrace(algorithm="gap_solver", rows=rows))
-    assert csv.split("\n")[0] == "t,played_set,cost,cum_cost"
+    tr = RegretTrace(algorithm="gap_solver", actions=[frozenset({0})] * 2, values=[1.0, 0.0])
+    assert trace_to_csv(tr).split("\n") == ["t,played_set,cost,cum_cost", "1,0,1.0,1.0", "2,0,0.0,1.0"]
