@@ -99,12 +99,11 @@ def _cmd_verify_reductions(args) -> int:
 
 def _feasible_sample(g, rng: SeededRng) -> np.ndarray:
     # coordinates >= 1/2 satisfy every edge constraint; isolated vertices
-    # are unconstrained and may roam
-    z = np.array([0.5 + 0.5 * rng.random() for _ in range(g.n)])
+    # are unconstrained and may roam, each redrawn in index order
+    z = rng.uniform_array(0.5, 1.0, g.n)
     touched = {v for e in g.edges for v in e}
-    for v in range(g.n):
-        if v not in touched:
-            z[v] = rng.random()
+    isolated = [v for v in range(g.n) if v not in touched]
+    z[isolated] = rng.random_array(len(isolated))
     return z
 
 
@@ -113,7 +112,7 @@ def _cmd_verify_projection(args) -> int:
     rng = SeededRng(args.seed)
     fails = {"feasible": 0, "idempotent": 0, "optimal": 0}
     for _ in range(args.trials):
-        y = np.array([rng.uniform(-2.0, 3.0) for _ in range(g.n)])
+        y = rng.uniform_array(-2.0, 3.0, g.n)
         x = project_vc_polytope(y, g)
         if not fractional_feasible(x, g, tol=1e-8):
             fails["feasible"] += 1

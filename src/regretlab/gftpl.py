@@ -92,7 +92,7 @@ class GftplConfig:
                 f"{self.G_gamma!r}, {self.G_f!r}, {self.F_M!r}"
             )
         if mode not in ("additive", "fptas"):
-            raise ValueError(f"eps schedule mode must be 'additive' or 'fptas', got {mode!r}")
+            raise ValueError(f"eps_schedule mode must be 'additive' or 'fptas', got {mode!r}")
         if eps is not None and eps < 0:
             raise ValueError(f"eps must be nonnegative, got {eps!r}")
 
@@ -118,8 +118,7 @@ def draw_perturbation(cfg: GftplConfig, rng: SeededRng) -> PerturbationVector:
     """Draw the run's perturbation: N i.i.d. uniforms on [0, eta]."""
     if cfg.eta is None:
         raise ValueError("eta is unresolved; compute default_eta for the horizon first")
-    a = np.array([rng.uniform(0.0, cfg.eta) for _ in range(cfg.N)])
-    return PerturbationVector(a, cfg.eta)
+    return PerturbationVector(rng.uniform_array(0.0, cfg.eta, cfg.N), cfg.eta)
 
 
 def default_eta(cfg: GftplConfig, eps: float, T: int) -> float:

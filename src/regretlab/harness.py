@@ -19,13 +19,12 @@ import numpy as np
 from .gftpl import GftplConfig, epsilon_prime, gftpl_run, resolve_run
 from .gkp import fptas_oracle
 from .instances import (
-    GkpInstanceSet,
-    GkpRound,
     gen_onehot_weights,
     gen_uniform_weights,
     parse_gkp,
     parse_graph,
     parse_weights,
+    random_gkp_rounds,
 )
 from .ogd import OgdConfig, ogd_run, theorem2_bound
 from .reductions import FtlMinMaxVcLearner, GapConfig, OgdVcLearner, gap_solver
@@ -98,11 +97,12 @@ class ExperimentConfig:
         for key in _SELECTORS[self.algorithm]:
             _selector(self, key)
         _horizons(self)
-        # GftplConfig's G_f default needs the rounds, so a replica builds it
         if self.algorithm == "ogd_vc":
             _ogd_config(self)
         elif self.algorithm == "gap_solver":
             _gap_config(self)
+        else:  # each replica builds it again with the instance's N and rounds
+            _gftpl_config(self, 1, ())
 
 
 def _selector(cfg: ExperimentConfig, key: str) -> str:
@@ -128,36 +128,61 @@ def _horizons(cfg: ExperimentConfig) -> list[int]:
     return horizons or [cfg.T]
 
 
-def _number(cfg: ExperimentConfig, key: str, default: float | None = None) -> float:
-    """``cfg.params[key]`` as a float, or ``default`` when absent; a
-    ValueError names a key that is absent without a default or no number."""
-    if key not in cfg.params and default is None:
+def _number(cfg: ExperimentConfig, key: str) -> float:
+    """``cfg.params[key]`` as a float; a ValueError names a key that is
+    absent or no number."""
+    if key not in cfg.params:
         raise ValueError(f"{cfg.algorithm} needs param {key!r}")
-    value = cfg.params.get(key, default)
+    value = cfg.params[key]
     try:
         return float(value)
     except (TypeError, ValueError):
         raise ValueError(f"param {key!r} must be a number, got {value!r}") from None
 
 
+def _given(cfg: ExperimentConfig, numbers: tuple[str, ...], others: tuple[str, ...] = ()) -> dict:
+    """The keys of ``numbers`` (as floats, see :func:`_number`) and of
+    ``others`` (as they are) that ``cfg.params`` sets to a value other than
+    null; the config classes fill in their own defaults for the rest."""
+    p = cfg.params
+    given = {key: _number(cfg, key) for key in numbers if p.get(key) is not None}
+    return given | {key: p[key] for key in others if p.get(key) is not None}
+
+
 def _ogd_config(cfg: ExperimentConfig) -> OgdConfig:
-    """The OGD parameters of an ogd_vc config, defaults filled in."""
-    return OgdConfig(
-        W_bound=_number(cfg, "W_bound", 1.0),
-        step_mode=cfg.params.get("step_mode", "scaled"),
-    )
+    """The OGD parameters of an ogd_vc config."""
+    return OgdConfig(**_given(cfg, ("W_bound",), ("step_mode",)))
 
 
-def _gap_config(cfg: ExperimentConfig) -> tuple[GapConfig, float]:
-    """The gap parameters of a gap_solver config and its eps, defaults
-    filled in; each replica sets the horizon as T_override."""
+def _gap_config(cfg: ExperimentConfig) -> tuple[GapConfig, dict]:
+    """The gap parameters of a gap_solver config and gap_solver's keyword
+    arguments (its eps); each replica sets the horizon as T_override."""
     gap_cfg = GapConfig(
-        A=_number(cfg, "A"),
-        B=_number(cfg, "B"),
-        p_coeff=_number(cfg, "p_coeff", 1.0),
-        c_exp=_number(cfg, "c_exp", 0.5),
+        A=_number(cfg, "A"), B=_number(cfg, "B"), **_given(cfg, ("p_coeff", "c_exp"))
     )
-    return gap_cfg, _number(cfg, "eps", 1.0)
+    return gap_cfg, _given(cfg, ("eps",))
+
+
+def _max_round_profit(rounds) -> float:
+    """The largest summed profit vector of any round (1.0 for no rounds),
+    as one row-sum over the stacked (T, n) profits, each row summed as its
+    own vector would be."""
+    if not rounds:
+        return 1.0
+    return float(np.array([r.p for r in rounds]).sum(axis=1).max())
+
+
+def _gftpl_config(cfg: ExperimentConfig, N: int, rounds) -> GftplConfig:
+    """The engine parameters of a gftpl_gkp config for N items. G_f defaults
+    to a payoff ceiling of the ``rounds`` (no round pays more than its
+    profits summed), and F_M to G_f."""
+    given = _given(cfg, ("eta", "kappa", "delta", "G_gamma", "G_f", "F_M", "eps"))
+    if "G_f" not in given:
+        given["G_f"] = max(_max_round_profit(rounds), 1.0)
+    given.setdefault("F_M", given["G_f"])
+    mode, eps = GftplConfig.eps_schedule  # the defaults
+    schedule = (cfg.params.get("eps_schedule", mode), given.pop("eps", eps))
+    return GftplConfig(N=N, eps_schedule=schedule, **given)
 
 
 def load_experiment(path) -> ExperimentConfig:
@@ -203,7 +228,8 @@ def _read_experiment(path) -> tuple[ExperimentConfig, dict]:
 
 
 def _load_instances(cfg: ExperimentConfig) -> dict:
-    """Parse every referenced instance file; raises if any is unreadable."""
+    """Parse every referenced instance file; raises if any is unreadable,
+    or too short for the longest horizon or out of range for the config."""
     out = {}
     parsers = {"graph": parse_graph, "weights": parse_weights, "gkp": parse_gkp}
     for role, p in cfg.instance.items():
@@ -213,6 +239,18 @@ def _load_instances(cfg: ExperimentConfig) -> dict:
     needed = {"ogd_vc": "graph", "gftpl_gkp": "gkp", "gap_solver": "graph"}[cfg.algorithm]
     if needed not in out:
         raise ValueError(f"{cfg.algorithm} needs an instance file for role {needed!r}")
+    T = max(_horizons(cfg))
+    if cfg.algorithm == "ogd_vc" and "weights" in out:
+        seq, W = out["weights"], _ogd_config(cfg).W_bound
+        if seq.T < T:
+            raise ValueError(f"weights file has {seq.T} rows, need T={T}")
+        if seq.n != out["graph"].n:
+            raise ValueError(f"weights file has {seq.n} columns, the graph {out['graph'].n} vertices")
+        if T and seq.rows[:T].max() > W:
+            raise ValueError(f"weights file has weights above W_bound {W!r} in its first {T} rows")
+    if cfg.algorithm == "gftpl_gkp" and _selector(cfg, "round_source") == "file":
+        if len(out["gkp"].rounds) < T:
+            raise ValueError(f"gkp file has {len(out['gkp'].rounds)} rounds, need T={T}")
     return out
 
 
@@ -224,10 +262,8 @@ def _load_instances(cfg: ExperimentConfig) -> dict:
 def _replica_ogd(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
     g = inst["graph"]
     ocfg = _ogd_config(cfg)
-    if "weights" in inst:
+    if "weights" in inst:  # long enough and within W_bound, see _load_instances
         seq = inst["weights"]
-        if seq.T < T:
-            raise ValueError(f"weights file has {seq.T} rows, need T={T}")
         seq = type(seq)(seq.n, seq.rows[:T])
     else:
         rng = SeededRng(seed)
@@ -248,52 +284,15 @@ def _replica_ogd(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
     return trace, row
 
 
-def _gftpl_round_stream(static, base_rounds, T: int, source: str, rng: SeededRng):
-    if source == "file":
-        if len(base_rounds) < T:
-            raise ValueError(f"instance file has {len(base_rounds)} rounds, need T={T}")
-        return list(base_rounds[:T])
-    total = static.total_weight
-    return [
-        GkpRound(
-            np.array([rng.random() for _ in range(static.n)]),
-            rng.uniform(0.0, total),
-        )
-        for _ in range(T)
-    ]
-
-
-def _max_round_profit(rounds) -> float:
-    """The largest summed profit vector of any round (1.0 for no rounds),
-    as one row-sum over the stacked (T, n) profits. Profits are
-    nonnegative (GkpRound rejects others), and each row sums as its own
-    vector would."""
-    if not rounds:
-        return 1.0
-    return float(np.array([r.p for r in rounds]).sum(axis=1).max())
-
-
 def _replica_gftpl(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
-    gkp: GkpInstanceSet = inst["gkp"]
+    gkp = inst["gkp"]
     static = gkp.static
-    p = cfg.params
     rng = SeededRng(seed)
-    rounds = _gftpl_round_stream(static, gkp.rounds, T, _selector(cfg, "round_source"), rng)
-    # a safe payoff ceiling when none is given: no round pays more than its
-    # positive profits summed, and the penalty only subtracts
-    g_f = p.get("G_f")
-    if g_f is None:
-        g_f = max(_max_round_profit(rounds), 1.0)
-    gcfg = GftplConfig(
-        N=static.n,
-        eta=p.get("eta"),
-        kappa=float(p.get("kappa", 2.0)),
-        delta=float(p.get("delta", 1.0)),
-        G_gamma=float(p.get("G_gamma", 1.0)),
-        G_f=float(g_f),
-        F_M=float(p.get("F_M", g_f)),
-        eps_schedule=(p.get("eps_schedule", "additive"), p.get("eps")),
-    )
+    if _selector(cfg, "round_source") == "file":  # long enough, see _load_instances
+        rounds = list(gkp.rounds[:T])
+    else:
+        rounds = random_gkp_rounds(static, T, rng)
+    gcfg = _gftpl_config(cfg, static.n, rounds)
     if _selector(cfg, "oracle") == "fptas":
         # the oracle's relative error needs eta now; resolve it as gftpl_run
         # would and hand the resolved config to the run as well
@@ -321,9 +320,9 @@ def _replica_gftpl(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
 
 def _replica_gap(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
     g = inst["graph"]
-    gap_cfg, eps = _gap_config(cfg)
+    gap_cfg, solver_kw = _gap_config(cfg)
     learner = OgdVcLearner(g) if _selector(cfg, "learner") == "ogd" else FtlMinMaxVcLearner(g)
-    res = gap_solver(g, replace(gap_cfg, T_override=T), learner, SeededRng(seed), eps=eps)
+    res = gap_solver(g, replace(gap_cfg, T_override=T), learner, SeededRng(seed), **solver_kw)
     row = {
         "seed": seed,
         "T": res.T,

@@ -512,12 +512,10 @@ def gen_random_graph(n: int, p: float, rng: SeededRng) -> Graph:
         raise ValueError("edge probability must be in [0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.append((u, v))
-    return Graph(n, tuple(edges))
+    # one draw per pair, pairs in the order (0,1), (0,2), ..., (1,2), ...
+    us, vs = np.triu_indices(n, 1)
+    kept = rng.random_array(us.size) < p
+    return Graph(n, tuple(zip(us[kept].tolist(), vs[kept].tolist())))
 
 
 def gen_onehot_weights(n: int, T: int, rng: SeededRng) -> WeightSequence:
@@ -540,11 +538,7 @@ def gen_uniform_weights(n: int, T: int, W: float, rng: SeededRng) -> WeightSeque
         raise ValueError("n must be >= 1")
     if T < 0:
         raise ValueError("T must be >= 0")
-    rows = np.empty((T, n))
-    for t in range(T):
-        for i in range(n):
-            rows[t, i] = rng.uniform(0.0, W)
-    return WeightSequence(n, rows)
+    return WeightSequence(n, rng.uniform_array(0.0, W, T * n).reshape(T, n))
 
 
 def gen_random_dnf(n: int, m: int, rng: SeededRng) -> Dnf3Formula:
@@ -571,13 +565,15 @@ def gen_random_gkp(n: int, m: int, rng: SeededRng) -> GkpInstanceSet:
     capacities spread over [0, total weight], moderate penalty rate."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 items and m >= 0 rounds")
-    w = np.array([rng.uniform(0.1, 1.0) for _ in range(n)])
+    w = rng.uniform_array(0.1, 1.0, n)
     c = rng.uniform(0.0, 1.0)
     static = GkpStatic(n, w, c)
-    total = float(w.sum())
-    rounds = []
-    for _ in range(m):
-        p = np.array([rng.uniform(0.0, 1.0) for _ in range(n)])
-        B = rng.uniform(0.0, total)
-        rounds.append(GkpRound(p, B))
-    return GkpInstanceSet(static, tuple(rounds))
+    return GkpInstanceSet(static, random_gkp_rounds(static, m, rng))
+
+
+def random_gkp_rounds(static: GkpStatic, m: int, rng: SeededRng) -> list[GkpRound]:
+    """m random rounds: n profits uniform on [0, 1), then a capacity uniform
+    on [0, total weight), each round one row of an (m, n+1) block."""
+    u = rng.uniform_array(0.0, 1.0, m * (static.n + 1)).reshape(m, static.n + 1)
+    caps = (0.0 + static.total_weight * u[:, -1]).tolist()
+    return [GkpRound(row[:-1], B) for row, B in zip(u, caps)]

@@ -24,7 +24,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .instances import Dnf3Formula, Graph, ProcTimeMatrix, WeightSequence, serialize_dnf
-from .minmax import PathChain, is_vertex_cover, static_minmax_vc
+from .minmax import PathChain, is_vertex_cover, multi_minmax_cost, static_minmax_vc
 from .ogd import OgdVcLearner  # re-exported: the gap decider's OGD learner
 from .ogd import checked_weight_row, neighbour_lists
 from .rng import SeededRng
@@ -270,13 +270,11 @@ class MatchingGadget:
         """Multi-instance min-max cost of M_sigma (sum of per-row maxima)."""
         if len(assignment) != self.n_vars:
             raise ValueError("assignment length must equal variable count")
-        if self.weight_rows.shape[0] == 0:
-            return 0.0
         cols = []
         for i, val in enumerate(assignment):
             b = 4 * i
             cols += [b + _E_U_T, b + _E_BAR_F] if val else [b + _E_U_F, b + _E_T_BAR]
-        return float(self.weight_rows[:, cols].max(axis=1).sum())
+        return multi_minmax_cost(cols, self.weight_rows)
 
 
 def dnf_to_matching(f: Dnf3Formula) -> MatchingGadget:
@@ -341,10 +339,7 @@ def dnf_to_path(f: Dnf3Formula) -> tuple[PathChain, np.ndarray]:
 
 def path_cost_of(chain: PathChain, rows: np.ndarray, assignment: Sequence[bool]) -> float:
     """Multi-instance cost of the path P_sigma under the gadget rows."""
-    idx = list(chain.path_arc_indices(assignment_to_path(assignment)))
-    if rows.shape[0] == 0:
-        return 0.0
-    return float(rows[:, idx].max(axis=1).sum())
+    return multi_minmax_cost(chain.path_arc_indices(assignment_to_path(assignment)), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ a seed reproduces the exact same stream on any platform or language:
 Floats in [0, 1) take the top 53 bits of one 64-bit output; bounded
 integers use rejection sampling, so neither depends on platform float
 quirks or modulo bias.
+
+Output i is a fixed mix of seed + i*increment, so ``random_array(k)`` and
+``uniform_array(low, high, k)`` draw a block of k floats at once: the
+same floats as k scalar calls, leaving the stream where they would.
 """
 
 from __future__ import annotations
@@ -72,6 +76,13 @@ class SeededRng:
         if high < low:
             raise ValueError("uniform() requires low <= high")
         return low + (high - low) * self.random()
+
+    def uniform_array(self, low: float, high: float, k: int) -> np.ndarray:
+        """The next k uniform(low, high) floats as one array, with the same
+        values: the same formula, elementwise on random_array(k)."""
+        if high < low:
+            raise ValueError("uniform_array() requires low <= high")
+        return low + (high - low) * self.random_array(k)
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), via rejection sampling (no modulo bias)."""

@@ -10,6 +10,7 @@ from regretlab.cli import main
 from regretlab.gftpl import GftplConfig, theorem3_bound
 from regretlab.instances import (
     Graph,
+    WeightSequence,
     gen_random_gkp,
     gen_uniform_weights,
     parse_dnf,
@@ -163,16 +164,19 @@ def test_run_ogd_paths_play_covers_and_rerun_byte_identically(capsys, tmp_path, 
 def test_run_rejects_unknown_selector_values(capsys, tmp_path, algorithm, instance, key, value, allowed):
     params = {"A": 0.2, "B": 0.6} if algorithm == "gap_solver" else {}
     message = f"unknown {key} '{value}'; pick from {allowed}"
-    assert_run_usage_error(capsys, tmp_path, algorithm, instance, params | {key: value}, message)
+    assert_run_usage_error(capsys, tmp_path, algorithm, (instance,), params | {key: value}, message)
 
 
-def assert_run_usage_error(capsys, tmp_path, algorithm, instance, params, message):
-    """``regretlab run`` on the config exits 2 with one error line, the
-    given message, and writes no output directory."""
+def assert_run_usage_error(capsys, tmp_path, algorithm, roles, params, message):
+    """``regretlab run`` on the config, with an instance file for each of
+    ``roles``, exits 2 with one error line, the given message, and writes
+    no output directory. Each file has 4 rows or rounds; the weights peak
+    at 1.5."""
     (tmp_path / "graph").write_text(serialize_graph(Graph(3, ((0, 1), (1, 2)))))
+    (tmp_path / "weights").write_text(serialize_weights(WeightSequence(3, [[0.25, 1.5, 0.5]] * 4)))
     (tmp_path / "gkp").write_text(serialize_gkp(gen_random_gkp(3, 4, SeededRng(5))))
-    cfg = {"algorithm": algorithm, "instance": {instance: instance}, "T": 4, "seeds": [0],
-           "params": params}
+    cfg = {"algorithm": algorithm, "instance": {role: role for role in roles}, "T": 4,
+           "seeds": [0], "params": params}
     (tmp_path / "exp.json").write_text(json.dumps(cfg))
     for out in (("-o", str(tmp_path / "out")), ()):
         with pytest.raises(SystemExit) as exc:
@@ -198,13 +202,36 @@ def assert_run_usage_error(capsys, tmp_path, algorithm, instance, params, messag
         ("gap_solver", {"A": 0.2, "B": 0.6, "c_exp": 1.0},
          "regret exponent c_exp must lie in [0, 1), got 1.0"),
         ("gftpl_gkp", {"T_sweep": [4, -1]}, "T_sweep horizons must be nonnegative, got [4, -1]"),
+        ("gftpl_gkp", {"kappa": "abc"}, "param 'kappa' must be a number, got 'abc'"),
+        ("gftpl_gkp", {"kappa": 0.5}, "kappa must be >= 1, got 0.5"),
+        ("gftpl_gkp", {"eps_schedule": "FPTAS"},
+         "eps_schedule mode must be 'additive' or 'fptas', got 'FPTAS'"),
+        ("gftpl_gkp", {"eta": -1}, "eta must be nonnegative, got -1.0"),
     ],
     ids=["step_mode", "W_bound_negative", "W_bound_text", "T_sweep_negative", "T_sweep_scalar",
-         "gap_missing_A", "gap_c_exp", "gftpl_T_sweep"],
+         "gap_missing_A", "gap_c_exp", "gftpl_T_sweep", "gftpl_kappa_text", "gftpl_kappa_below_1",
+         "gftpl_eps_schedule", "gftpl_eta_negative"],
 )
 def test_run_rejects_bad_params_before_writing(capsys, tmp_path, algorithm, params, message):
     instance = "gkp" if algorithm == "gftpl_gkp" else "graph"
-    assert_run_usage_error(capsys, tmp_path, algorithm, instance, params, message)
+    assert_run_usage_error(capsys, tmp_path, algorithm, (instance,), params, message)
+
+
+@pytest.mark.parametrize(
+    "algorithm, roles, params, message",
+    [
+        ("ogd_vc", ("graph", "weights"), {"W_bound": 2.0, "T_sweep": [4, 8]},
+         "weights file has 4 rows, need T=8"),
+        ("ogd_vc", ("graph", "weights"), {},
+         "weights file has weights above W_bound 1.0 in its first 4 rows"),
+        ("gftpl_gkp", ("gkp",), {"T_sweep": [4, 8]}, "gkp file has 4 rounds, need T=8"),
+    ],
+    ids=["weights_short", "weights_above_W_bound", "gkp_short"],
+)
+def test_run_rejects_instance_files_that_do_not_fit_before_writing(
+    capsys, tmp_path, algorithm, roles, params, message
+):
+    assert_run_usage_error(capsys, tmp_path, algorithm, roles, params, message)
 
 
 def test_run_rejects_a_missing_instance_file_as_a_usage_error(capsys, tmp_path):

@@ -27,6 +27,8 @@ from regretlab.instances import (
     serialize_graph,
     serialize_weights,
 )
+from regretlab.ogd import OgdConfig
+from regretlab.reductions import GapConfig
 from regretlab.rng import SeededRng
 from regretlab.traces import RegretTrace
 
@@ -199,8 +201,45 @@ def test_run_experiment_short_weights_file_fails_with_context(tmp_path):
     wpath = tmp_path / "w.txt"
     wpath.write_text(serialize_weights(seq))
     cfg = ExperimentConfig("ogd_vc", {"graph": str(gpath), "weights": str(wpath)}, 10, (0,))
-    with pytest.raises(RuntimeError, match=r"seed 0 \(T=10\)"):
+    # caught when the files are read, before any replica runs or writes
+    with pytest.raises(ValueError, match=r"^weights file has 4 rows, need T=10$"):
         run_experiment(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_experiment_rejects_a_weights_file_of_another_width(tmp_path):
+    _, gpath = write_graph(tmp_path, n=5)
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(serialize_weights(gen_uniform_weights(4, 10, 1.0, SeededRng(9))))
+    cfg = ExperimentConfig("ogd_vc", {"graph": str(gpath), "weights": str(wpath)}, 10, (0,))
+    with pytest.raises(ValueError, match=r"^weights file has 4 columns, the graph 5 vertices$"):
+        run_experiment(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_builders_pass_only_the_given_params():
+    # every default lives in its config class, or in gap_solver's signature, alone
+    ogd = ExperimentConfig("ogd_vc", {"graph": "g"}, 4, (0,))
+    assert harness._ogd_config(ogd) == OgdConfig()
+    ogd = ExperimentConfig("ogd_vc", {"graph": "g"}, 4, (0,), {"W_bound": "2", "step_mode": "paper"})
+    assert harness._ogd_config(ogd) == OgdConfig(W_bound=2.0, step_mode="paper")
+    gap = ExperimentConfig("gap_solver", {"graph": "g"}, 4, (0,), {"A": 0.2, "B": 0.6})
+    assert harness._gap_config(gap) == (GapConfig(A=0.2, B=0.6), {})
+    gap = ExperimentConfig("gap_solver", {"graph": "g"}, 4, (0,), {"A": 0.2, "B": 0.6, "eps": 0.5})
+    assert harness._gap_config(gap)[1] == {"eps": 0.5}
+    gftpl = ExperimentConfig("gftpl_gkp", {"gkp": "k"}, 4, (0,))
+    rounds = [GkpRound(np.array([0.5, 2.5]), 1.0), GkpRound(np.array([1.0, 0.0]), 1.0)]
+    # G_f from the rounds when not given, and F_M = G_f
+    assert harness._gftpl_config(gftpl, 2, rounds) == GftplConfig(N=2, G_f=3.0, F_M=3.0)
+    assert harness._gftpl_config(gftpl, 2, ()) == GftplConfig(N=2)
+    # null counts as not given: eta is derived at run time, G_f from the rounds
+    nulls = ExperimentConfig("gftpl_gkp", {"gkp": "k"}, 4, (0,), {"eta": None, "G_f": None})
+    assert harness._gftpl_config(nulls, 2, rounds) == GftplConfig(N=2, G_f=3.0, F_M=3.0)
+    params = {"G_f": 2, "eps": "0.25", "eps_schedule": "fptas", "eta": 0, "kappa": 3}
+    gftpl = ExperimentConfig("gftpl_gkp", {"gkp": "k"}, 4, (0,), params)
+    assert harness._gftpl_config(gftpl, 2, rounds) == GftplConfig(
+        N=2, eta=0.0, kappa=3.0, G_f=2.0, F_M=2.0, eps_schedule=("fptas", 0.25)
+    )
 
 
 def test_run_gap_experiment(tmp_path):

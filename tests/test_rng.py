@@ -80,6 +80,39 @@ def test_random_array_consecutive_calls_continue_the_stream():
     assert got.tolist() == [b.random() for _ in range(7)]
 
 
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+@pytest.mark.parametrize(
+    "low, high", [(0.0, 1.0), (-2.0, 3.0), (0.1, 1.0), (1.25, 1.25), (0.0, 0.0), (0.0, -0.0),
+                  (0.0, 1e-300), (-7.5, -0.5)]
+)
+@pytest.mark.parametrize("k", [0, 1, 9, 500])
+def test_uniform_array_matches_scalar_uniform(seed, low, high, k):
+    a, b = SeededRng(seed), SeededRng(seed)
+    got = a.uniform_array(low, high, k)
+    want = np.array([b.uniform(low, high) for _ in range(k)], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (k,)
+    assert got.tobytes() == want.tobytes()
+    assert a._state == b._state
+    assert a.next_u64() == b.next_u64()
+
+
+def test_uniform_array_degenerate_and_empty():
+    r = SeededRng(3)
+    assert r.uniform_array(1.25, 1.25, 4).tolist() == [1.25] * 4
+    state = r._state
+    assert r.uniform_array(0.0, 1.0, 0).shape == (0,)
+    assert r._state == state  # an empty block draws nothing
+
+
+def test_uniform_array_rejects_a_reversed_range_without_drawing():
+    r = SeededRng(4)
+    with pytest.raises(ValueError, match="low <= high"):
+        r.uniform_array(2.0, 1.0, 3)
+    with pytest.raises(ValueError, match="k >= 0"):
+        r.uniform_array(0.0, 1.0, -1)
+    assert r._state == SeededRng(4)._state
+
+
 def test_uniform_respects_bounds():
     r = SeededRng(8)
     for _ in range(1000):
