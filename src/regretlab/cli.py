@@ -5,7 +5,8 @@ Subcommands mirror the library's workflow: ``gen`` writes instance files,
 reduction and projection guarantees on concrete inputs, ``bench oracle``
 races the approximate knapsack oracle against brute force, and ``bound``
 evaluates a theorem's right-hand side.  Exit code 0 means every check the
-invocation performed passed.
+invocation performed passed; 2 means bad input, reported as the invoked
+subcommand's usage error.
 """
 
 from __future__ import annotations
@@ -73,10 +74,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg_path = Path(args.config)
-    try:
-        cfg, inst = _read_experiment(cfg_path)
-    except (OSError, ValueError) as exc:
-        args.usage_error(str(exc))  # exits 2, before any output is written
+    cfg, inst = _read_experiment(cfg_path)  # raises before any output is written
     out_dir = Path(args.out) if args.out else cfg_path.parent / f"{cfg_path.stem}_out"
     summary = _run_experiment(cfg, inst, out_dir)
     report = summary["bounds"]
@@ -162,21 +160,18 @@ def _cmd_bench_oracle(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    try:
-        if args.theorem == "theorem2":
-            value = theorem2_bound(args.W, args.n, args.T)
-        else:
-            cfg = GftplConfig(
-                N=args.N,
-                kappa=args.kappa,
-                delta=args.delta,
-                G_gamma=args.G_gamma,
-                G_f=args.G_f,
-                eps_schedule=("additive", args.eps),
-            )
-            value = theorem3_bound(cfg, run_eps(cfg, args.T), args.T)
-    except ValueError as exc:
-        args.usage_error(str(exc))  # exits 2
+    if args.theorem == "theorem2":
+        value = theorem2_bound(args.W, args.n, args.T)
+    else:
+        cfg = GftplConfig(
+            N=args.N,
+            kappa=args.kappa,
+            delta=args.delta,
+            G_gamma=args.G_gamma,
+            G_f=args.G_f,
+            eps_schedule=("additive", args.eps),
+        )
+        value = theorem3_bound(cfg, run_eps(cfg, args.T), args.T)
     sys.stdout.write(f"{value!r}\n")
     return 0
 
@@ -184,6 +179,17 @@ def _cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+
+def _count(text: str) -> int:
+    """An argparse type: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a JSON-configured experiment")
     run.add_argument("config")
     run.add_argument("-o", "--out", default=None, help="output directory")
-    run.set_defaults(func=_cmd_run, usage_error=run.error)
+    run.set_defaults(func=_cmd_run)
 
     verify = sub.add_parser("verify", help="re-prove a guarantee on a concrete input")
     verify_sub = verify.add_subparsers(dest="what", required=True)
@@ -229,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     v_red.set_defaults(func=_cmd_verify_reductions)
     v_proj = verify_sub.add_parser("projection", help="feasibility/optimality of projections")
     v_proj.add_argument("graph")
-    v_proj.add_argument("--trials", type=int, default=200)
-    v_proj.add_argument("--candidates", type=int, default=100)
+    v_proj.add_argument("--trials", type=_count, default=200)
+    v_proj.add_argument("--candidates", type=_count, default=100)
     v_proj.add_argument("--seed", type=int, default=0)
     v_proj.set_defaults(func=_cmd_verify_projection)
 
@@ -257,14 +263,19 @@ def build_parser() -> argparse.ArgumentParser:
     b3.add_argument("--G-f", type=float, default=1.0, dest="G_f")
     b3.add_argument("--G-gamma", type=float, default=1.0, dest="G_gamma")
     for p in (b2, b3):
-        p.set_defaults(func=_cmd_bound, usage_error=p.error)
+        p.set_defaults(func=_cmd_bound)
 
+    for p in (g_graph, g_weights, g_dnf, g_gkp, run, v_red, v_proj, b_oracle, b2, b3):
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # bad input: a parse error, a value, a file
+        args.usage_error(str(exc))  # exits 2
 
 
 if __name__ == "__main__":

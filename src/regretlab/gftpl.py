@@ -33,7 +33,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .gkp import MAX_BRUTE_N, distinguisher_set, fold_sweep, gkp_profit
-from .instances import GkpRound, GkpStatic
+from .instances import GkpRound, GkpStatic, check_round_length
 from .rng import SeededRng
 from .traces import RegretTrace
 
@@ -198,9 +198,8 @@ def gftpl_run(
     n = static.n
     if cfg.N != n:
         raise ValueError("distinguisher-backed runs need N equal to the item count")
-    for r in rounds_stream:
-        if r.p.shape != (n,):
-            raise ValueError("round profit vector length must match item count")
+    for k, r in enumerate(rounds_stream):
+        check_round_length(n, r, k)
     if oracle is None and n > MAX_BRUTE_N:
         raise ValueError(
             f"oracle=None is the exact leader over all 2^n sets: n={n} exceeds "

@@ -37,7 +37,7 @@ from math import floor, isfinite
 
 import numpy as np
 
-from .instances import GkpRound, GkpStatic
+from .instances import GkpRound, GkpStatic, check_round_length
 
 ItemSet = frozenset
 
@@ -107,8 +107,7 @@ def _check_members(members, n: int) -> list[int]:
 
 def gkp_profit(A, static: GkpStatic, rnd: GkpRound) -> float:
     """Single-round objective: item profits minus c * capacity excess."""
-    if rnd.p.shape != (static.n,):
-        raise ValueError("round profit vector length must match item count")
+    check_round_length(static.n, rnd)
     members = _check_members(A, static.n)
     if not members:
         return 0.0
@@ -130,9 +129,8 @@ def _summed(static: GkpStatic, rounds) -> tuple[np.ndarray, ExcessFunction] | No
     """The history summary every oracle reads: the rounds' summed profit
     vector p_s and their excess function k, or None for no rounds."""
     rounds = list(rounds)
-    for r in rounds:
-        if r.p.shape != (static.n,):
-            raise ValueError("round profit vector length must match item count")
+    for k, r in enumerate(rounds):
+        check_round_length(static.n, r, k)
     if not rounds:
         return None
     return np.sum([r.p for r in rounds], axis=0), ExcessFunction.from_rounds(rounds)
@@ -230,8 +228,7 @@ class SetFold:
 
     def delta(self, r: GkpRound) -> tuple[np.ndarray, np.ndarray]:
         """The per-set (profit, excess) increments of one round."""
-        if r.p.shape != (self.n,):
-            raise ValueError("round profit vector length must match item count")
+        check_round_length(self.n, r)
         return _subset_sums(r.p), np.maximum(0.0, self.W_all - r.B)
 
     def add(self, r: GkpRound) -> None:
@@ -291,9 +288,8 @@ def fold_sweep(
     """
     fold = SetFold(static)
     rounds = list(rounds)
-    for r in rounds:
-        if r.p.shape != (fold.n,):
-            raise ValueError("round profit vector length must match item count")
+    for k, r in enumerate(rounds):
+        check_round_length(fold.n, r, k)
     c = static.c
     deltas = None if tail is None else [fold.delta(r) for r in tail]
     leaders = None if tail is None else []

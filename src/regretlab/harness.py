@@ -274,13 +274,9 @@ def _replica_ogd(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
     trace = ogd_run(g, seq, ocfg)
     row: dict = {"seed": seed, "T": T, "cumulative": trace.cumulative}
     if trace.benchmark is not None:
+        regret = compute_regret(trace, alpha=2.0)
         bound = theorem2_bound(ocfg.W_bound, g.n, T)
-        row.update(
-            benchmark=trace.benchmark,
-            regret=compute_regret(trace, alpha=2.0),
-            bound=bound,
-            ok=trace.cumulative <= 2.0 * trace.benchmark + bound,
-        )
+        row.update(benchmark=trace.benchmark, regret=regret, bound=bound, ok=regret <= bound)
     return trace, row
 
 
@@ -300,7 +296,7 @@ def _replica_gftpl(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
         rel = epsilon_prime(eps_run, T, gcfg) if T else 1.0
 
         def oracle(st, rs):
-            return fptas_oracle(st, rs, rel) if rs else (frozenset(), 0.0)
+            return fptas_oracle(st, rs, rel)
 
     else:
         oracle = None  # the engine's exact leader

@@ -1,7 +1,12 @@
 """Problem instances, seeded generators, and the flat-file formats.
 
 Instance types are immutable after construction and validated eagerly.
-File formats (all ASCII, LF line endings):
+Each type owns its rules and is the one place they are written: a
+constructor converts its fields and raises a ValueError that names the
+field. A parser checks only its format's own rules (headers, tokens,
+JSON structure); it applies the types' rules and turns their ValueError
+into a FormatError that adds the line, plus ``rounds[k]: `` for a GKP
+round. File formats (all ASCII, LF line endings):
 
 * graph: first line ``"n m"``, then ``m`` lines ``"u v"`` of 0-indexed
   endpoints of an undirected simple graph;
@@ -17,9 +22,10 @@ File formats (all ASCII, LF line endings):
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -34,11 +40,9 @@ class FormatError(ValueError):
         self.line = line
 
 
-def _check_finite_nonnegative(a: np.ndarray, what: str) -> None:
-    """Reject NaN or infinite entries, then negative ones, naming the field."""
-    if a.size == 0:
-        return
-    lo, hi = a.min(), a.max()
+def _check_finite_nonnegative(lo: float, hi: float, what: str) -> None:
+    """Reject a field whose least or greatest value is NaN or infinite, then
+    one whose least value is negative; a scalar is its own lo and hi."""
     # NaN propagates through min and max, so both are finite iff every entry is
     if not (isfinite(lo) and isfinite(hi)):
         raise ValueError(f"{what} must be finite")
@@ -46,15 +50,58 @@ def _check_finite_nonnegative(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be nonnegative")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _finite_nonnegative_array(a: np.ndarray, what: str) -> np.ndarray:
+    """a, read-only, once every entry is finite and nonnegative."""
+    if a.size:
+        _check_finite_nonnegative(a.min(), a.max(), what)
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False
     return a
 
 
+def _vector(value, what: str) -> np.ndarray:
+    """value as a read-only vector of finite nonnegative floats."""
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is None or a.ndim != 1:
+        raise ValueError(f"{what} must be a list of numbers")
+    return _finite_nonnegative_array(a, what)
+
+
+def _scalar(value, what: str) -> float:
+    """value as a finite nonnegative float."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be a number") from None
+    _check_finite_nonnegative(x, x, what)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # instance types
 # ---------------------------------------------------------------------------
+
+
+def _canonical_edge(u, v, n: int, seen: set) -> tuple[int, int]:
+    """The edge {u, v} of a graph on vertices 0..n-1 as (min, max), added to
+    ``seen``. The endpoints must be integers in range, distinct, and the
+    edge must not be in ``seen`` yet."""
+    try:
+        u, v = operator.index(u), operator.index(v)
+    except TypeError:
+        raise ValueError(f"edge ({u!r},{v!r}) endpoints must be integers") from None
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u},{v}) endpoint out of range")
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    e = (u, v) if u < v else (v, u)
+    if e in seen:
+        raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
+    seen.add(e)
+    return e
 
 
 @dataclass(frozen=True)
@@ -67,19 +114,9 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        seen = set()
-        canon = []
-        for (u, v) in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) endpoint out of range")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
-            seen.add(e)
-            canon.append(e)
-        object.__setattr__(self, "edges", tuple(canon))
+        seen: set[tuple[int, int]] = set()
+        canon = tuple(_canonical_edge(u, v, self.n, seen) for u, v in self.edges)
+        object.__setattr__(self, "edges", canon)
 
     @property
     def m(self) -> int:
@@ -87,59 +124,50 @@ class Graph:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightSequence:
-    """T rows of n nonnegative per-element weights (the adversary's states)."""
+class _RowMatrix:
+    """Rows of n finite nonnegative floats, stored read-only; a subclass
+    names its field (``_what``) and its row count (``_count``)."""
+
+    _what: ClassVar[str]
+    _count: ClassVar[str]
 
     n: int
-    rows: np.ndarray  # shape (T, n), read-only float64
+    rows: np.ndarray  # shape (T or N, n), read-only float64
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
         if rows.ndim == 1 and rows.size == 0:
             rows = rows.reshape(0, self.n)
         if rows.ndim != 2 or rows.shape[1] != self.n:
-            raise ValueError(f"rows must have shape (T, {self.n})")
-        _check_finite_nonnegative(rows, "weights")
-        object.__setattr__(self, "rows", _readonly(rows))
+            raise ValueError(f"rows must have shape ({self._count}, {self.n})")
+        object.__setattr__(self, "rows", _finite_nonnegative_array(rows, self._what))
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.n == other.n
+            and np.array_equal(self.rows, other.rows)
+        )
+
+
+class WeightSequence(_RowMatrix):
+    """T rows of n nonnegative per-element weights (the adversary's states)."""
+
+    _what, _count = "weights", "T"
 
     @property
     def T(self) -> int:
         return self.rows.shape[0]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeightSequence)
-            and self.n == other.n
-            and np.array_equal(self.rows, other.rows)
-        )
 
-
-@dataclass(frozen=True, eq=False)
-class ProcTimeMatrix:
+class ProcTimeMatrix(_RowMatrix):
     """N rows of per-job nonnegative processing times."""
 
-    n: int
-    rows: np.ndarray  # shape (N, n), read-only float64
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim == 1 and rows.size == 0:
-            rows = rows.reshape(0, self.n)
-        if rows.ndim != 2 or rows.shape[1] != self.n:
-            raise ValueError(f"rows must have shape (N, {self.n})")
-        _check_finite_nonnegative(rows, "processing times")
-        object.__setattr__(self, "rows", _readonly(rows))
+    _what, _count = "processing times", "N"
 
     @property
     def N(self) -> int:
         return self.rows.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ProcTimeMatrix)
-            and self.n == other.n
-            and np.array_equal(self.rows, other.rows)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,16 +179,11 @@ class GkpStatic:
     c: float
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
+        w = _vector(self.w, "item weights w")
         if w.shape != (self.n,):
-            raise ValueError(f"w must have length {self.n}")
-        _check_finite_nonnegative(w, "item weights w")
-        if not isfinite(self.c):
-            raise ValueError("penalty rate c must be finite")
-        if self.c < 0:
-            raise ValueError("penalty rate must be nonnegative")
-        object.__setattr__(self, "w", _readonly(w))
-        object.__setattr__(self, "c", float(self.c))
+            raise ValueError(f"item weights w must have length {self.n}")
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "c", _scalar(self.c, "penalty rate c"))
 
     @property
     def total_weight(self) -> float:
@@ -183,16 +206,8 @@ class GkpRound:
     B: float
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
-        if p.ndim != 1:
-            raise ValueError("p must be a vector")
-        _check_finite_nonnegative(p, "profits p")
-        if not isfinite(self.B):
-            raise ValueError("capacity B must be finite")
-        if self.B < 0:
-            raise ValueError("capacity must be nonnegative")
-        object.__setattr__(self, "p", _readonly(p))
-        object.__setattr__(self, "B", float(self.B))
+        object.__setattr__(self, "p", _vector(self.p, "profits p"))
+        object.__setattr__(self, "B", _scalar(self.B, "capacity B"))
 
     def __eq__(self, other) -> bool:
         return (
@@ -200,6 +215,14 @@ class GkpRound:
             and self.B == other.B
             and np.array_equal(self.p, other.p)
         )
+
+
+def check_round_length(n: int, r: GkpRound, k: int | None = None) -> None:
+    """Refuse a round without one profit per item of an n-item knapsack,
+    naming its index k in the round list when there is one."""
+    if r.p.shape != (n,):
+        where = "round" if k is None else f"rounds[{k}]:"
+        raise ValueError(f"{where} profit vector length must match item count {n}")
 
 
 @dataclass(frozen=True)
@@ -211,12 +234,32 @@ class GkpInstanceSet:
 
     def __post_init__(self):
         object.__setattr__(self, "rounds", tuple(self.rounds))
-        for r in self.rounds:
-            if r.p.shape != (self.static.n,):
-                raise ValueError("round profit vector length must match item count")
+        for k, r in enumerate(self.rounds):
+            check_round_length(self.static.n, r, k)
 
 
 Clause = tuple[tuple[int, bool], tuple[int, bool], tuple[int, bool]]
+
+
+def _canonical_clause(clause, n: int) -> Clause:
+    """clause as three (int variable, bool sign) pairs over distinct
+    variables in 0..n-1."""
+    if len(clause) != 3:
+        raise ValueError(f"each clause must have exactly 3 literals, got {len(clause)}")
+    lits = []
+    for v, s in clause:
+        try:
+            v = operator.index(v)
+        except TypeError:
+            raise ValueError(f"variable {v!r} must be an integer") from None
+        if not (0 <= v < n):
+            raise ValueError(f"variable {v} out of range 0..{n - 1}")
+        if not isinstance(s, (bool, np.bool_)):
+            raise ValueError(f"sign {s!r} of variable {v} must be a bool")
+        lits.append((v, bool(s)))
+    if len({v for v, _ in lits}) != 3:
+        raise ValueError("clause literals must use distinct variables")
+    return tuple(lits)
 
 
 @dataclass(frozen=True)
@@ -233,18 +276,8 @@ class Dnf3Formula:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("formula needs at least one variable")
-        canon = []
-        for clause in self.clauses:
-            if len(clause) != 3:
-                raise ValueError("each clause must have exactly 3 literals")
-            vs = [v for v, _ in clause]
-            if len(set(vs)) != 3:
-                raise ValueError("clause literals must use distinct variables")
-            for v in vs:
-                if not (0 <= v < self.n):
-                    raise ValueError(f"variable {v} out of range")
-            canon.append(tuple((int(v), bool(s)) for v, s in clause))
-        object.__setattr__(self, "clauses", tuple(canon))
+        canon = tuple(_canonical_clause(clause, self.n) for clause in self.clauses)
+        object.__setattr__(self, "clauses", canon)
 
     @property
     def m(self) -> int:
@@ -270,45 +303,32 @@ def parse_graph(text: str) -> Graph:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise FormatError("missing 'n m' header", 1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError(f"header must be 'n m', got {lines[0]!r}", 1)
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = map(int, lines[0].split())
     except ValueError:
-        raise FormatError(f"header must be two integers, got {lines[0]!r}", 1) from None
+        raise FormatError(f"header must be two integers 'n m', got {lines[0]!r}", 1) from None
     if n < 1 or m < 0:
         raise FormatError("header requires n >= 1 and m >= 0", 1)
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    lineno = 1
-    for raw in lines[1:]:
-        lineno += 1
+    for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
-        parts = raw.split()
-        if len(parts) != 2:
-            raise FormatError(f"edge line must be 'u v', got {raw!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, raw.split())
         except ValueError:
-            raise FormatError(f"edge endpoints must be integers, got {raw!r}", lineno) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"endpoint out of range in edge ({u},{v})", lineno)
-        if u == v:
-            raise FormatError(f"self-loop at vertex {u}", lineno)
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise FormatError(f"duplicate edge ({e[0]},{e[1]})", lineno)
-        seen.add(e)
-        edges.append(e)
+            raise FormatError(f"edge line must be two integers 'u v', got {raw!r}", lineno) from None
+        try:
+            edges.append(_canonical_edge(u, v, n, seen))
+        except ValueError as exc:
+            raise FormatError(str(exc), lineno) from None
     if len(edges) != m:
         raise FormatError(f"header promised {m} edges, found {len(edges)}", 1)
     return Graph(n, tuple(edges))
 
 
-def _parse_rows(text: str, what: str) -> tuple[int, np.ndarray]:
-    lines = [ln for ln in text.splitlines()]
+def _parse_rows(text: str, cls: type[_RowMatrix]) -> _RowMatrix:
+    lines = text.splitlines()
     if not lines or not lines[0].startswith("n="):
         raise FormatError("missing 'n=<n>' header", 1)
     try:
@@ -317,7 +337,7 @@ def _parse_rows(text: str, what: str) -> tuple[int, np.ndarray]:
         raise FormatError(f"bad element count in header {lines[0]!r}", 1) from None
     if n < 1:
         raise FormatError("element count must be >= 1", 1)
-    rows = []
+    rows, linenos = [], []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -325,48 +345,30 @@ def _parse_rows(text: str, what: str) -> tuple[int, np.ndarray]:
         if len(parts) != n:
             raise FormatError(f"row has {len(parts)} entries, expected {n}", lineno)
         try:
-            row = [float(p) for p in parts]
+            rows.append([float(p) for p in parts])
         except ValueError:
             raise FormatError(f"non-numeric entry in row {raw!r}", lineno) from None
-        if not all(map(isfinite, row)):
-            raise FormatError(f"{what} must be finite, got row {raw!r}", lineno)
-        if min(row) < 0:
-            raise FormatError("negative entry", lineno)
-        rows.append(row)
-    return n, np.array(rows, dtype=np.float64).reshape(len(rows), n)
+        linenos.append(lineno)
+    try:
+        return cls(n, np.array(rows, dtype=np.float64).reshape(len(rows), n))
+    except ValueError:
+        # the type refused some row: report the first, under the same rule
+        for lineno, row in zip(linenos, rows):
+            try:
+                cls(n, [row])
+            except ValueError as exc:
+                raise FormatError(str(exc), lineno) from None
+        raise
 
 
 def parse_weights(text: str) -> WeightSequence:
     """Parse the CSV weight-sequence format."""
-    n, rows = _parse_rows(text, "weights")
-    return WeightSequence(n, rows)
+    return _parse_rows(text, WeightSequence)
 
 
 def parse_proc_times(text: str) -> ProcTimeMatrix:
     """Parse the CSV processing-time format (same layout as weights)."""
-    n, rows = _parse_rows(text, "processing times")
-    return ProcTimeMatrix(n, rows)
-
-
-def _gkp_where(field: str, k: int | None) -> str:
-    return field if k is None else f"rounds[{k}]: {field}"
-
-
-def _gkp_number(value, field: str, k: int | None = None) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise FormatError(f"{_gkp_where(field, k)} must be a number", 1) from None
-
-
-def _gkp_vector(value, field: str, k: int | None = None) -> np.ndarray:
-    try:
-        a = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        a = None
-    if a is None or a.ndim != 1:
-        raise FormatError(f"{_gkp_where(field, k)} must be a list of numbers", 1)
-    return a
+    return _parse_rows(text, ProcTimeMatrix)
 
 
 def parse_gkp(text: str) -> GkpInstanceSet:
@@ -385,27 +387,26 @@ def parse_gkp(text: str) -> GkpInstanceSet:
     for key in ("w", "c", "rounds"):
         if key not in obj:
             raise FormatError(f"missing key {key!r}", 1)
-    w = _gkp_vector(obj["w"], "'w'")
-    c = _gkp_number(obj["c"], "'c'")
-    try:
-        static = GkpStatic(len(w), w, c)
-    except ValueError as exc:
-        raise FormatError(str(exc), 1) from None
     if not isinstance(obj["rounds"], list):
         raise FormatError("'rounds' must be a list", 1)
+    w = obj["w"]
+    try:
+        # a w that is no list fails as such whatever the item count
+        static = GkpStatic(len(w) if isinstance(w, list) else 0, w, obj["c"])
+    except ValueError as exc:
+        raise FormatError(str(exc), 1) from None
     rounds = []
     for k, r in enumerate(obj["rounds"]):
         if not isinstance(r, dict) or "p" not in r or "B" not in r:
             raise FormatError(f"rounds[{k}] must be an object with keys 'p' and 'B'", 1)
-        p = _gkp_vector(r["p"], "'p'", k)
-        if p.shape != (static.n,):
-            raise FormatError(f"rounds[{k}]: profit vector length must match item count {static.n}", 1)
-        B = _gkp_number(r["B"], "'B'", k)
         try:
-            rounds.append(GkpRound(p, B))
+            rounds.append(GkpRound(r["p"], r["B"]))
         except ValueError as exc:
             raise FormatError(f"rounds[{k}]: {exc}", 1) from None
-    return GkpInstanceSet(static, tuple(rounds))
+    try:
+        return GkpInstanceSet(static, tuple(rounds))
+    except ValueError as exc:
+        raise FormatError(str(exc), 1) from None
 
 
 def parse_dnf(text: str, n: int | None = None) -> Dnf3Formula:
@@ -414,16 +415,12 @@ def parse_dnf(text: str, n: int | None = None) -> Dnf3Formula:
     The file format carries no variable count; it is inferred as the
     largest variable index mentioned unless ``n`` is given explicitly.
     """
-    clauses: list[Clause] = []
-    max_var = 0
+    lines: list[tuple[int, list[tuple[int, bool]]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
-        parts = raw.split()
-        if len(parts) != 3:
-            raise FormatError(f"clause must have 3 literals, got {raw!r}", lineno)
         lits = []
-        for p in parts:
+        for p in raw.split():
             try:
                 lit = int(p)
             except ValueError:
@@ -431,12 +428,15 @@ def parse_dnf(text: str, n: int | None = None) -> Dnf3Formula:
             if lit == 0:
                 raise FormatError("literal 0 is not allowed (1-indexed)", lineno)
             lits.append((abs(lit) - 1, lit > 0))
-            max_var = max(max_var, abs(lit))
-        if len({v for v, _ in lits}) != 3:
-            raise FormatError("clause variables must be distinct", lineno)
-        clauses.append(tuple(lits))
+        lines.append((lineno, lits))
     if n is None:
-        n = max(max_var, 1)
+        n = max((v + 1 for _, lits in lines for v, _ in lits), default=1)
+    clauses = []
+    for lineno, lits in lines:
+        try:
+            clauses.append(_canonical_clause(lits, n))
+        except ValueError as exc:
+            raise FormatError(str(exc), lineno) from None
     return Dnf3Formula(n, tuple(clauses))
 
 
@@ -456,18 +456,18 @@ def serialize_graph(g: Graph) -> str:
     return "\n".join(lines)
 
 
-def _serialize_rows(n: int, rows: np.ndarray) -> str:
-    lines = [f"n={n}"]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+def _serialize_rows(mat: _RowMatrix) -> str:
+    lines = [f"n={mat.n}"]
+    lines.extend(",".join(_fmt(x) for x in row) for row in mat.rows)
     return "\n".join(lines)
 
 
 def serialize_weights(seq: WeightSequence) -> str:
-    return _serialize_rows(seq.n, seq.rows)
+    return _serialize_rows(seq)
 
 
 def serialize_proc_times(mat: ProcTimeMatrix) -> str:
-    return _serialize_rows(mat.n, mat.rows)
+    return _serialize_rows(mat)
 
 
 def serialize_gkp(inst: GkpInstanceSet) -> str:
@@ -490,10 +490,8 @@ def serialize_instances(obj) -> str:
     """Serialize any instance object to its canonical text format."""
     if isinstance(obj, Graph):
         return serialize_graph(obj)
-    if isinstance(obj, WeightSequence):
-        return serialize_weights(obj)
-    if isinstance(obj, ProcTimeMatrix):
-        return serialize_proc_times(obj)
+    if isinstance(obj, _RowMatrix):
+        return _serialize_rows(obj)
     if isinstance(obj, GkpInstanceSet):
         return serialize_gkp(obj)
     if isinstance(obj, Dnf3Formula):
@@ -532,8 +530,7 @@ def gen_onehot_weights(n: int, T: int, rng: SeededRng) -> WeightSequence:
 
 def gen_uniform_weights(n: int, T: int, W: float, rng: SeededRng) -> WeightSequence:
     """Entries i.i.d. uniform on [0, W]."""
-    if W < 0:
-        raise ValueError("W must be nonnegative")
+    _check_finite_nonnegative(W, W, "W")
     if n < 1:
         raise ValueError("n must be >= 1")
     if T < 0:

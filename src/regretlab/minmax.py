@@ -147,15 +147,10 @@ def best_static_vc_hindsight(g: Graph, seq: WeightSequence) -> tuple[frozenset, 
         raise ValueError(f"n={g.n} exceeds enumeration guard {MAX_HINDSIGHT_N}")
     if seq.n != g.n:
         raise ValueError("weight sequence width must equal vertex count")
-    rows = seq.rows
     best_cover: frozenset | None = None
     best_cost = np.inf
     for cover in minimal_vertex_covers(g):
-        members = sorted(cover)
-        if members and rows.shape[0]:
-            cost = float(rows[:, members].max(axis=1).sum())
-        else:
-            cost = 0.0
+        cost = multi_minmax_cost(cover, seq)
         if cost < best_cost:
             best_cover, best_cost = cover, cost
     assert best_cover is not None
@@ -207,15 +202,29 @@ def brute_force_multi_matching(g: Graph, rows) -> tuple[frozenset, float]:
     best: tuple[int, ...] | None = None
     best_cost = np.inf
     for matching in _perfect_matchings(g):
-        if rows.shape[0]:
-            cost = float(rows[:, list(matching)].max(axis=1).sum())
-        else:
-            cost = 0.0
+        cost = multi_minmax_cost(matching, rows)
         if cost < best_cost:
             best, best_cost = matching, cost
     if best is None:
         raise ValueError("graph has no perfect matching")
     return frozenset(g.edges[i] for i in best), best_cost
+
+
+def _first_argmin(total: int, costs) -> tuple[int, float]:
+    """The first index in range(total) of least cost, and that cost, with
+    ``costs`` mapping an int64 index chunk to the chunk's cost vector; the
+    indices go in chunks of 2^14 (index 0 and +inf when every cost is NaN)."""
+    best_idx = 0
+    best_cost = np.inf
+    chunk = 1 << 14
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        c = costs(idx)
+        k = int(np.argmin(c))
+        if c[k] < best_cost:
+            best_cost = float(c[k])
+            best_idx = int(idx[k])
+    return best_idx, best_cost
 
 
 @dataclass(frozen=True)
@@ -261,29 +270,19 @@ def brute_force_multi_path(chain: PathChain, rows) -> tuple[tuple, float]:
     rows = _as_rows(rows)
     if rows.shape[0] and rows.shape[1] != chain.n_arcs:
         raise ValueError("weight rows must have one entry per arc")
-    wt = rows[:, 0::2] if rows.shape[0] else np.zeros((0, n))
-    wf = rows[:, 1::2] if rows.shape[0] else np.zeros((0, n))
-
-    best_idx = 0
-    best_cost = np.inf
+    wt, wf = rows[:, 0::2], rows[:, 1::2]
     # stage 0 is the most significant bit so index order is lexicographic
     shifts = np.array([n - 1 - i for i in range(n)], dtype=np.int64)
-    chunk = 1 << 14
-    for start in range(0, 1 << n, chunk):
-        idx = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
+
+    def costs(idx: np.ndarray) -> np.ndarray:
         take_f = (idx[:, None] >> shifts[None, :]) & 1  # bit 1 means 'f'
-        if rows.shape[0]:
-            # (paths, rows, stages) would be large; fold rows one at a time
-            costs = np.zeros(idx.shape[0])
-            for j in range(rows.shape[0]):
-                w = np.where(take_f == 1, wf[j][None, :], wt[j][None, :])
-                costs += w.max(axis=1)
-        else:
-            costs = np.zeros(idx.shape[0])
-        k = int(np.argmin(costs))
-        if costs[k] < best_cost:
-            best_cost = float(costs[k])
-            best_idx = int(idx[k])
+        # (paths, rows, stages) would be large; fold rows one at a time
+        out = np.zeros(idx.shape[0])
+        for j in range(rows.shape[0]):
+            out += np.where(take_f == 1, wf[j][None, :], wt[j][None, :]).max(axis=1)
+        return out
+
+    best_idx, best_cost = _first_argmin(1 << n, costs)
     labels = tuple("f" if (best_idx >> (n - 1 - i)) & 1 else "t" for i in range(n))
     return labels, best_cost
 
@@ -296,25 +295,16 @@ def brute_force_multi_p3cmax(jobs: ProcTimeMatrix) -> tuple[tuple, float]:
     if n > MAX_P3_JOBS:
         raise ValueError(f"n={n} exceeds enumeration guard {MAX_P3_JOBS}")
     P = jobs.rows  # (N, n)
-    total = 3**n
     # job 0 is the most significant digit so index order is lexicographic
     powers = np.array([3 ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    best_idx = 0
-    best_cost = np.inf
-    chunk = 1 << 14
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+
+    def costs(idx: np.ndarray) -> np.ndarray:
         digits = (idx[:, None] // powers[None, :]) % 3  # (chunk, n)
-        if P.shape[0]:
-            loads = np.empty((3, idx.shape[0], P.shape[0]))
-            for mach in range(3):
-                loads[mach] = (digits == mach).astype(np.float64) @ P.T
-            costs = loads.max(axis=0).sum(axis=1)
-        else:
-            costs = np.zeros(idx.shape[0])
-        k = int(np.argmin(costs))
-        if costs[k] < best_cost:
-            best_cost = float(costs[k])
-            best_idx = int(idx[k])
+        loads = np.empty((3, idx.shape[0], P.shape[0]))
+        for mach in range(3):
+            loads[mach] = (digits == mach).astype(np.float64) @ P.T
+        return loads.max(axis=0).sum(axis=1)
+
+    best_idx, best_cost = _first_argmin(3**n, costs)
     assignment = tuple(int(d) for d in (best_idx // powers) % 3)
     return assignment, best_cost

@@ -77,8 +77,6 @@ def gap_horizon(cfg: GapConfig, eps: float, n: int) -> int:
         raise ValueError("eps must be positive")
     if n < 1:
         raise ValueError("need n >= 1")
-    if cfg.c_exp == 1.0:  # unreachable through GapConfig, kept as a guard
-        raise ValueError("c = 1 leaves the horizon undefined")
     base = (cfg.A * eps) / (2.0 * cfg.p_coeff * n * cfg.B)
     if base == 0.0:
         raise ValueError("A·eps = 0 gives an unbounded horizon; set T_override")

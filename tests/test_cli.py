@@ -342,6 +342,49 @@ def test_bound_rejects_invalid_values_as_usage_errors(capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("gen", "graph", "--n", "3", "--p", "2"), "edge probability must be in [0, 1]"),
+        (("gen", "weights", "--n", "2", "--T", "2", "--W", "inf"), "W must be finite"),
+        (("gen", "dnf", "--n", "2", "--m", "1"), "need at least 3 variables for 3-literal clauses"),
+        (("gen", "gkp", "--n", "0", "--m", "1"), "need n >= 1 items and m >= 0 rounds"),
+        (("run", "{dir}/exp.json"), "line 3: self-loop at vertex 1"),
+        (("verify", "reductions", "{dir}/f.dnf", "--n", "5"), "line 1: variable 6 out of range 0..4"),
+        (("verify", "projection", "{dir}/empty.txt"), "line 1: missing 'n m' header"),
+        (("verify", "projection", "{dir}/g.txt", "--trials", "-1"),
+         "argument --trials: must be a nonnegative integer, got '-1'"),
+        (("verify", "projection", "{dir}/g.txt", "--candidates", "-1"),
+         "argument --candidates: must be a nonnegative integer, got '-1'"),
+        (("bench", "oracle", "{dir}/bad.json", "--eps", "0.5"), "line 1: penalty rate c must be a number"),
+        (("bench", "oracle", "{dir}/missing.json", "--eps", "0.5"),
+         "[Errno 2] No such file or directory: '{dir}/missing.json'"),
+        (("bound", "theorem2", "--n", "0", "--T", "10"), "need n >= 1 and T >= 0, got n=0, T=10"),
+    ],
+    ids=["gen_graph", "gen_weights", "gen_dnf", "gen_gkp", "run", "verify_reductions",
+         "verify_projection_header", "verify_projection_trials", "verify_projection_candidates",
+         "bench_oracle_field", "bench_oracle_missing", "bound"],
+)
+def test_bad_input_is_a_usage_error_of_the_invoked_subcommand(capsys, tmp_path, argv, message):
+    (tmp_path / "g.txt").write_text("2 1\n0 1")
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "graph.txt").write_text("3 2\n0 1\n1 1")
+    (tmp_path / "exp.json").write_text(
+        json.dumps({"algorithm": "ogd_vc", "instance": {"graph": "graph.txt"}, "T": 4, "seeds": [0]})
+    )
+    (tmp_path / "f.dnf").write_text("1 2 7\n")
+    (tmp_path / "bad.json").write_text('{"w": [1.0], "c": "x", "rounds": []}')
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(dir=tmp_path) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prog = " ".join(["regretlab", *(a for a in argv[:2] if a.isalnum())])
+    assert captured.err.splitlines()[-1] == f"{prog}: error: {message.format(dir=tmp_path)}"
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "exp_out").exists()
+
+
 def test_help_exits_cleanly(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -287,6 +287,13 @@ def test_run_requires_matching_distinguisher_size():
         gftpl_run(static, [], brute_oracle, GftplConfig(N=3, eta=0.0), SeededRng(1))
 
 
+def test_run_names_the_round_of_the_wrong_length():
+    static = GkpStatic(2, [1.0, 1.0], 0.5)
+    rounds = [GkpRound([1.0, 1.0], 1.0), GkpRound([1.0], 1.0)]
+    with pytest.raises(ValueError, match=r"^rounds\[1\]: profit vector length must match item count 2$"):
+        gftpl_run(static, rounds, None, GftplConfig(N=2, eta=1.0), SeededRng(0))
+
+
 def test_run_propagates_oracle_failure_with_round():
     static = GkpStatic(1, [1.0], 0.5)
 

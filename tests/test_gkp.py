@@ -16,11 +16,13 @@ from regretlab.gkp import (
     MAX_DP_CELLS,
     CachingBruteOracle,
     ExcessFunction,
+    SetFold,
     brute_oracle,
     distinguisher_set,
     exact_dp_oracle,
     excess_value,
     fptas_grid_info,
+    fold_sweep,
     fptas_oracle,
     gkp_profit,
     multi_gkp_profit,
@@ -367,9 +369,24 @@ def _random_four():
 )
 def test_every_history_reader_rejects_a_round_of_the_wrong_length(read):
     static = GkpStatic(3, [1.0, 1.0, 1.0], 0.5)
-    for rounds in ([GkpRound([1.0, 2.0], 1.0)], [GkpRound([1.0, 2.0, 3.0], 1.0), GkpRound([1.0], 1.0)]):
-        with pytest.raises(ValueError, match="round profit vector length"):
+    for rounds, k in (
+        ([GkpRound([1.0, 2.0], 1.0)], 0),
+        ([GkpRound([1.0, 2.0, 3.0], 1.0), GkpRound([1.0], 1.0)], 1),
+    ):
+        with pytest.raises(ValueError, match=rf"^rounds\[{k}\]: profit vector length must match item count 3$"):
             read(static, rounds)
+
+
+def test_single_round_readers_reject_a_round_of_the_wrong_length():
+    static = GkpStatic(3, [1.0, 1.0, 1.0], 0.5)
+    short = GkpRound([1.0, 2.0], 1.0)
+    message = "^round profit vector length must match item count 3$"
+    with pytest.raises(ValueError, match=message):
+        gkp_profit({0}, static, short)
+    with pytest.raises(ValueError, match=message):
+        SetFold(static).delta(short)
+    with pytest.raises(ValueError, match=r"^rounds\[1\]: profit vector length must match item count 3$"):
+        fold_sweep(static, [GkpRound([1.0, 2.0, 3.0], 1.0), short])
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])

@@ -152,7 +152,7 @@ def test_run_ogd_experiment(tmp_path):
     assert len(summary["per_seed"]) == 3
     for row in summary["per_seed"]:
         assert row["regret"] == row["cumulative"] - 2.0 * row["benchmark"]
-        assert row["ok"] == (row["cumulative"] <= 2.0 * row["benchmark"] + row["bound"])
+        assert row["ok"] == (row["regret"] <= row["bound"])
     regrets = [r["regret"] for r in summary["per_seed"]]
     assert summary["mean_regret"] == sum(regrets) / 3
     assert summary["max_regret"] == max(regrets)
@@ -160,6 +160,22 @@ def test_run_ogd_experiment(tmp_path):
     for seed in (0, 1, 2):
         assert (tmp_path / "out" / f"trace_seed{seed}.csv").exists()
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+def test_ogd_verdict_is_the_bound_report_rule_at_the_float_boundary(monkeypatch):
+    # cumulative == 2*benchmark + bound in floats, yet cumulative - 2*benchmark
+    # rounds above the bound: the row must say what compare_bounds says
+    benchmark, bound = 47.80171359446247, 28.43482461178048
+    cumulative = 2.0 * benchmark + bound
+    trace = RegretTrace(algorithm="ogd_vc", actions=(frozenset(),), values=(cumulative,), benchmark=benchmark)
+    monkeypatch.setattr(harness, "ogd_run", lambda g, seq, ocfg: trace)
+    monkeypatch.setattr(harness, "theorem2_bound", lambda W, n, T: bound)
+    cfg = ExperimentConfig("ogd_vc", {}, 1, (0,))
+    _, row = harness._replica_ogd(cfg, {"graph": Graph(2, ((0, 1),))}, 1, 0)
+    assert row["regret"] > row["bound"]
+    assert row["ok"] is False
+    report = compare_bounds({"algorithm": "ogd_vc", "per_seed": [row]})
+    assert [v["seed"] for v in report["violations"]] == [0]
 
 
 def test_run_experiment_zero_horizon(tmp_path):

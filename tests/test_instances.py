@@ -43,6 +43,31 @@ def test_graph_canonicalizes_edge_order():
     assert g.m == 2
 
 
+def test_graph_needs_integer_endpoints():
+    with pytest.raises(ValueError, match=r"^edge \(0\.5,1\) endpoints must be integers$"):
+        Graph(3, ((0.5, 1),))
+    g = Graph(3, ((np.int64(2), np.int64(0)),))
+    assert g.edges == ((0, 2),) and type(g.edges[0][0]) is int
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (((0, 3),), "edge (0,3) endpoint out of range"),
+        (((1, 1),), "self-loop at vertex 1"),
+        (((0, 1), (1, 0)), "duplicate edge (0,1)"),
+    ],
+)
+def test_graph_and_its_parser_share_one_edge_rule(edges, message):
+    with pytest.raises(ValueError) as e:
+        Graph(3, edges)
+    assert str(e.value) == message
+    text = "\n".join([f"3 {len(edges)}"] + [f"{u} {v}" for u, v in edges])
+    with pytest.raises(FormatError) as e:
+        parse_graph(text)
+    assert str(e.value) == f"line {len(edges) + 1}: {message}"
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(3, ((0, 3),))
@@ -63,6 +88,20 @@ def test_weight_sequence_shape_and_immutability():
         WeightSequence(2, [[1.0, -0.1]])
     with pytest.raises(ValueError):
         WeightSequence(2, [[1.0]])
+
+
+def test_row_matrices_share_a_body_but_stay_distinct_types():
+    rows = [[1.0, 0.0], [0.5, 2.0]]
+    seq, mat = WeightSequence(2, rows), ProcTimeMatrix(2, rows)
+    assert seq != mat and mat != seq
+    assert not isinstance(mat, WeightSequence) and not isinstance(seq, ProcTimeMatrix)
+    assert seq == WeightSequence(2, rows) and mat == ProcTimeMatrix(2, rows)
+    with pytest.raises(ValueError, match=r"^rows must have shape \(T, 3\)$"):
+        WeightSequence(3, rows)
+    with pytest.raises(ValueError, match=r"^rows must have shape \(N, 3\)$"):
+        ProcTimeMatrix(3, rows)
+    with pytest.raises(ValueError, match="^processing times must be nonnegative$"):
+        ProcTimeMatrix(2, [[1.0, -1.0]])
 
 
 def test_weight_sequence_empty():
@@ -86,6 +125,33 @@ def test_gkp_types_validate():
 
 
 NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GkpRound("abc", 1.0), "profits p must be a list of numbers"),
+        (lambda: GkpRound([[1.0]], 1.0), "profits p must be a list of numbers"),
+        (lambda: GkpRound([1.0], "x"), "capacity B must be a number"),
+        (lambda: GkpRound([1.0], None), "capacity B must be a number"),
+        (lambda: GkpRound([1.0], -1.0), "capacity B must be nonnegative"),
+        (lambda: GkpStatic(1, "abc", 1.0), "item weights w must be a list of numbers"),
+        (lambda: GkpStatic(2, [1.0], 1.0), "item weights w must have length 2"),
+        (lambda: GkpStatic(1, [1.0], [1.0]), "penalty rate c must be a number"),
+        (lambda: GkpStatic(1, [1.0], -0.5), "penalty rate c must be nonnegative"),
+    ],
+)
+def test_gkp_types_name_the_field_of_a_bad_value(build, message):
+    with pytest.raises(ValueError) as e:
+        build()
+    assert str(e.value) == message
+
+
+def test_gkp_instance_set_names_the_round_of_the_wrong_length():
+    static = GkpStatic(2, [1.0, 1.0], 1.0)
+    with pytest.raises(ValueError) as e:
+        GkpInstanceSet(static, (GkpRound([1.0, 1.0], 1.0), GkpRound([1.0], 1.0)))
+    assert str(e.value) == "rounds[1]: profit vector length must match item count 2"
 
 
 @pytest.mark.parametrize(
@@ -128,6 +194,29 @@ def test_dnf_validation_and_satisfaction():
         Dnf3Formula(3, (((0, True), (0, False), (2, True)),))
     with pytest.raises(ValueError):
         Dnf3Formula(2, (((0, True), (1, False), (2, True)),))
+
+
+@pytest.mark.parametrize(
+    "clause, message",
+    [
+        (((0.5, True), (1, True), (2, True)), "variable 0.5 must be an integer"),
+        (((0, True), (1, "no"), (2, True)), "sign 'no' of variable 1 must be a bool"),
+        (((0, True), (1, 1), (2, True)), "sign 1 of variable 1 must be a bool"),
+        (((0, True), (1, True), (3, True)), "variable 3 out of range 0..2"),
+        (((0, True), (1, True)), "each clause must have exactly 3 literals, got 2"),
+        (((0, True), (0, False), (2, True)), "clause literals must use distinct variables"),
+    ],
+)
+def test_dnf_clause_rule(clause, message):
+    with pytest.raises(ValueError) as e:
+        Dnf3Formula(3, (clause,))
+    assert str(e.value) == message
+
+
+def test_dnf_accepts_numpy_variables_and_signs():
+    f = Dnf3Formula(3, (((np.int64(0), np.True_), (1, False), (2, True)),))
+    assert f.clauses == (((0, True), (1, False), (2, True)),)
+    assert type(f.clauses[0][0][0]) is int and type(f.clauses[0][0][1]) is bool
 
 
 # --- graph format ---------------------------------------------------------
@@ -196,6 +285,15 @@ def test_weights_header_and_errors():
     assert e.value.line == 2
 
 
+def test_row_parse_reports_the_first_row_the_type_refuses():
+    with pytest.raises(FormatError) as e:
+        parse_weights("n=2\n1.0,2.0\n\n1.0,-1.0\nnan,1.0")
+    assert str(e.value) == "line 4: weights must be nonnegative"
+    with pytest.raises(FormatError) as e:
+        parse_proc_times("n=2\n1.0,inf\n1.0,-1.0")
+    assert str(e.value) == "line 2: processing times must be finite"
+
+
 def test_proc_times_round_trip():
     mat = ProcTimeMatrix(3, [[1.0, 2.0, 3.0], [0.0, 0.5, 1.5]])
     assert parse_proc_times(serialize_proc_times(mat)) == mat
@@ -234,18 +332,18 @@ def test_gkp_parse_errors():
     "text, message",
     [
         ("5", "top level must be a JSON object"),
-        ('{"w": 5, "c": 1.0, "rounds": []}', "'w' must be a list of numbers"),
-        ('{"w": [1.0], "c": [1.0], "rounds": []}', "'c' must be a number"),
-        ('{"w": [1.0], "c": null, "rounds": []}', "'c' must be a number"),
+        ('{"w": 5, "c": 1.0, "rounds": []}', "item weights w must be a list of numbers"),
+        ('{"w": [1.0], "c": [1.0], "rounds": []}', "penalty rate c must be a number"),
+        ('{"w": [1.0], "c": null, "rounds": []}', "penalty rate c must be a number"),
         ('{"w": [1.0], "c": 1.0, "rounds": 5}', "'rounds' must be a list"),
         ('{"w": [1.0], "c": 1.0, "rounds": [5]}', "rounds[0] must be an object with keys 'p' and 'B'"),
         ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": 1.0}, {"p": [1.0]}]}', "rounds[1] must be an object"),
-        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": "x", "B": 1.0}]}', "rounds[0]: 'p' must be a list of numbers"),
-        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": "x"}]}', "rounds[0]: 'B' must be a number"),
+        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": "x", "B": 1.0}]}', "rounds[0]: profits p must be a list of numbers"),
+        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": "x"}]}', "rounds[0]: capacity B must be a number"),
         ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0, 2.0], "B": 1.0}]}', "rounds[0]: profit vector length"),
         ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": 1.0}, {"p": [-1.0], "B": 1.0}]}',
          "rounds[1]: profits p must be nonnegative"),
-        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": -1.0}]}', "rounds[0]: capacity must be nonnegative"),
+        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": -1.0}]}', "rounds[0]: capacity B must be nonnegative"),
         ('{"w": [-1.0], "c": 1.0, "rounds": []}', "item weights w must be nonnegative"),
     ],
 )
@@ -278,6 +376,16 @@ def test_dnf_parse_infers_n_from_max_literal():
     assert f5.n == 5
 
 
+def test_dnf_parse_with_explicit_n_reports_the_line():
+    with pytest.raises(FormatError) as e:
+        parse_dnf("1 2 3\n1 2 7", n=5)
+    assert e.value.line == 2
+    assert str(e.value) == "line 2: variable 6 out of range 0..4"
+    with pytest.raises(FormatError) as e:
+        parse_dnf("1 2 3 4")
+    assert str(e.value) == "line 1: each clause must have exactly 3 literals, got 4"
+
+
 def test_dnf_parse_errors():
     with pytest.raises(FormatError) as e:
         parse_dnf("1 -2")
@@ -301,6 +409,14 @@ def test_serialize_instances_dispatch():
 
 
 # --- generators ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("W, message", [(NAN, "W must be finite"), (INF, "W must be finite"), (-1.0, "W must be nonnegative")])
+def test_uniform_weights_refuse_a_bad_ceiling_before_drawing(W, message):
+    rng = SeededRng(1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gen_uniform_weights(2, 3, W, rng)
+    assert rng.next_u64() == SeededRng(1).next_u64()
 
 
 def test_generators_deterministic():
