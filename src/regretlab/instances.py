@@ -135,7 +135,10 @@ class _RowMatrix:
     rows: np.ndarray  # shape (T or N, n), read-only float64
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
+        try:
+            rows = np.asarray(self.rows, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{self._what} must be rows of numbers") from None
         if rows.ndim == 1 and rows.size == 0:
             rows = rows.reshape(0, self.n)
         if rows.ndim != 2 or rows.shape[1] != self.n:
@@ -546,6 +549,8 @@ def gen_random_dnf(n: int, m: int, rng: SeededRng) -> Dnf3Formula:
     """
     if n < 3:
         raise ValueError("need at least 3 variables for 3-literal clauses")
+    if m < 0:
+        raise ValueError(f"need m >= 0 clauses, got m={m!r}")
     clauses = []
     for _ in range(m):
         vs: list[int] = []

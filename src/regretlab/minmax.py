@@ -53,6 +53,14 @@ def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:
     return all(u in members or v in members for u, v in g.edges)
 
 
+def vc_threshold(w: Sequence[float], edges: Sequence[tuple[int, int]]) -> float:
+    """max over the edges (u, v) of min(w[u], w[v]), with ``w`` a plain
+    sequence of floats and at least one edge: the least threshold at which
+    the vertices of weight <= threshold cover every edge."""
+    # the inline min(w[u], w[v]): w[u] unless w[v] is smaller
+    return max([w[v] if w[v] < w[u] else w[u] for u, v in edges])
+
+
 def static_minmax_vc(g: Graph, w) -> tuple[frozenset, float]:
     """Exact min-max vertex cover of a single weight row.
 
@@ -70,8 +78,7 @@ def static_minmax_vc(g: Graph, w) -> tuple[frozenset, float]:
         raise ValueError("weight row must not contain NaN")
     if g.m == 0:
         return frozenset(), 0.0
-    wl = w.tolist()
-    thr = max([min(wl[u], wl[v]) for u, v in g.edges])
+    thr = vc_threshold(w.tolist(), g.edges)
     return frozenset(np.flatnonzero(w <= thr).tolist()), float(thr)
 
 

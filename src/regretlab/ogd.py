@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, sqrt
-from operator import add, sub
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -228,9 +228,9 @@ def project_vc_polytope(y, g: Graph) -> np.ndarray:
 
 
 def round_half(x) -> frozenset:
-    """Vertices with x_i >= 1/2; a cover whenever x is edge-feasible."""
-    x = np.asarray(x, dtype=np.float64)
-    return frozenset(int(i) for i in np.flatnonzero(x >= 0.5))
+    """Vertices with x_i >= 1/2; a cover whenever x is edge-feasible. ``x``
+    is any sequence of floats (a list, a tuple or a vector)."""
+    return frozenset([i for i, xi in enumerate(x) if xi >= 0.5])
 
 
 def theorem2_bound(W: float, n: int, T: int) -> float:
@@ -245,8 +245,10 @@ def theorem2_bound(W: float, n: int, T: int) -> float:
 class OgdVcLearner:
     """Projected OGD on one graph, one round per ``observe``.
 
-    ``play`` publishes the half-rounding of the iterate ``x``; ``observe``
-    takes the subgradient step for the revealed row,
+    The learner's state is plain Python: the iterate ``x`` is a list of n
+    floats, which each step updates in place. ``play`` publishes the
+    half-rounding of ``x``; ``observe`` takes the subgradient step for the
+    revealed row,
     y = x - (scale/sqrt(t)) * w_{i*} e_{i*} with i* the first argmax of
     w*x, and projects y back onto the cover polytope. ``scale`` is 1 in
     "paper" mode and sqrt(n)/W_bound in "scaled" mode.
@@ -270,7 +272,7 @@ class OgdVcLearner:
     def __init__(self, g: Graph, cfg: OgdConfig | None = None):
         self.g = g
         self.cfg = cfg or OgdConfig()
-        self.x = np.full(g.n, 0.5)
+        self.x = [0.5] * g.n
         self.t = 1
         self._adj = neighbour_lists(g)
         self._scale = sqrt(g.n) / self.cfg.W_bound if self.cfg.step_mode == "scaled" else 1.0
@@ -281,13 +283,15 @@ class OgdVcLearner:
     def observe(self, w_row, cost: float) -> None:
         """Step on a revealed weight row; rejects a row that is not a
         finite vector of length n with a ValueError."""
-        self._step(checked_weight_row(w_row, self.g.n))
+        self._step(checked_weight_row(w_row, self.g.n).tolist())
 
-    def _step(self, w: np.ndarray) -> None:
+    def _step(self, w: list) -> None:
+        """Step on the row ``w``, a list of n finite floats."""
         t = self.t
-        i_star = int(np.argmax(w * self.x))  # argmax returns the first maximizer
-        x = self.x.tolist()
-        y = x[i_star] - (self._scale / sqrt(t)) * float(w[i_star])
+        x = self.x
+        prods = list(map(mul, w, x))
+        i_star = prods.index(max(prods))  # the first maximizer, as np.argmax
+        y = x[i_star] - (self._scale / sqrt(t)) * w[i_star]
         nbrs = self._adj[i_star]
         z = y
         k = 0
@@ -304,7 +308,6 @@ class OgdVcLearner:
         for j in nbrs:
             if x[j] < low:
                 x[j] = low
-        self.x = np.array(x)
         self.t = t + 1
 
 
@@ -338,9 +341,10 @@ def ogd_run(
     for w in rows:
         played = learner.play()
         played_sets.append(played)
+        # numpy reductions, not max(): the two differ on the sign of a zero
         int_costs.append(float(w[list(played)].max()) if played else 0.0)
-        frac_costs.append(float((w * learner.x).max()))
-        learner._step(w)
+        frac_costs.append(float((w * np.array(learner.x)).max()))
+        learner._step(w.tolist())
 
     benchmark = None
     if compute_benchmark and n <= MAX_HINDSIGHT_N:

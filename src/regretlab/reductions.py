@@ -19,12 +19,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from math import ceil
+from operator import add
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .instances import Dnf3Formula, Graph, ProcTimeMatrix, WeightSequence, serialize_dnf
-from .minmax import PathChain, is_vertex_cover, multi_minmax_cost, static_minmax_vc
+from .minmax import PathChain, is_vertex_cover, multi_minmax_cost, vc_threshold
 from .ogd import OgdVcLearner  # re-exported: the gap decider's OGD learner
 from .ogd import checked_weight_row, neighbour_lists
 from .rng import SeededRng
@@ -98,33 +99,43 @@ class OnlineVcLearner(Protocol):
 class FtlMinMaxVcLearner:
     """Follow the leader: best min-max cover of the summed weights so far.
 
-    The threshold-optimal eligible set is pruned to an inclusion-minimal
-    cover, dropping heavy low-degree vertices first, so a cheap small
-    cover (a star center, say) is actually played as a small set.
+    The threshold-optimal eligible set (the one
+    :func:`~regretlab.minmax.static_minmax_vc` returns for ``cum``) is
+    pruned to an inclusion-minimal cover, dropping heavy low-degree
+    vertices first, so a cheap small cover (a star center, say) is
+    actually played as a small set. The learner's state is plain Python:
+    the running sums ``cum`` are a list of n floats, and the prune works on
+    int bitmasks of the vertices.
     """
 
     def __init__(self, g: Graph):
         self.g = g
-        self.cum = np.zeros(g.n)
-        self._adj = neighbour_lists(g)
+        self.cum = [0.0] * g.n
+        adj = neighbour_lists(g)
+        self._nbr = [sum(1 << u for u in a) for a in adj]  # neighbours as a bitmask
+        # ties on cum drop the lower degree first, then the higher index
+        self._order = sorted(range(g.n), key=lambda v: (len(adj[v]), -v))
 
     def play(self) -> frozenset:
-        cover, _ = static_minmax_vc(self.g, self.cum)
-        kept = set(cover)
-        cum = self.cum.tolist()
-        adj = self._adj
-        order = sorted(kept, key=lambda v: (-cum[v], len(adj[v]), -v))
+        if not self.g.m:
+            return frozenset()
+        cum = self.cum
+        thr = vc_threshold(cum, self.g.edges)
+        # a stable sort on cum alone keeps (degree, -v) order among ties
+        order = sorted([v for v in self._order if cum[v] <= thr], key=cum.__getitem__, reverse=True)
+        kept = sum(1 << v for v in order)
+        nbr = self._nbr
         # kept is a cover throughout, so dropping v keeps it one exactly
         # when every neighbour of v is kept
         for v in order:
-            if all(u in kept for u in adj[v]):
-                kept.discard(v)
-        return frozenset(kept)
+            if nbr[v] & kept == nbr[v]:
+                kept &= ~(1 << v)
+        return frozenset([v for v in range(self.g.n) if kept >> v & 1])
 
     def observe(self, w_row: np.ndarray, cost: float) -> None:
         """Add a revealed weight row to the running sums; rejects a row
         that is not a finite vector of length n with a ValueError."""
-        self.cum += checked_weight_row(w_row, self.g.n)
+        self.cum = list(map(add, self.cum, checked_weight_row(w_row, self.g.n).tolist()))
 
 
 @dataclass(frozen=True)
@@ -164,7 +175,8 @@ def gap_solver(
     charged for that round); a learner whose regret really is p(n)·T^c
     must produce such a cover within the horizon whenever a cover smaller
     than A·n exists, up to the promised constant error probability.
-    Emitting a non-cover is a contract violation and raises.
+    Emitting a non-cover is a contract violation and raises; each distinct
+    played set is checked once, since a set equal to a checked cover is one.
     """
     try:
         T = gap_horizon(cfg, eps, g.n)
@@ -186,10 +198,14 @@ def gap_solver(
     yes_round = None
     played_sets = []
     costs = []
+    covers: set[frozenset] = set()
     for t in range(1, T + 1):
         played = learner.play()
-        if not is_vertex_cover(g, played):
-            raise ValueError(f"learner emitted a non-cover at round {t}")
+        key = frozenset(played)  # the set itself when it is a frozenset
+        if key not in covers:
+            if not is_vertex_cover(g, played):
+                raise ValueError(f"learner emitted a non-cover at round {t}")
+            covers.add(key)
         played_sets.append(played)
         if len(played) < threshold:
             decision, yes_round = "Yes", t

@@ -348,6 +348,7 @@ def test_bound_rejects_invalid_values_as_usage_errors(capsys, argv, message):
         (("gen", "graph", "--n", "3", "--p", "2"), "edge probability must be in [0, 1]"),
         (("gen", "weights", "--n", "2", "--T", "2", "--W", "inf"), "W must be finite"),
         (("gen", "dnf", "--n", "2", "--m", "1"), "need at least 3 variables for 3-literal clauses"),
+        (("gen", "dnf", "--n", "5", "--m", "-2"), "need m >= 0 clauses, got m=-2"),
         (("gen", "gkp", "--n", "0", "--m", "1"), "need n >= 1 items and m >= 0 rounds"),
         (("run", "{dir}/exp.json"), "line 3: self-loop at vertex 1"),
         (("verify", "reductions", "{dir}/f.dnf", "--n", "5"), "line 1: variable 6 out of range 0..4"),
@@ -361,7 +362,7 @@ def test_bound_rejects_invalid_values_as_usage_errors(capsys, argv, message):
          "[Errno 2] No such file or directory: '{dir}/missing.json'"),
         (("bound", "theorem2", "--n", "0", "--T", "10"), "need n >= 1 and T >= 0, got n=0, T=10"),
     ],
-    ids=["gen_graph", "gen_weights", "gen_dnf", "gen_gkp", "run", "verify_reductions",
+    ids=["gen_graph", "gen_weights", "gen_dnf", "gen_dnf_negative_m", "gen_gkp", "run", "verify_reductions",
          "verify_projection_header", "verify_projection_trials", "verify_projection_candidates",
          "bench_oracle_field", "bench_oracle_missing", "bound"],
 )

@@ -104,6 +104,14 @@ def test_row_matrices_share_a_body_but_stay_distinct_types():
         ProcTimeMatrix(2, [[1.0, -1.0]])
 
 
+def test_row_matrices_name_their_field_for_rows_that_are_not_numbers():
+    for rows in ("abc", [[1.0, "x"]], [[1.0], [1.0, 2.0]], [[1.0, object()]]):
+        with pytest.raises(ValueError, match="^weights must be rows of numbers$"):
+            WeightSequence(2, rows)
+        with pytest.raises(ValueError, match="^processing times must be rows of numbers$"):
+            ProcTimeMatrix(2, rows)
+
+
 def test_weight_sequence_empty():
     seq = WeightSequence(3, np.zeros((0, 3)))
     assert seq.T == 0
@@ -429,6 +437,14 @@ def test_generators_deterministic():
     f1 = gen_random_dnf(6, 9, SeededRng(5))
     f2 = gen_random_dnf(6, 9, SeededRng(5))
     assert f1 == f2
+
+
+def test_random_dnf_refuses_a_negative_clause_count():
+    rng = SeededRng(5)
+    with pytest.raises(ValueError, match=r"^need m >= 0 clauses, got m=-1$"):
+        gen_random_dnf(6, -1, rng)
+    assert rng.next_u64() == SeededRng(5).next_u64()  # refused before drawing
+    assert gen_random_dnf(6, 0, rng).clauses == ()
 
 
 def test_random_graph_edge_probability():

@@ -431,23 +431,26 @@ def test_learner_iterates_match_reference_bitwise():
             cfg = OgdConfig(step_mode=mode)
             expected = reference_ogd_iterates(g, seq.rows, cfg)
             learner = OgdVcLearner(g, cfg)
-            assert learner.x.tobytes() == expected[0].tobytes()
+            x = learner.x  # the learner's list, stepped in place
+            assert type(x) is list and np.array(x).tobytes() == expected[0].tobytes()
             for t, w in enumerate(seq.rows, start=1):
                 learner.observe(w, 0.0)
-                assert learner.x.tobytes() == expected[t].tobytes(), (n, mode, t)
+                assert learner.x is x and np.array(x).tobytes() == expected[t].tobytes(), (n, mode, t)
 
 
 def check_exact_step(g, x, w, t, cfg):
     """One learner step from the feasible x on row w in round t equals its
-    :func:`reference_step` bit for bit; returns (i*, y, stepped iterate)."""
+    :func:`reference_step` bit for bit; returns (i*, y, stepped iterate),
+    the iterate as the learner's list."""
     x = np.array(x, dtype=np.float64)
     w = np.array(w, dtype=np.float64)
     learner = OgdVcLearner(g, cfg)
-    learner.x, learner.t = x, t
+    # the learner's own copy: its step writes into the list
+    learner.x, learner.t = x.tolist(), t
     learner.observe(w, 0.0)
     assert learner.t == t + 1
     i, y = step_point(x, w, t, step_scale(g, cfg))
-    assert learner.x.tobytes() == reference_step(g, x, i, y).tobytes()
+    assert np.array(learner.x).tobytes() == reference_step(g, x, i, y).tobytes()
     return i, y, learner.x
 
 
@@ -456,19 +459,19 @@ def test_exact_step_edge_cases():
     star = Graph(4, ((0, 1), (0, 2), (0, 3)))
     # a negative weight on i*: the coordinate rises, past 1 into the clip
     i, y, out = check_exact_step(star, [0.25, 0.75, 0.75, 0.75], [-1.0, -2.0, -2.0, -2.0], 1, paper)
-    assert i == 0 and y[0] == 1.25 and out[0] == 1.0 and out.tolist()[1:] == [0.75] * 3
+    assert i == 0 and y[0] == 1.25 and out[0] == 1.0 and out[1:] == [0.75] * 3
     i, y, out = check_exact_step(star, [0.25, 0.75, 0.75, 0.75], [-0.5, -2.0, -2.0, -2.0], 4, paper)
     assert i == 0 and out[0] == 0.5
     # a long step: the water level falls below 0 and clips there, and every
     # neighbour rises to 1
     i, y, out = check_exact_step(star, [0.5, 0.5, 0.5, 0.5], [3.0, 0.0, 0.0, 0.0], 1, paper)
-    assert i == 0 and y[0] == -2.5 and out.tolist() == [0.0, 1.0, 1.0, 1.0]
+    assert i == 0 and y[0] == -2.5 and out == [0.0, 1.0, 1.0, 1.0]
     # an isolated i*: the box clip alone
     lone = Graph(3, ((0, 1),))
     i, y, out = check_exact_step(lone, [0.5, 0.5, 0.5], [0.0, 0.0, 2.0], 1, paper)
-    assert i == 2 and out.tolist() == [0.5, 0.5, 0.0]
+    assert i == 2 and out == [0.5, 0.5, 0.0]
     i, y, out = check_exact_step(lone, [0.5, 0.5, 0.5], [0.0, 0.0, 0.25], 1, paper)
-    assert i == 2 and out.tolist() == [0.5, 0.5, 0.25]
+    assert i == 2 and out == [0.5, 0.5, 0.25]
     # water-fill over some of the breakpoints: x_1 = 0.9 stays, x_2 and x_3
     # rise to 1 - z
     i, y, out = check_exact_step(star, [0.5, 0.9, 0.6, 0.5], [1.0, 0.0, 0.0, 0.0], 1, paper)

@@ -126,16 +126,69 @@ def reference_ftl_play(g, cum):
     return frozenset(kept)
 
 
+# running sums the FTL leader may hold: small integer counts, as one-hot
+# rows sum to, tie heavily; floats and negative counts; signed zeros, which
+# tie with each other but not in their bits
+FTL_SUMS = (
+    lambda rng: float(rng.randrange(4)),
+    lambda rng: rng.uniform(-2.0, 2.0),
+    lambda rng: float(rng.randrange(5)) - 3.0,
+    lambda rng: (-0.0, 0.0, 1.0, -1.0)[rng.randrange(4)],
+)
+
+
+def ftl_test_graph(rng):
+    """A graph on 1-20 vertices: G(k, p) on the first k, with the rest
+    isolated, and every tenth graph without edges."""
+    n = 1 + rng.randrange(20)
+    if rng.randrange(10) == 0:
+        return Graph(n, ())
+    sub = gen_random_graph(1 + rng.randrange(n), rng.uniform(0.0, 1.0), rng)
+    return Graph(n, sub.edges)
+
+
 def test_ftl_prune_matches_cover_check_reference_on_ties():
     rng = SeededRng(78)
-    for _ in range(300):
-        n = 1 + rng.randrange(14)
-        g = gen_random_graph(n, rng.uniform(0.0, 1.0), rng)
+    kinds = [0] * len(FTL_SUMS)
+    for _ in range(600):
+        g = ftl_test_graph(rng)
         learner = FtlMinMaxVcLearner(g)
         for _ in range(3):
-            # small integer counts, as one-hot rows sum to, tie heavily
-            learner.cum = np.array([float(rng.randrange(4)) for _ in range(n)])
+            kind = rng.randrange(len(FTL_SUMS))
+            kinds[kind] += 1
+            learner.cum = [FTL_SUMS[kind](rng) for _ in range(g.n)]
             assert learner.play() == reference_ftl_play(g, learner.cum)
+    assert min(kinds) > 300
+
+
+def test_ftl_observed_sums_match_cover_check_reference():
+    # rows of either sign with signed zeros, summed by observe itself
+    rng = SeededRng(79)
+    for _ in range(100):
+        g = ftl_test_graph(rng)
+        learner = FtlMinMaxVcLearner(g)
+        cum = np.zeros(g.n)
+        for _ in range(6):
+            row = [(-0.0, 0.0, 1.0, -1.0, rng.uniform(-1.0, 1.0))[rng.randrange(5)] for _ in range(g.n)]
+            learner.observe(row, 0.0)
+            cum += row
+            assert np.array(learner.cum).tobytes() == cum.tobytes()
+            assert learner.play() == reference_ftl_play(g, cum)
+
+
+def test_ftl_prune_on_edgeless_and_isolated_vertices():
+    assert FtlMinMaxVcLearner(Graph(3, ())).play() == frozenset()
+    # isolated vertices are never needed, at any running sum
+    g = Graph(5, ((0, 1), (1, 2)))
+    learner = FtlMinMaxVcLearner(g)
+    for cum, played in (
+        ([0.0] * 5, {1}),
+        ([1.0, 0.0, 1.0, 2.0, -0.0], {1}),
+        ([-1.0, 0.0, -1.0, -5.0, -0.0], {0, 2}),
+        ([0.0, 3.0, 0.0, -1.0, -1.0], {0, 2}),
+    ):
+        learner.cum = cum
+        assert learner.play() == frozenset(played) == reference_ftl_play(g, cum)
 
 
 @pytest.mark.parametrize("step_mode", ["scaled", "paper"])
@@ -148,10 +201,10 @@ def test_ogd_learner_matches_batch_runner(step_mode):
     iterates = reference_ogd_iterates(g, seq.rows, cfg)
     learner = OgdVcLearner(g, cfg)
     for t in range(seq.T):
-        assert learner.x.tobytes() == iterates[t].tobytes()
+        assert np.array(learner.x).tobytes() == iterates[t].tobytes()
         assert learner.play() == trace.actions[t]
         learner.observe(seq.rows[t], 0.0)
-    assert learner.x.tobytes() == iterates[seq.T].tobytes()
+    assert np.array(learner.x).tobytes() == iterates[seq.T].tobytes()
 
 
 def test_ogd_learner_rejects_bad_rows():
@@ -167,7 +220,7 @@ def test_ftl_learner_rejects_non_finite_rows():
     for row in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [-np.inf, 1.0, 0.0]):
         with pytest.raises(ValueError, match="weight row must be finite"):
             learner.observe(np.array(row), 0.0)
-    assert learner.cum.tolist() == [0.0, 0.0, 0.0]  # nothing was added
+    assert learner.cum == [0.0, 0.0, 0.0]  # nothing was added
     assert learner.play() == frozenset({1})
 
 
@@ -177,7 +230,7 @@ def test_ftl_learner_rejects_rows_of_the_wrong_length():
     for row in ([5.0], [1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]):
         with pytest.raises(ValueError, match="weight row must have length 3"):
             learner.observe(np.array(row), 0.0)
-    assert learner.cum.tolist() == [0.0, 0.0, 0.0]
+    assert learner.cum == [0.0, 0.0, 0.0]
     learner.observe([0.0, 5.0, 0.0], 5.0)  # a plain list of the right length is a row
     assert learner.play() == frozenset({0, 2})
 
@@ -225,6 +278,44 @@ def test_gap_solver_rejects_non_cover():
     cfg = GapConfig(A=0.25, B=0.3, T_override=5)
     with pytest.raises(ValueError, match="non-cover at round 1"):
         gap_solver(K4, cfg, Liar(), SeededRng(1))
+
+
+class ScriptedLearner:
+    """Plays the given sets in turn, one per round."""
+
+    def __init__(self, plays):
+        self.plays = plays
+        self.t = 0
+
+    def play(self):
+        return self.plays[self.t]
+
+    def observe(self, w_row, cost):
+        self.t += 1
+
+
+@pytest.mark.parametrize("kind", [frozenset, set])
+def test_gap_solver_checks_each_distinct_set_once_and_raises_at_the_first_non_cover(monkeypatch, kind):
+    checked = []
+
+    def counting_check(g, s):
+        checked.append(frozenset(s))
+        return is_vertex_cover(g, s)
+
+    monkeypatch.setattr("regretlab.reductions.is_vertex_cover", counting_check)
+    # covers of K4 with 3 = B*n vertices, so the run never answers Yes
+    a, b = [0, 1, 2], [1, 2, 3]
+    cfg = GapConfig(A=0.25, B=0.75, T_override=10)
+    plays = [kind(s) for s in (a, a, b, a, b, b, [0, 1], a)]
+    with pytest.raises(ValueError, match="^learner emitted a non-cover at round 7$"):
+        gap_solver(K4, cfg, ScriptedLearner(plays), SeededRng(3))
+    assert checked == [frozenset(a), frozenset(b), frozenset({0, 1})]
+    # the same sets, every one a cover, run to the horizon
+    checked.clear()
+    plays = [kind(s) for s in (a, b, a, a, b, a, b, b, a, a)]
+    res = gap_solver(K4, cfg, ScriptedLearner(plays), SeededRng(3))
+    assert res.decision == "No" and all(x is y for x, y in zip(res.trace.actions, plays, strict=True))
+    assert checked == [frozenset(a), frozenset(b)]
 
 
 def test_gap_solver_guards_huge_horizon():
