@@ -12,6 +12,7 @@ subcommand's usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -192,6 +193,7 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regretlab",

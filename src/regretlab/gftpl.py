@@ -4,9 +4,9 @@ One uniform perturbation vector a in [0, eta]^N is drawn before round 1.
 Because the distinguisher rounds pay a_j * P exactly to the sets holding
 item j, the perturbation a . Gamma_x is realized by handing the oracle N
 extra rounds whose profit vectors are scaled by a_j — the oracle never
-sees a perturbation, only a slightly longer instance list. Each round the
-engine asks the oracle for a maximizer of history-plus-perturbation,
-plays it, then reveals the true round.
+sees a perturbation, only a slightly longer instance list. Round t plays
+a maximizer of the rounds before it plus the perturbation and is paid
+the true round t.
 
 The oracle contract is a callable (static, rounds) -> (item set, value),
 exactly / additively eps-optimal or multiplicatively (1-eps')-optimal
@@ -15,14 +15,12 @@ resolve_run fixes a run's eps (run_eps: the schedule's, else T^(-1/2))
 and eta (default_eta when unset) in one place, for the engine and for
 callers that need them first, such as the harness's FPTAS error.
 
-Every oracle depends on the history only through its per-set summed
-profits P[mask] and excess K[mask]. The adversary is oblivious and the
-whole stream is known before round 1, so the engine computes both things
-it reads off those aggregates in one gkp.fold_sweep before the play
-loop: the hindsight benchmark of every prefix and, with ``oracle=None``,
-every round's exact leader — the fold of the revealed prefix plus the
-perturbation rounds' per-set deltas. That leader is brute_oracle's set
-under its tie rule, so no round list is built or handed over.
+The adversary is oblivious, so no round's leader depends on what was
+played. The engine stacks the stream once and runs in two stages: the
+leaders (with ``oracle=None`` every round's exact leader from one
+gkp.fold_sweep, which also gives every prefix's hindsight benchmark;
+otherwise one oracle call per round), then one scoring pass, a gathered
+row sum of the stacked stream per distinct played set.
 """
 
 from __future__ import annotations
@@ -32,10 +30,10 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .gkp import MAX_BRUTE_N, distinguisher_set, fold_sweep, gkp_profit
-from .instances import GkpRound, GkpStatic, check_round_length
+from .gkp import MAX_BRUTE_N, _check_members, _stacked, distinguisher_set, fold_sweep
+from .instances import GkpRound, GkpStatic
 from .rng import SeededRng
-from .traces import RegretTrace
+from .traces import RegretTrace, running_sums
 
 __all__ = [
     "GftplConfig",
@@ -169,6 +167,32 @@ def resolve_run(cfg: GftplConfig, T: int) -> tuple[GftplConfig, float]:
     return cfg, eps
 
 
+def _payoffs(static: GkpStatic, P: np.ndarray, B: np.ndarray, played, mode: str) -> list[float]:
+    """gkp_profit of played[k] in round k+1 for every k, bit for bit, as one
+    gathered row sum per distinct played set. The earliest round's fault is
+    raised: an item out of range or, under fptas, a negative payoff."""
+    rows_of: dict[frozenset, list[int]] = {}
+    for k, A in enumerate(played):
+        rows_of.setdefault(A, []).append(k)
+    payoffs = np.zeros(len(played))
+    for A, rows in rows_of.items():  # in the order of first play
+        try:
+            members = _check_members(A, static.n)
+        except ValueError:  # unless an earlier round broke a rule
+            _payoffs(static, P, B, played[: rows[0]], mode)
+            raise
+        if members:
+            excess = np.maximum(0.0, static.w[members].sum() - B[rows])
+            payoffs[rows] = P[np.ix_(rows, members)].sum(axis=1) - static.c * excess
+    if mode == "fptas" and (payoffs < 0).any():
+        t = int(np.argmax(payoffs < 0)) + 1
+        raise ValueError(
+            f"round {t}: negative payoff {float(payoffs[t - 1])} under the fptas schedule "
+            "(the multiplicative contract needs nonnegative payoffs)"
+        )
+    return payoffs.tolist()
+
+
 def gftpl_run(
     static: GkpStatic,
     rounds_stream,
@@ -178,19 +202,20 @@ def gftpl_run(
 ) -> RegretTrace:
     """Run the perturbed leader for len(rounds_stream) rounds.
 
-    Round t hands the oracle y^1..y^{t-1} plus the N perturbation-scaled
-    distinguisher rounds, plays the oracle's set, then observes y^t. The
-    trace records, per round, the observed payoff, the oracle's claimed
-    perturbed objective, the best static payoff on the revealed prefix,
-    the running regret against it, and the running theorem bound.
+    Round t plays the leader of y^1..y^{t-1} plus the N perturbation-scaled
+    distinguisher rounds and is paid y^t. The run takes every round's
+    leader first, then scores the stacked stream in one pass (_payoffs).
+    The trace records, per round, the payoff, the oracle's claimed
+    perturbed objective, the best static payoff on rounds 1..t, the
+    running regret against it, and the running theorem bound.
 
     ``oracle=None`` is the engine's exact leader: the fold of the history
     plus the perturbation deltas, added in slot order, with brute_oracle's
-    tie rule, for all rounds at once by fold_sweep. It computes the floats
-    CachingBruteOracle computes round by round, so it picks the same sets
-    with the same values, without building a round list per round; it
-    needs n <= MAX_BRUTE_N. Any other oracle is called as
-    oracle(static, history + perturbation rounds). The hindsight benchmark
+    tie rule, for all rounds at once by fold_sweep (the floats
+    CachingBruteOracle computes round by round); it needs n <= MAX_BRUTE_N.
+    Any other oracle is called once per round as oracle(static,
+    rounds_stream[:t-1] + perturbation rounds); if it fails at round t, a
+    fault of an earlier round is reported first. The hindsight benchmark
     comes from the same sweep whenever n <= MAX_BRUTE_N.
     """
     rounds_stream = list(rounds_stream)
@@ -198,8 +223,7 @@ def gftpl_run(
     n = static.n
     if cfg.N != n:
         raise ValueError("distinguisher-backed runs need N equal to the item count")
-    for k, r in enumerate(rounds_stream):
-        check_round_length(n, r, k)
+    P, B = _stacked(n, rounds_stream)
     if oracle is None and n > MAX_BRUTE_N:
         raise ValueError(
             f"oracle=None is the exact leader over all 2^n sets: n={n} exceeds "
@@ -216,42 +240,29 @@ def gftpl_run(
     # the oracle, so both come from one sweep before round 1
     leaders = bests = None
     if n <= MAX_BRUTE_N:
-        leaders, bests = fold_sweep(static, rounds_stream, pert_rounds if oracle is None else None)
-
-    played_sets, payoffs, perturbed_objs, regrets = [], [], [], []
-    history: list[GkpRound] = []
-    cum = 0.0
-    for t, y in enumerate(rounds_stream, 1):
-        if oracle is None:
-            played, perturbed_obj = leaders[t - 1]
-        else:
+        leaders, bests = fold_sweep(static, P, B, pert_rounds if oracle is None else None)
+    if oracle is not None:
+        leaders = []
+        for t in range(1, T + 1):
             try:
-                played, perturbed_obj = oracle(static, history + pert_rounds)
+                played, perturbed_obj = oracle(static, rounds_stream[: t - 1] + pert_rounds)
             except Exception as exc:
+                _payoffs(static, P, B, [frozenset(A) for A, _ in leaders], mode)
                 raise RuntimeError(f"oracle failed at round {t}: {exc}") from exc
-            history.append(y)
-        payoff = gkp_profit(played, static, y)
-        if mode == "fptas" and payoff < 0:
-            raise ValueError(
-                f"round {t}: negative payoff {payoff} under the fptas schedule "
-                "(the multiplicative contract needs nonnegative payoffs)"
-            )
-        cum += payoff
-        played_sets.append(frozenset(played))
-        payoffs.append(payoff)
-        perturbed_objs.append(float(perturbed_obj))
-        if bests is not None:
-            regrets.append(bests[t - 1] - cum)
+            leaders.append((played, perturbed_obj))
 
+    played_sets = [frozenset(A) for A, _ in leaders]
+    payoffs = _payoffs(static, P, B, played_sets, mode)
     benchmark = None if bests is None else (bests[-1] if T else 0.0)
     if bests is None:  # n above the enumeration guard: no benchmark columns
-        bests = regrets = [float("nan")] * T
+        bests = [float("nan")] * T
+    regrets = [b - cum for b, cum in zip(bests, running_sums(payoffs))]
     return RegretTrace(
         algorithm="gftpl_gkp",
         actions=played_sets,
         values=payoffs,
         extras={
-            "perturbed_obj": perturbed_objs,
+            "perturbed_obj": [float(v) for _, v in leaders],
             "best_static_cum": bests,
             "regret": regrets,
             "theorem3_bound": [theorem3_bound(cfg, eps, t) for t in range(1, T + 1)],

@@ -10,16 +10,17 @@ is piecewise linear and convex in the set's total weight W, evaluable in
 O(log m) from the sorted capacities. Oracles: exhaustive subset search
 (ground truth), a caching variant of it for a growing history, a
 pseudo-polynomial profit-indexed DP, and the profit-scaling FPTAS built
-on it. The round-list oracles read the history only through _summed, its
-summed profits p_s and excess function k; the two DPs share one grid
-guard and pick (_dp_set), and the FPTAS and fptas_grid_info one grid
-(_fptas_grid). SetFold keeps the per-set aggregates P[mask] and K[mask]
-of a growing history, one round at a time; the caching oracle folds its
-prefix through it and takes its leader from SetFold.leader. fold_sweep
-computes the same floats for a whole horizon at once, on row blocks of
-the (rounds x 2^n) fold: every round's exact leader of the prefix plus a
-fixed tail (the FTPL engine's leader) and every prefix's hindsight
-benchmark (prefix_best_values). One tie rule serves them all: the first
+on it. Round lists are stacked only by _stacked, and the oracles read
+the history only through _summed, its summed profits p_s and excess
+function k; the two DPs share one grid guard and pick (_dp_set), and the
+FPTAS and fptas_grid_info one grid (_fptas_grid). SetFold keeps the
+per-set aggregates P[mask] and K[mask] of a growing history, one round at
+a time; the caching oracle folds its prefix through it and takes its
+leader from SetFold.leader. fold_sweep computes the same floats for a
+whole stacked horizon at once, on row blocks of the (rounds x 2^n) fold:
+every round's exact leader of the prefix plus a fixed tail (the FTPL
+engine's leader) and every prefix's hindsight benchmark
+(prefix_best_values). One tie rule serves them all: the first
 maximum in _lex_order, of which leader_set is the one-row case. The
 DP keeps only the reachable profit levels (at most 2^n), so its cost
 follows the distinct subset profits, not the width of the profit grid;
@@ -78,10 +79,6 @@ class ExcessFunction:
         caps = np.sort(np.asarray(caps, dtype=np.float64))
         return cls(caps, np.concatenate(([0.0], np.cumsum(caps))))
 
-    @classmethod
-    def from_rounds(cls, rounds) -> "ExcessFunction":
-        return cls.from_caps([r.B for r in rounds])
-
     def value(self, W: float) -> float:
         j = int(np.searchsorted(self.sorted_caps, W, side="left"))
         return float(j * W - self.prefix_sums[j])
@@ -125,15 +122,21 @@ def multi_gkp_profit(A, static: GkpStatic, rounds) -> float:
     return _aggregate_profit(A, static, _summed(static, rounds))
 
 
+def _stacked(n: int, rounds) -> tuple[np.ndarray, np.ndarray]:
+    """The one reader of a round list: its (m, n) profit block and (m,)
+    capacity vector, refusing a round without n profits by its index."""
+    rounds = list(rounds)
+    for k, r in enumerate(rounds):
+        check_round_length(n, r, k)
+    P = np.array([r.p for r in rounds]).reshape(len(rounds), n)
+    return P, np.array([r.B for r in rounds], dtype=np.float64)
+
+
 def _summed(static: GkpStatic, rounds) -> tuple[np.ndarray, ExcessFunction] | None:
     """The history summary every oracle reads: the rounds' summed profit
     vector p_s and their excess function k, or None for no rounds."""
-    rounds = list(rounds)
-    for k, r in enumerate(rounds):
-        check_round_length(static.n, r, k)
-    if not rounds:
-        return None
-    return np.sum([r.p for r in rounds], axis=0), ExcessFunction.from_rounds(rounds)
+    P, B = _stacked(static.n, rounds)
+    return (P.sum(axis=0), ExcessFunction.from_caps(B)) if B.size else None
 
 
 def _aggregate_profit(A, static: GkpStatic, summed) -> float:
@@ -270,14 +273,14 @@ def brute_oracle(static: GkpStatic, rounds) -> tuple[frozenset, float]:
 
 
 def fold_sweep(
-    static: GkpStatic, rounds, tail=None
+    static: GkpStatic, P: np.ndarray, B: np.ndarray, tail=None
 ) -> tuple[list[tuple[frozenset, float]] | None, list[float]]:
     """Every round's exact leader and hindsight benchmark, in one pass.
 
-    Returns (leaders, bests). For round t, leaders[t-1] is leader_set of
-    the fold of rounds[:t-1] plus the per-set deltas of the ``tail``
-    rounds, and bests[t-1] = max(P - c*K) over the fold of rounds[:t].
-    ``tail=None`` skips the leaders and returns None for them.
+    P and B are the stream as _stacked returns it. Returns (leaders, bests):
+    leaders[t-1] is leader_set of the fold of rounds 1..t-1 plus the per-set
+    deltas of the ``tail`` rounds, bests[t-1] the best set's value on the
+    fold of rounds 1..t. ``tail=None`` skips the leaders (returns None).
 
     The (rounds x 2^n) fold is computed in blocks of about _BLOCK_CELLS
     cells (64 rounds at n = 6, one round from n = 12 up), the running P
@@ -287,29 +290,24 @@ def fold_sweep(
     tail deltas added one at a time in slot order.
     """
     fold = SetFold(static)
-    rounds = list(rounds)
-    for k, r in enumerate(rounds):
-        check_round_length(fold.n, r, k)
-    c = static.c
     deltas = None if tail is None else [fold.delta(r) for r in tail]
     leaders = None if tail is None else []
     bests: list[float] = []
     step = max(1, _BLOCK_CELLS >> fold.n)
-    for lo in range(0, len(rounds), step):
-        block = rounds[lo : lo + step]
-        dP = _subset_sums(np.array([r.p for r in block]))
-        dK = np.maximum(0.0, fold.W_all - np.array([r.B for r in block])[:, None])
+    for lo in range(0, B.shape[0], step):
+        dP = _subset_sums(P[lo : lo + step])
+        dK = np.maximum(0.0, fold.W_all - B[lo : lo + step, None])
         # row 0 is the carried fold, row j the fold through block round j
-        P = np.add.accumulate(np.vstack((fold.P, dP)), axis=0)
-        K = np.add.accumulate(np.vstack((fold.K, dK)), axis=0)
+        FP = np.add.accumulate(np.vstack((fold.P, dP)), axis=0)
+        FK = np.add.accumulate(np.vstack((fold.K, dK)), axis=0)
         if deltas is not None:
-            LP, LK = P[:-1], K[:-1]
+            LP, LK = FP[:-1], FK[:-1]
             for tP, tK in deltas:
                 LP = LP + tP
                 LK = LK + tK
-            leaders.extend(_row_leaders(LP - c * LK))
-        bests.extend((P[1:] - c * K[1:]).max(axis=1).tolist())
-        fold.P, fold.K = P[-1].copy(), K[-1].copy()
+            leaders.extend(_row_leaders(LP - static.c * LK))
+        bests.extend((FP[1:] - static.c * FK[1:]).max(axis=1).tolist())
+        fold.P, fold.K = FP[-1].copy(), FK[-1].copy()
     return leaders, bests
 
 
@@ -321,7 +319,7 @@ def prefix_best_values(static: GkpStatic, rounds) -> list[float]:
     enumerations. The maxima agree with brute_oracle up to float summation
     order.
     """
-    return fold_sweep(static, rounds)[1]
+    return fold_sweep(static, *_stacked(static.n, rounds))[1]
 
 
 class CachingBruteOracle:

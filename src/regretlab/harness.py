@@ -14,10 +14,8 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from .gftpl import GftplConfig, epsilon_prime, gftpl_run, resolve_run
-from .gkp import fptas_oracle
+from .gkp import _stacked, fptas_oracle
 from .instances import (
     gen_onehot_weights,
     gen_uniform_weights,
@@ -163,22 +161,13 @@ def _gap_config(cfg: ExperimentConfig) -> tuple[GapConfig, dict]:
     return gap_cfg, _given(cfg, ("eps",))
 
 
-def _max_round_profit(rounds) -> float:
-    """The largest summed profit vector of any round (1.0 for no rounds),
-    as one row-sum over the stacked (T, n) profits, each row summed as its
-    own vector would be."""
-    if not rounds:
-        return 1.0
-    return float(np.array([r.p for r in rounds]).sum(axis=1).max())
-
-
 def _gftpl_config(cfg: ExperimentConfig, N: int, rounds) -> GftplConfig:
     """The engine parameters of a gftpl_gkp config for N items. G_f defaults
-    to a payoff ceiling of the ``rounds`` (no round pays more than its
-    profits summed), and F_M to G_f."""
+    to a payoff ceiling of the ``rounds``, at least 1.0 (no round pays more
+    than its profits summed), and F_M to G_f."""
     given = _given(cfg, ("eta", "kappa", "delta", "G_gamma", "G_f", "F_M", "eps"))
     if "G_f" not in given:
-        given["G_f"] = max(_max_round_profit(rounds), 1.0)
+        given["G_f"] = float(_stacked(N, rounds)[0].sum(axis=1).max(initial=1.0))
     given.setdefault("F_M", given["G_f"])
     mode, eps = GftplConfig.eps_schedule  # the defaults
     schedule = (cfg.params.get("eps_schedule", mode), given.pop("eps", eps))

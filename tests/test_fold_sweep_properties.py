@@ -13,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from regretlab.gkp import brute_oracle, fold_sweep  # noqa: E402
+from regretlab.gkp import _stacked, brute_oracle, fold_sweep  # noqa: E402
 from regretlab.instances import GkpRound, GkpStatic  # noqa: E402
 
 
@@ -55,7 +55,7 @@ def first_maximizer(static, query):
 @given(dyadic_runs())
 def test_every_round_leader_is_brute_oracle_of_its_query(run):
     static, rounds, tail = run
-    leaders, bests = fold_sweep(static, rounds, tail)
+    leaders, bests = fold_sweep(static, *_stacked(static.n, rounds), tail)
     assert len(leaders) == len(bests) == len(rounds)
     for t in range(1, len(rounds) + 1):
         query = rounds[: t - 1] + tail

@@ -20,6 +20,7 @@ from regretlab.gkp import (
     SetFold,
     _lex_order,
     _mask_members,
+    _stacked,
     _subset_sums,
     brute_oracle,
     distinguisher_set,
@@ -304,6 +305,83 @@ def test_run_propagates_oracle_failure_with_round():
         gftpl_run(static, [GkpRound([1.0], 1.0)], broken, GftplConfig(N=1, eta=0.0), SeededRng(1))
 
 
+def scripted_oracle(plays):
+    """An oracle playing plays[t-1] in round t, read off the query length;
+    an exception in plays is raised instead."""
+
+    def oracle(static, rounds):
+        play = plays[len(rounds) - static.n]
+        if isinstance(play, Exception):
+            raise play
+        return play, 0.0
+
+    return oracle
+
+
+@pytest.mark.parametrize(
+    "plays, message",
+    [
+        ([frozenset(), {0}, RuntimeError("boom")], r"^round 2: negative payoff -10\.0 "),
+        ([frozenset(), {0}, {3}], r"^round 2: negative payoff -10\.0 "),
+        ([frozenset(), {3}, RuntimeError("boom")], r"^item index out of range$"),
+        ([frozenset(), frozenset(), RuntimeError("boom")], r"^oracle failed at round 3: boom$"),
+    ],
+)
+def test_run_reports_the_earliest_fault_first(plays, message):
+    static = GkpStatic(1, [1.0], 10.0)
+    stream = [GkpRound([5.0], 1.0), GkpRound([0.0], 0.0), GkpRound([1.0], 1.0)]
+    cfg = GftplConfig(N=1, eta=0.0, eps_schedule=("fptas", 0.1))
+    with pytest.raises((ValueError, RuntimeError), match=message):
+        gftpl_run(static, stream, scripted_oracle(plays), cfg, SeededRng(17))
+
+
+def test_run_refuses_an_oracle_set_with_an_item_out_of_range():
+    static = GkpStatic(2, [1.0, 1.0], 0.5)
+    stream = [GkpRound([1.0, 1.0], 1.0)] * 3
+    for bad in ({2}, {0, -1}):
+        oracle = scripted_oracle([{0}, bad, {1}])
+        with pytest.raises(ValueError, match="^item index out of range$"):
+            gftpl_run(static, stream, oracle, GftplConfig(N=2, eta=0.0), SeededRng(18))
+
+
+def signed_zero_instance(rng, n, T):
+    """Profits and capacities with many signed zeros (zero capacities
+    included), weights from a few values."""
+
+    def pick(*values):
+        return values[rng.randrange(len(values))]
+
+    w = [pick(0.0, 0.25, 1.0, rng.random()) for _ in range(n)]
+    static = GkpStatic(n, w, pick(0.0, 0.5, 1.0 + rng.random()))
+    stream = [
+        GkpRound(
+            [pick(0.0, -0.0, rng.random(), rng.random() * 1e-3) for _ in range(n)],
+            pick(0.0, -0.0, rng.uniform(0.0, sum(w))),
+        )
+        for _ in range(T)
+    ]
+    return static, stream
+
+
+@pytest.mark.parametrize("n", range(1, MAX_BRUTE_N + 1))
+def test_payoffs_are_the_one_round_rule_bitwise(n):
+    # both leader sources share the scoring; the scripted oracle repeats a
+    # few sets, the empty and the full set among them
+    rng = SeededRng(7600 + n)
+    T = 40 if n <= 12 else 6
+    static, stream = signed_zero_instance(rng, n, T)
+    few = [frozenset(), frozenset(range(n))]
+    few += [frozenset(i for i in range(n) if rng.random() < 0.5) for _ in range(3)]
+    plays = [few[rng.randrange(len(few))] for _ in range(T)]
+    for oracle in (None, scripted_oracle(plays)):
+        cfg = GftplConfig(N=n, G_f=float(n), F_M=float(n))
+        tr = gftpl_run(static, stream, oracle, cfg, SeededRng(n))
+        one_round = [gkp_profit(A, static, y) for A, y in zip(tr.actions, stream)]
+        assert np.array(tr.values).tobytes() == np.array(one_round).tobytes()
+        assert all(type(v) is float for v in tr.values)
+    assert list(tr.actions) == plays
+
+
 def test_regret_per_round_shrinks_with_horizon():
     # small version of the vanishing-regret acceptance check; capacities tight
     # enough (≤1.5 against total weight up to 6) that the penalty actually bites
@@ -566,7 +644,7 @@ def test_exact_leader_makes_no_per_round_fold_call(monkeypatch):
 def test_sweep_bests_are_prefix_best_values_and_need_no_tail():
     rng = SeededRng(7500)
     static, stream = random_instance(rng, 7, 150)
-    leaders, bests = fold_sweep(static, stream)
+    leaders, bests = fold_sweep(static, *_stacked(7, stream))
     assert leaders is None
     assert bests == prefix_best_values(static, stream)
     fold = SetFold(static)
@@ -574,7 +652,7 @@ def test_sweep_bests_are_prefix_best_values_and_need_no_tail():
         fold.add(y)
         assert bests[t] == float((fold.P - static.c * fold.K).max())
     # an empty tail makes the leader of round t follow the plain prefix
-    leaders, _ = fold_sweep(static, stream, [])
+    leaders, _ = fold_sweep(static, *_stacked(7, stream), [])
     fold = SetFold(static)
     for t, y in enumerate(stream):
         assert leaders[t] == fold.leader([], static.c)
@@ -584,7 +662,7 @@ def test_sweep_bests_are_prefix_best_values_and_need_no_tail():
 def test_sweep_guards_the_enumeration():
     n = MAX_BRUTE_N + 1
     with pytest.raises(ValueError, match="enumeration guard"):
-        fold_sweep(GkpStatic(n, np.ones(n), 1.0), [])
+        fold_sweep(GkpStatic(n, np.ones(n), 1.0), *_stacked(n, []))
 
 
 @pytest.mark.parametrize("n", range(13))

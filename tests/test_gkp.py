@@ -22,7 +22,6 @@ from regretlab.gkp import (
     exact_dp_oracle,
     excess_value,
     fptas_grid_info,
-    fold_sweep,
     fptas_oracle,
     gkp_profit,
     multi_gkp_profit,
@@ -272,7 +271,7 @@ def dense_best_set(q, w, unit, c, f):
 def reference_exact_dp(static, rounds, profit_grid):
     p_s = np.sum([r.p for r in rounds], axis=0)
     q = np.rint(p_s / profit_grid).astype(np.int64)
-    best = dense_best_set(q, static.w, profit_grid, static.c, ExcessFunction.from_rounds(rounds))
+    best = dense_best_set(q, static.w, profit_grid, static.c, ExcessFunction.from_caps([r.B for r in rounds]))
     return best, multi_gkp_profit(best, static, rounds)
 
 
@@ -284,7 +283,7 @@ def reference_fptas(static, rounds, eps):
         return frozenset(), 0.0
     K = eps * p_max / n
     q = np.array([floor(float(x) / K) for x in p_s], dtype=np.int64)
-    dp_set = dense_best_set(q, static.w, K, static.c, ExcessFunction.from_rounds(rounds))
+    dp_set = dense_best_set(q, static.w, K, static.c, ExcessFunction.from_caps([r.B for r in rounds]))
     candidates = [frozenset(), dp_set] + [frozenset({i}) for i in range(n)]
     best = min(candidates, key=lambda A: (-multi_gkp_profit(A, static, rounds), tuple(sorted(A))))
     return best, multi_gkp_profit(best, static, rounds)
@@ -364,8 +363,16 @@ def _random_four():
         lambda st, rs: exact_dp_oracle(st, rs, 1.0),
         lambda st, rs: fptas_oracle(st, rs, 0.5),
         lambda st, rs: fptas_grid_info(st, rs, 0.5),
+        prefix_best_values,
     ],
-    ids=["multi_gkp_profit", "brute_oracle", "exact_dp_oracle", "fptas_oracle", "fptas_grid_info"],
+    ids=[
+        "multi_gkp_profit",
+        "brute_oracle",
+        "exact_dp_oracle",
+        "fptas_oracle",
+        "fptas_grid_info",
+        "prefix_best_values",
+    ],
 )
 def test_every_history_reader_rejects_a_round_of_the_wrong_length(read):
     static = GkpStatic(3, [1.0, 1.0, 1.0], 0.5)
@@ -385,8 +392,6 @@ def test_single_round_readers_reject_a_round_of_the_wrong_length():
         gkp_profit({0}, static, short)
     with pytest.raises(ValueError, match=message):
         SetFold(static).delta(short)
-    with pytest.raises(ValueError, match=r"^rounds\[1\]: profit vector length must match item count 3$"):
-        fold_sweep(static, [GkpRound([1.0, 2.0, 3.0], 1.0), short])
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])

@@ -419,16 +419,17 @@ def old_payoff_ceiling(rounds):
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 33, 130, 199])
 def test_payoff_ceiling_matches_the_per_round_sums(n):
     rng = SeededRng(n)
+    cfg = ExperimentConfig("gftpl_gkp", {"gkp": "k"}, 4, (0,))
     for T in (0, 1, 5, 64):
         rounds = [
             GkpRound([rng.random() * 10.0 ** (rng.randrange(7) - 3) for _ in range(n)], 1.0)
             for _ in range(T)
         ]
-        assert harness._max_round_profit(rounds) == old_payoff_ceiling(rounds)
         zeros = [GkpRound(np.zeros(n), 1.0), GkpRound(-np.zeros(n), 0.0)]
-        for rs in (zeros, rounds + zeros):
-            got, old = harness._max_round_profit(rs), old_payoff_ceiling(rs)
-            assert got == old and max(got, 1.0) == max(old, 1.0)
+        for rs in (rounds, zeros, rounds + zeros):
+            G_f = harness._gftpl_config(cfg, n, rs).G_f
+            assert G_f == max(old_payoff_ceiling(rs), 1.0)
+            assert type(G_f) is float
 
 
 # --- compare_bounds -----------------------------------------------------------------
