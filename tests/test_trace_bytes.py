@@ -24,6 +24,11 @@ from regretlab.instances import (
 from regretlab.rng import SeededRng
 
 GRAPH = Graph(7, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)))
+# two-digit vertices, so a cell must list its members in numeric order
+# (2;10, not 10;2)
+GRAPH12 = Graph(12, tuple((i, (i + 1) % 12) for i in range(12)) + ((0, 6), (2, 9), (3, 10)))
+# no edges: the empty set is a cover, so cells can be empty
+EDGELESS12 = Graph(12, ())
 
 
 def signed_zero_weights():
@@ -38,15 +43,35 @@ def signed_zero_weights():
     return WeightSequence(GRAPH.n, rows)
 
 
-# (algorithm, instance roles, params) per harness path
+# instance files, by file name
+INSTANCES = {
+    "graph": lambda: serialize_graph(GRAPH),
+    "graph12": lambda: serialize_graph(GRAPH12),
+    "edgeless12": lambda: serialize_graph(EDGELESS12),
+    "weights": lambda: serialize_weights(signed_zero_weights()),
+    "gkp": lambda: serialize_gkp(gen_random_gkp(5, 24, SeededRng(17))),
+    "gkp12": lambda: serialize_gkp(gen_random_gkp(12, 24, SeededRng(29))),
+}
+
+G, W, K = {"graph": "graph"}, {"graph": "graph", "weights": "weights"}, {"gkp": "gkp"}
+G12, E12, K12 = {"graph": "graph12"}, {"graph": "edgeless12"}, {"gkp": "gkp12"}
+
+# (algorithm, instance role -> file, params) per harness path
 CONFIGS = {
-    "ogd_uniform": ("ogd_vc", ("graph",), {"weight_gen": "uniform"}),
-    "ogd_onehot": ("ogd_vc", ("graph",), {"weight_gen": "onehot"}),
-    "ogd_weights_file": ("ogd_vc", ("graph", "weights"), {}),
-    "gftpl_brute": ("gftpl_gkp", ("gkp",), {"oracle": "brute"}),
-    "gftpl_fptas": ("gftpl_gkp", ("gkp",), {"oracle": "fptas", "round_source": "random"}),
-    "gap_ftl": ("gap_solver", ("graph",), {"A": 0.2, "B": 0.5, "learner": "ftl"}),
-    "gap_ogd": ("gap_solver", ("graph",), {"A": 0.2, "B": 0.6, "learner": "ogd"}),
+    "ogd_uniform": ("ogd_vc", G, {"weight_gen": "uniform"}),
+    "ogd_onehot": ("ogd_vc", G, {"weight_gen": "onehot"}),
+    "ogd_weights_file": ("ogd_vc", W, {}),
+    "gftpl_brute": ("gftpl_gkp", K, {"oracle": "brute"}),
+    "gftpl_fptas": ("gftpl_gkp", K, {"oracle": "fptas", "round_source": "random"}),
+    "gap_ftl": ("gap_solver", G, {"A": 0.2, "B": 0.5, "learner": "ftl"}),
+    "gap_ogd": ("gap_solver", G, {"A": 0.2, "B": 0.6, "learner": "ogd"}),
+    "ogd_n12": ("ogd_vc", G12, {"weight_gen": "uniform"}),
+    "ogd_edgeless": ("ogd_vc", E12, {"weight_gen": "uniform"}),
+    "gftpl_brute_n12": ("gftpl_gkp", K12, {"oracle": "brute"}),
+    "gftpl_fptas_n12": ("gftpl_gkp", K12, {"oracle": "fptas"}),
+    "gap_ftl_n12": ("gap_solver", G12, {"A": 0.2, "B": 0.5, "learner": "ftl"}),
+    "gap_ogd_n12": ("gap_solver", G12, {"A": 0.2, "B": 0.5, "learner": "ogd"}),
+    "gap_ftl_edgeless": ("gap_solver", E12, {"A": 0.2, "B": 0.6, "learner": "ftl"}),
 }
 
 PINNED = {
@@ -78,22 +103,53 @@ PINNED = {
         "trace_seed0.csv": "c9a7d03e3af4f8f3230620bba7e43a67d55bcb70da83f70750486a220ae81bf3",
         "trace_seed1.csv": "af1b10579a2750cb11dbfc51a28f4f89c2406949b47179d616b461472a6ff803",
     },
+    "ogd_n12": {
+        "trace_seed0.csv": "90e631cb20e344bdbe3ee1af26627820bc7c104390b109b973d00b13f7878a17",
+        "trace_seed1.csv": "7c0bbe91cc168a7db71a1b74b0583655eaa2eb884ee821739cc6cca4daa3bbae",
+    },
+    "ogd_edgeless": {
+        "trace_seed0.csv": "d80062c3506d288d31786a4f527d6448c5e717832e9594717891fda182376e4e",
+        "trace_seed1.csv": "31241bf0ec79f45727a0c9636038a8dd5fda8c86057af741483634ff4cefb8cf",
+    },
+    "gftpl_brute_n12": {
+        "trace_seed0.csv": "5e29a1534fc89f8504ed5fbe670291412b39791e50d0bc75ad46bc4f61215f8e",
+        "trace_seed1.csv": "87777e7ef9cccccd120cd40c3e3fb0293a5a3a9f82362365e1b38b0c23dad812",
+    },
+    "gftpl_fptas_n12": {
+        "trace_seed0.csv": "5e29a1534fc89f8504ed5fbe670291412b39791e50d0bc75ad46bc4f61215f8e",
+        "trace_seed1.csv": "87777e7ef9cccccd120cd40c3e3fb0293a5a3a9f82362365e1b38b0c23dad812",
+    },
+    "gap_ftl_n12": {
+        "trace_seed0.csv": "0e74a69d414beeb36a9ff9b5a5978a5cd06473395a3d1b40a3b3ae387f6b03bf",
+        "trace_seed1.csv": "5ee48e0c3da720a6ec37cf7c2f2f27730e53e71201d091182614c7daa8148d52",
+    },
+    "gap_ogd_n12": {
+        "trace_seed0.csv": "030fdadcf292f2549e7bd2c6d7b738dd2008c29ed7eebdd627af0c392f84e4fe",
+        "trace_seed1.csv": "b5f0d5cc867d36b6fe704a80e0c8f01928ebe3533778fa6925c7acd7d64d9753",
+    },
+    "gap_ftl_edgeless": {
+        "trace_seed0.csv": "886da135bf0f6b34ed01b4bc94aee985acc194672372e55794cfc83436342177",
+        "trace_seed1.csv": "886da135bf0f6b34ed01b4bc94aee985acc194672372e55794cfc83436342177",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_trace_csv_bytes_are_pinned(capsys, tmp_path, name):
-    algorithm, roles, params = CONFIGS[name]
-    (tmp_path / "graph").write_text(serialize_graph(GRAPH))
-    (tmp_path / "weights").write_text(serialize_weights(signed_zero_weights()))
-    (tmp_path / "gkp").write_text(serialize_gkp(gen_random_gkp(5, 24, SeededRng(17))))
-    cfg = {"algorithm": algorithm, "instance": {r: r for r in roles}, "T": 24, "seeds": [0, 1],
-           "params": params}
+    algorithm, instance, params = CONFIGS[name]
+    for file in instance.values():
+        (tmp_path / file).write_text(INSTANCES[file]())
+    cfg = {"algorithm": algorithm, "instance": instance, "T": 24, "seeds": [0, 1], "params": params}
     (tmp_path / "exp.json").write_text(json.dumps(cfg))
     main(["run", str(tmp_path / "exp.json"), "-o", str(tmp_path / "out")])
     capsys.readouterr()
     traces = sorted((tmp_path / "out").glob("trace_*.csv"))
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in traces}
     assert digests == PINNED[name]
+    text = traces[0].read_text()
     if name == "ogd_weights_file":
-        assert "1,0;1;2;3;4;5;6,-0.0,-0.0," in traces[0].read_text()
+        assert "1,0;1;2;3;4;5;6,-0.0,-0.0," in text
+    if name == "ogd_n12":
+        assert "\n24,0;1;2;3;5;6;8;9;10,0.974633721800292," in text
+    if name in ("ogd_edgeless", "gap_ftl_edgeless"):
+        assert f"\n{text.count(chr(10))},,0.0,0.0" in text  # the last row plays the empty set
