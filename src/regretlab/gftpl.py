@@ -20,7 +20,8 @@ played. The engine stacks the stream once and runs in two stages: the
 leaders (with ``oracle=None`` every round's exact leader from one
 gkp.fold_sweep, which also gives every prefix's hindsight benchmark;
 otherwise one oracle call per round), then one scoring pass, a gathered
-row sum of the stacked stream per distinct played set.
+row sum of the stacked stream per distinct played set, keyed on its int
+bitmask.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .gkp import MAX_BRUTE_N, _check_members, _stacked, distinguisher_set, fold_sweep
+from .gkp import MAX_BRUTE_N, _stacked, distinguisher_set, fold_sweep
 from .instances import GkpRound, GkpStatic
 from .rng import SeededRng
-from .traces import RegretTrace, running_sums
+from .traces import RegretTrace, checked_int, mask_members, running_sums
 
 __all__ = [
     "GftplConfig",
@@ -167,20 +168,16 @@ def resolve_run(cfg: GftplConfig, T: int) -> tuple[GftplConfig, float]:
     return cfg, eps
 
 
-def _payoffs(static: GkpStatic, P: np.ndarray, B: np.ndarray, played, mode: str) -> list[float]:
-    """gkp_profit of played[k] in round k+1 for every k, bit for bit, as one
-    gathered row sum per distinct played set. The earliest round's fault is
-    raised: an item out of range or, under fptas, a negative payoff."""
-    rows_of: dict[frozenset, list[int]] = {}
-    for k, A in enumerate(played):
-        rows_of.setdefault(A, []).append(k)
-    payoffs = np.zeros(len(played))
-    for A, rows in rows_of.items():  # in the order of first play
-        try:
-            members = _check_members(A, static.n)
-        except ValueError:  # unless an earlier round broke a rule
-            _payoffs(static, P, B, played[: rows[0]], mode)
-            raise
+def _payoffs(static: GkpStatic, P: np.ndarray, B: np.ndarray, masks, mode: str) -> list[float]:
+    """gkp_profit of the set masks[k] in round k+1 for every k, bit for bit,
+    as one gathered row sum per distinct mask over its members, ascending.
+    Under fptas the earliest round with a negative payoff is refused."""
+    rows_of: dict[int, list[int]] = {}
+    for k, mask in enumerate(masks):
+        rows_of.setdefault(mask, []).append(k)
+    payoffs = np.zeros(len(masks))
+    for mask, rows in rows_of.items():
+        members = mask_members(mask)
         if members:
             excess = np.maximum(0.0, static.w[members].sum() - B[rows])
             payoffs[rows] = P[np.ix_(rows, members)].sum(axis=1) - static.c * excess
@@ -191,6 +188,23 @@ def _payoffs(static: GkpStatic, P: np.ndarray, B: np.ndarray, played, mode: str)
             "(the multiplicative contract needs nonnegative payoffs)"
         )
     return payoffs.tolist()
+
+
+def _item_mask(A, n: int, t: int) -> int:
+    """The oracle's round-t item set A as an int mask over n items. A
+    member that is a bool, not an integer (integer numpy scalars are) or
+    out of range is refused with a ValueError naming the round."""
+    try:
+        members = iter(A)
+    except TypeError:
+        raise ValueError(f"round {t}: oracle returned a {type(A).__name__}, not an item set") from None
+    mask = 0
+    for i in members:
+        i = checked_int(i, t, "an oracle set member")
+        if not 0 <= i < n:
+            raise ValueError(f"round {t}: item index {i} out of range for {n} items")
+        mask |= 1 << i
+    return mask
 
 
 def gftpl_run(
@@ -214,9 +228,12 @@ def gftpl_run(
     tie rule, for all rounds at once by fold_sweep (the floats
     CachingBruteOracle computes round by round); it needs n <= MAX_BRUTE_N.
     Any other oracle is called once per round as oracle(static,
-    rounds_stream[:t-1] + perturbation rounds); if it fails at round t, a
-    fault of an earlier round is reported first. The hindsight benchmark
-    comes from the same sweep whenever n <= MAX_BRUTE_N.
+    rounds_stream[:t-1] + perturbation rounds), and each set it returns
+    is checked and turned into an int mask as it arrives (_item_mask). If
+    the oracle fails or returns a bad set at round t, a fault of an
+    earlier round is reported first. The hindsight benchmark comes from
+    the same sweep whenever n <= MAX_BRUTE_N. The trace holds the played
+    sets as masks.
     """
     rounds_stream = list(rounds_stream)
     T = len(rounds_stream)
@@ -244,22 +261,27 @@ def gftpl_run(
     if oracle is not None:
         leaders = []
         for t in range(1, T + 1):
+            # on a fault at round t, _payoffs of the rounds before raises theirs first
             try:
                 played, perturbed_obj = oracle(static, rounds_stream[: t - 1] + pert_rounds)
             except Exception as exc:
-                _payoffs(static, P, B, [frozenset(A) for A, _ in leaders], mode)
+                _payoffs(static, P, B, [A for A, _ in leaders], mode)
                 raise RuntimeError(f"oracle failed at round {t}: {exc}") from exc
-            leaders.append((played, perturbed_obj))
+            try:
+                leaders.append((_item_mask(played, n, t), perturbed_obj))
+            except ValueError:
+                _payoffs(static, P, B, [A for A, _ in leaders], mode)
+                raise
 
-    played_sets = [frozenset(A) for A, _ in leaders]
-    payoffs = _payoffs(static, P, B, played_sets, mode)
+    masks = [A for A, _ in leaders]
+    payoffs = _payoffs(static, P, B, masks, mode)
     benchmark = None if bests is None else (bests[-1] if T else 0.0)
     if bests is None:  # n above the enumeration guard: no benchmark columns
         bests = [float("nan")] * T
     regrets = [b - cum for b, cum in zip(bests, running_sums(payoffs))]
     return RegretTrace(
         algorithm="gftpl_gkp",
-        actions=played_sets,
+        masks=masks,
         values=payoffs,
         extras={
             "perturbed_obj": [float(v) for _, v in leaders],

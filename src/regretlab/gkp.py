@@ -39,6 +39,7 @@ from math import floor, isfinite
 import numpy as np
 
 from .instances import GkpRound, GkpStatic, check_round_length
+from .traces import mask_members
 
 ItemSet = frozenset
 
@@ -149,17 +150,6 @@ def _aggregate_profit(A, static: GkpStatic, summed) -> float:
     return float(p_s[members].sum()) - static.c * f.value(W)
 
 
-def _mask_members(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
 def _subset_sums(v: np.ndarray) -> np.ndarray:
     """arr[..., mask] = sum of v[..., :] over the bits of mask, for all 2^n
     masks; a 2-D v gives one row of subset sums per row of v."""
@@ -173,7 +163,7 @@ def _subset_sums(v: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=MAX_BRUTE_N + 1)
 def _lex_order(n: int) -> np.ndarray:
     """All 2^n masks sorted as their sorted index tuples, the empty set
-    first: sorted(range(2**n), key=_mask_members), built in O(2^n).
+    first: sorted(range(2**n), key=mask_members), built in O(2^n).
 
     The sets of items i..n-1 in that order are the empty set, then those
     holding i (i joined to each set of items i+1..n-1, in their order),
@@ -186,16 +176,14 @@ def _lex_order(n: int) -> np.ndarray:
     return order
 
 
-def _row_leaders(values: np.ndarray) -> list[tuple[frozenset, float]]:
-    """leader_set of each row of values (rows x 2^n): the first maximum
-    with the columns taken in _lex_order, the empty set giving (∅, 0.0)."""
+def _row_leaders(values: np.ndarray) -> list[tuple[int, float]]:
+    """The leader of each row of values (rows x 2^n) as (mask, maximum):
+    the first maximum with the columns taken in _lex_order, the empty set
+    giving (0, 0.0)."""
     order = _lex_order(values.shape[1].bit_length() - 1)
     masks = order[values[:, order].argmax(axis=1)]
     tops = values[np.arange(values.shape[0]), masks].tolist()
-    return [
-        (frozenset(_mask_members(mask)), top) if mask else (frozenset(), 0.0)
-        for mask, top in zip(masks.tolist(), tops)
-    ]
+    return [(mask, top) if mask else (0, 0.0) for mask, top in zip(masks.tolist(), tops)]
 
 
 def leader_set(values: np.ndarray) -> tuple[frozenset, float]:
@@ -205,7 +193,8 @@ def leader_set(values: np.ndarray) -> tuple[frozenset, float]:
     tuples, so the empty set precedes everything), whose value is then 0.
     It is one row of the rule fold_sweep applies to every round.
     """
-    return _row_leaders(values[None, :])[0]
+    mask, top = _row_leaders(values[None, :])[0]
+    return frozenset(mask_members(mask)), top
 
 
 class SetFold:
@@ -274,12 +263,13 @@ def brute_oracle(static: GkpStatic, rounds) -> tuple[frozenset, float]:
 
 def fold_sweep(
     static: GkpStatic, P: np.ndarray, B: np.ndarray, tail=None
-) -> tuple[list[tuple[frozenset, float]] | None, list[float]]:
+) -> tuple[list[tuple[int, float]] | None, list[float]]:
     """Every round's exact leader and hindsight benchmark, in one pass.
 
     P and B are the stream as _stacked returns it. Returns (leaders, bests):
     leaders[t-1] is leader_set of the fold of rounds 1..t-1 plus the per-set
-    deltas of the ``tail`` rounds, bests[t-1] the best set's value on the
+    deltas of the ``tail`` rounds, with the set as its int bitmask (bit i
+    for item i), bests[t-1] the best set's value on the
     fold of rounds 1..t. ``tail=None`` skips the leaders (returns None).
 
     The (rounds x 2^n) fold is computed in blocks of about _BLOCK_CELLS

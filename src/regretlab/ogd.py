@@ -28,7 +28,7 @@ import numpy as np
 
 from .instances import Graph, WeightSequence
 from .minmax import MAX_HINDSIGHT_N, best_static_vc_hindsight
-from .traces import RegretTrace, running_sums
+from .traces import RegretTrace, mask_members, running_sums
 
 __all__ = [
     "OgdConfig",
@@ -227,10 +227,15 @@ def project_vc_polytope(y, g: Graph) -> np.ndarray:
     return _project(y.tolist(), [u for u, _ in g.edges], [v for _, v in g.edges])
 
 
-def round_half(x) -> frozenset:
-    """Vertices with x_i >= 1/2; a cover whenever x is edge-feasible. ``x``
-    is any sequence of floats (a list, a tuple or a vector)."""
-    return frozenset([i for i, xi in enumerate(x) if xi >= 0.5])
+def round_half(x) -> int:
+    """The vertices with x_i >= 1/2, as an int bitmask (bit i for vertex
+    i); a cover whenever x is edge-feasible. ``x`` is any sequence of
+    floats (a list, a tuple or a vector)."""
+    mask = 0
+    for i, xi in enumerate(x):
+        if xi >= 0.5:
+            mask |= 1 << i
+    return mask
 
 
 def theorem2_bound(W: float, n: int, T: int) -> float:
@@ -247,7 +252,8 @@ class OgdVcLearner:
 
     The learner's state is plain Python: the iterate ``x`` is a list of n
     floats, which each step updates in place. ``play`` publishes the
-    half-rounding of ``x``; ``observe`` takes the subgradient step for the
+    half-rounding of ``x`` as an int bitmask (:func:`round_half`);
+    ``observe`` takes the subgradient step for the
     revealed row,
     y = x - (scale/sqrt(t)) * w_{i*} e_{i*} with i* the first argmax of
     w*x, and projects y back onto the cover polytope. ``scale`` is 1 in
@@ -277,7 +283,7 @@ class OgdVcLearner:
         self._adj = neighbour_lists(g)
         self._scale = sqrt(g.n) / self.cfg.W_bound if self.cfg.step_mode == "scaled" else 1.0
 
-    def play(self) -> frozenset:
+    def play(self) -> int:
         return round_half(self.x)
 
     def observe(self, w_row, cost: float) -> None:
@@ -335,14 +341,18 @@ def ogd_run(
         raise ValueError("weights exceed the configured W_bound")
     n = g.n
     learner = OgdVcLearner(g, cfg)
-    played_sets = []
+    masks = []
     int_costs = []
     frac_costs = []
+    members_of: dict[int, list[int]] = {}  # one member index list per distinct mask
     for w in rows:
         played = learner.play()
-        played_sets.append(played)
+        masks.append(played)
+        members = members_of.get(played)
+        if members is None:
+            members = members_of[played] = mask_members(played)
         # numpy reductions, not max(): the two differ on the sign of a zero
-        int_costs.append(float(w[list(played)].max()) if played else 0.0)
+        int_costs.append(float(w[members].max()) if members else 0.0)
         frac_costs.append(float((w * np.array(learner.x)).max()))
         learner._step(w.tolist())
 
@@ -351,7 +361,7 @@ def ogd_run(
         _, benchmark = best_static_vc_hindsight(g, seq)
     return RegretTrace(
         algorithm="ogd_vc",
-        actions=played_sets,
+        masks=masks,
         values=int_costs,
         extras={
             "frac_cost": frac_costs,

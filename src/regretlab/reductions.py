@@ -25,11 +25,11 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .instances import Dnf3Formula, Graph, ProcTimeMatrix, WeightSequence, serialize_dnf
-from .minmax import PathChain, is_vertex_cover, multi_minmax_cost, vc_threshold
+from .minmax import PathChain, multi_minmax_cost, vc_threshold
 from .ogd import OgdVcLearner  # re-exported: the gap decider's OGD learner
 from .ogd import checked_weight_row, neighbour_lists
 from .rng import SeededRng
-from .traces import RegretTrace
+from .traces import RegretTrace, checked_int
 
 # Refuse to pre-draw absurdly long adversary streams; callers with a huge
 # computed horizon should set T_override instead.
@@ -87,13 +87,19 @@ def gap_horizon(cfg: GapConfig, eps: float, n: int) -> int:
 class OnlineVcLearner(Protocol):
     """Protocol for learners usable by :func:`gap_solver`.
 
-    ``play`` must return a vertex cover of the learner's graph;
-    ``observe`` receives the revealed weight row and the incurred cost.
+    ``play`` must return a vertex cover of the learner's graph as an int
+    bitmask: bit v set means vertex v is in the cover. ``observe``
+    receives the revealed weight row and the incurred cost.
     """
 
-    def play(self) -> frozenset: ...
+    def play(self) -> int: ...
 
     def observe(self, w_row: np.ndarray, cost: float) -> None: ...
+
+
+def _neighbour_masks(adj: list[list[int]]) -> list[int]:
+    """Each vertex's neighbour list as an int bitmask."""
+    return [sum(1 << u for u in a) for a in adj]
 
 
 class FtlMinMaxVcLearner:
@@ -105,32 +111,32 @@ class FtlMinMaxVcLearner:
     vertices first, so a cheap small cover (a star center, say) is
     actually played as a small set. The learner's state is plain Python:
     the running sums ``cum`` are a list of n floats, and the prune works on
-    int bitmasks of the vertices.
+    int bitmasks of the vertices and plays the pruned mask.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.cum = [0.0] * g.n
         adj = neighbour_lists(g)
-        self._nbr = [sum(1 << u for u in a) for a in adj]  # neighbours as a bitmask
+        self._nbr = _neighbour_masks(adj)
         # ties on cum drop the lower degree first, then the higher index
         self._order = sorted(range(g.n), key=lambda v: (len(adj[v]), -v))
 
-    def play(self) -> frozenset:
+    def play(self) -> int:
         if not self.g.m:
-            return frozenset()
+            return 0
         cum = self.cum
         thr = vc_threshold(cum, self.g.edges)
         # a stable sort on cum alone keeps (degree, -v) order among ties
         order = sorted([v for v in self._order if cum[v] <= thr], key=cum.__getitem__, reverse=True)
-        kept = sum(1 << v for v in order)
+        kept = sum([1 << v for v in order])
         nbr = self._nbr
         # kept is a cover throughout, so dropping v keeps it one exactly
         # when every neighbour of v is kept
         for v in order:
             if nbr[v] & kept == nbr[v]:
                 kept &= ~(1 << v)
-        return frozenset([v for v in range(self.g.n) if kept >> v & 1])
+        return kept
 
     def observe(self, w_row: np.ndarray, cost: float) -> None:
         """Add a revealed weight row to the running sums; rejects a row
@@ -161,6 +167,23 @@ class GapResult:
         return rows
 
 
+def _check_cover(mask: int, nbr: list[int], t: int) -> None:
+    """Refuse a round-t mask that is not a vertex cover of the graph whose
+    neighbour masks are ``nbr``, with a ValueError naming the round: a
+    negative mask, a bit at index n or above, or a vertex left out with a
+    neighbour left out."""
+    n = len(nbr)
+    if mask < 0 or mask >> n:
+        raise ValueError(f"round {t}: learner played mask {mask}, not a set of the {n} vertices")
+    out = ~mask & ((1 << n) - 1)
+    rest = out
+    while rest:
+        low = rest & -rest
+        if nbr[low.bit_length() - 1] & out:
+            raise ValueError(f"learner emitted a non-cover at round {t}")
+        rest ^= low
+
+
 def gap_solver(
     g: Graph,
     cfg: GapConfig,
@@ -175,8 +198,10 @@ def gap_solver(
     charged for that round); a learner whose regret really is p(n)·T^c
     must produce such a cover within the horizon whenever a cover smaller
     than A·n exists, up to the promised constant error probability.
-    Emitting a non-cover is a contract violation and raises; each distinct
-    played set is checked once, since a set equal to a checked cover is one.
+    ``learner.play()`` must return an int bitmask of a vertex cover; a
+    play that is not one (a bool, a non-integer, a negative int, a bit at
+    index n or above, or a non-cover) raises a ValueError naming the
+    round. Each distinct mask is checked once, by bit tests.
     """
     try:
         T = gap_horizon(cfg, eps, g.n)
@@ -196,31 +221,32 @@ def gap_solver(
 
     decision = "No"
     yes_round = None
-    played_sets = []
+    masks = []
     costs = []
-    covers: set[frozenset] = set()
+    nbr = _neighbour_masks(neighbour_lists(g))
+    covers: set[int] = set()
     for t in range(1, T + 1):
         played = learner.play()
-        key = frozenset(played)  # the set itself when it is a frozenset
-        if key not in covers:
-            if not is_vertex_cover(g, played):
-                raise ValueError(f"learner emitted a non-cover at round {t}")
-            covers.add(key)
-        played_sets.append(played)
-        if len(played) < threshold:
+        if type(played) is not int:  # before the lookup: True == 1 is in covers
+            played = checked_int(played, t, "a learner's play")
+        if played not in covers:
+            _check_cover(played, nbr, t)
+            covers.add(played)
+        masks.append(played)
+        if played.bit_count() < threshold:
             decision, yes_round = "Yes", t
             costs.append(0.0)
             break
         u = targets[t - 1]
         w_row = np.zeros(g.n)
         w_row[u] = 1.0
-        cost = 1.0 if u in played else 0.0
+        cost = 1.0 if played >> u & 1 else 0.0
         costs.append(cost)
         learner.observe(w_row, cost)
 
     trace = RegretTrace(
         algorithm="gap_solver",
-        actions=played_sets,
+        masks=masks,
         values=costs,
         meta={
             "n": g.n,

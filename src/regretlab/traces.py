@@ -1,19 +1,24 @@
 """Per-round regret ledgers and their CSV surface.
 
-A trace stores one online run as columns: the action played each round,
-the cost or payoff it incurred, and any algorithm-specific float columns.
+A trace stores one online run as columns: the set played each round, the
+cost or payoff it incurred, and any algorithm-specific float columns.
 Round t is entry t - 1 of every column, so the round index is implicit.
 On construction the trace checks that every column has one entry per
 round and computes the exact running sum of its values, once.
+
+A played set is an int bitmask, the one action type from a learner's
+``play`` to the CSV cell: bit i set means item or vertex i is in the set.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Mapping
 
-__all__ = ["RegretTrace", "running_sums", "trace_to_csv"]
+__all__ = ["RegretTrace", "checked_int", "format_action", "mask_members", "running_sums", "trace_to_csv"]
 
 
 def running_sums(values) -> tuple[float, ...]:
@@ -21,13 +26,31 @@ def running_sums(values) -> tuple[float, ...]:
     return tuple(accumulate(values, initial=0.0))[1:]
 
 
-def format_action(action) -> str:
-    """Semicolon-joined rendering of a played action for CSV cells."""
-    if isinstance(action, (set, frozenset)):
-        return ";".join(str(i) for i in sorted(action))
-    if isinstance(action, (tuple, list)):
-        return ";".join(str(a) for a in action)
-    return str(action)
+def checked_int(x, t: int, what: str) -> int:
+    """x as an int; a bool or a non-integer is refused with a ValueError
+    naming round t and ``what`` x is. An integer numpy scalar is accepted,
+    through operator.index."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"round {t}: {what} must be an integer, got {x!r}")
+
+
+def mask_members(mask: int) -> list[int]:
+    """The indices of the set bits of a nonnegative int, ascending."""
+    members = []
+    while mask:
+        low = mask & -mask  # the lowest set bit
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
+
+
+def format_action(mask: int) -> str:
+    """The CSV cell of a played set: its members, ascending, joined by ';'."""
+    return ";".join(map(str, mask_members(mask)))
 
 
 @dataclass(frozen=True)
@@ -37,15 +60,18 @@ class RegretTrace:
 
     ``algorithm`` identifies the objective direction ("ogd_vc" and
     "gap_solver" minimize cost, "gftpl_gkp" maximizes payoff) and picks
-    the CSV column layout. ``actions`` and ``values`` hold each round's
-    played action and its cost-or-payoff; ``extras`` maps each further
-    column's name to a tuple of floats. ``cumulatives`` is derived: the
-    running sum of ``values``. ``benchmark`` is the best static action's
-    total in hindsight, when the run computed one.
+    the CSV column layout. ``masks`` holds each round's played set as an
+    int bitmask and ``values`` its cost-or-payoff; ``extras`` maps each
+    further column's name to a tuple of floats. ``cumulatives`` is
+    derived: the running sum of ``values``. ``actions`` is derived on
+    first read: the played sets as frozensets of indices. ``benchmark`` is
+    the best static action's total in hindsight, when the run computed one.
+    A mask that is not a nonnegative int (a bool is not one) is refused
+    with a ValueError naming its round.
     """
 
     algorithm: str
-    actions: tuple
+    masks: tuple[int, ...]
     values: tuple[float, ...]
     extras: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
     benchmark: float | None = None
@@ -55,7 +81,11 @@ class RegretTrace:
     def __post_init__(self):
         if self.algorithm not in _LAYOUTS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; pick from {tuple(_LAYOUTS)}")
-        object.__setattr__(self, "actions", tuple(self.actions))
+        masks = tuple(self.masks)
+        if masks and (set(map(type, masks)) != {int} or min(masks) < 0):
+            t, mask = next((t, m) for t, m in enumerate(masks, 1) if type(m) is not int or m < 0)
+            raise ValueError(f"round {t}: a played set must be a nonnegative int mask, got {mask!r}")
+        object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "values", tuple(self.values))
         object.__setattr__(self, "extras", {k: tuple(v) for k, v in self.extras.items()})
         for name, col in (("values", self.values), *self.extras.items()):
@@ -63,9 +93,14 @@ class RegretTrace:
                 raise ValueError(f"column {name!r} has {len(col)} entries for {self.T} rounds")
         object.__setattr__(self, "cumulatives", running_sums(self.values))
 
+    @cached_property
+    def actions(self) -> tuple[frozenset, ...]:
+        sets = {mask: frozenset(mask_members(mask)) for mask in set(self.masks)}
+        return tuple(map(sets.__getitem__, self.masks))
+
     @property
     def T(self) -> int:
-        return len(self.actions)
+        return len(self.masks)
 
     @property
     def cumulative(self) -> float:
@@ -90,9 +125,11 @@ _LAYOUTS = {
 
 def trace_to_csv(trace: RegretTrace) -> str:
     """Render a trace in its algorithm's CSV layout (LF line endings),
-    formatting each column once and joining the rows across them."""
+    formatting each column once, each distinct played set once, and
+    joining the rows across them."""
     layout = _LAYOUTS[trace.algorithm]
-    columns = [[str(t) for t in range(1, trace.T + 1)], [format_action(a) for a in trace.actions]]
+    cells = {mask: format_action(mask) for mask in set(trace.masks)}
+    columns = [[str(t) for t in range(1, trace.T + 1)], list(map(cells.__getitem__, trace.masks))]
     for _, key in layout:
         floats = getattr(trace, key) if key in ("values", "cumulatives") else trace.extras[key]
         columns.append([repr(float(x)) for x in floats])

@@ -1,9 +1,9 @@
 """Property check of the whole-horizon sweep against exhaustive search.
 
 On dyadic instances every subset sum, aggregate and penalty is exact, so
-the sweep's leader of each round must be brute_oracle's answer on that
-round's query (the revealed prefix plus the tail rounds), set and value,
-ties included.
+the sweep's leader of each round (an int mask and its value) must be
+brute_oracle's answer on that round's query (the revealed prefix plus the
+tail rounds), set and value, ties included.
 """
 
 import numpy as np
@@ -15,6 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from regretlab.gkp import _stacked, brute_oracle, fold_sweep  # noqa: E402
 from regretlab.instances import GkpRound, GkpStatic  # noqa: E402
+from regretlab.traces import mask_members  # noqa: E402
 
 
 @st.composite
@@ -59,6 +60,8 @@ def test_every_round_leader_is_brute_oracle_of_its_query(run):
     assert len(leaders) == len(bests) == len(rounds)
     for t in range(1, len(rounds) + 1):
         query = rounds[: t - 1] + tail
-        assert leaders[t - 1] == brute_oracle(static, query)
-        assert leaders[t - 1][0] == first_maximizer(static, query)
+        mask, value = leaders[t - 1]
+        assert type(mask) is int
+        assert (frozenset(mask_members(mask)), value) == brute_oracle(static, query)
+        assert frozenset(mask_members(mask)) == first_maximizer(static, query)
         assert bests[t - 1] == brute_oracle(static, rounds[:t])[1]

@@ -19,7 +19,6 @@ from regretlab.gkp import (
     CachingBruteOracle,
     SetFold,
     _lex_order,
-    _mask_members,
     _stacked,
     _subset_sums,
     brute_oracle,
@@ -32,7 +31,7 @@ from regretlab.gkp import (
 )
 from regretlab.instances import GkpRound, GkpStatic
 from regretlab.rng import SeededRng
-from regretlab.traces import RegretTrace
+from regretlab.traces import RegretTrace, mask_members
 
 
 def dyadic_stream(rng, n, T, cap_units=512):
@@ -323,7 +322,9 @@ def scripted_oracle(plays):
     [
         ([frozenset(), {0}, RuntimeError("boom")], r"^round 2: negative payoff -10\.0 "),
         ([frozenset(), {0}, {3}], r"^round 2: negative payoff -10\.0 "),
-        ([frozenset(), {3}, RuntimeError("boom")], r"^item index out of range$"),
+        ([frozenset(), {3}, RuntimeError("boom")], r"^round 2: item index 3 out of range for 1 items$"),
+        ([frozenset(), {0}, {True}], r"^round 2: negative payoff -10\.0 "),
+        ([frozenset(), {True}, {0}], r"^round 2: an oracle set member must be an integer, got True$"),
         ([frozenset(), frozenset(), RuntimeError("boom")], r"^oracle failed at round 3: boom$"),
     ],
 )
@@ -338,10 +339,43 @@ def test_run_reports_the_earliest_fault_first(plays, message):
 def test_run_refuses_an_oracle_set_with_an_item_out_of_range():
     static = GkpStatic(2, [1.0, 1.0], 0.5)
     stream = [GkpRound([1.0, 1.0], 1.0)] * 3
-    for bad in ({2}, {0, -1}):
+    for bad, i in (({2}, 2), ({0, -1}, -1)):
         oracle = scripted_oracle([{0}, bad, {1}])
-        with pytest.raises(ValueError, match="^item index out of range$"):
+        with pytest.raises(ValueError, match=f"^round 2: item index {i} out of range for 2 items$"):
             gftpl_run(static, stream, oracle, GftplConfig(N=2, eta=0.0), SeededRng(18))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({True}, r"^round 3: an oracle set member must be an integer, got True$"),
+        ({False, 1}, r"^round 3: an oracle set member must be an integer, got False$"),
+        ({1.0}, r"^round 3: an oracle set member must be an integer, got 1\.0$"),
+        ({0, 1.5}, r"^round 3: an oracle set member must be an integer, got 1\.5$"),
+        ({np.float64(0.0)}, r"^round 3: an oracle set member must be an integer, got np\.float64\(0\.0\)$"),
+        (1, r"^round 3: oracle returned a int, not an item set$"),
+        ("01", r"^round 3: an oracle set member must be an integer, got '0'$"),
+    ],
+)
+def test_run_refuses_an_oracle_set_with_a_non_integer_member(bad, message):
+    # {True} equals {1} as a set: the refusal must not depend on what was
+    # played before, so {1} is played first
+    static = GkpStatic(2, [1.0, 1.0], 0.5)
+    stream = [GkpRound([1.0, 1.0], 1.0)] * 4
+    oracle = scripted_oracle([{1}, {0}, bad, {1}])
+    with pytest.raises(ValueError, match=message):
+        gftpl_run(static, stream, oracle, GftplConfig(N=2, eta=0.0), SeededRng(18))
+
+
+def test_run_takes_integer_numpy_members():
+    static = GkpStatic(3, [1.0, 1.0, 1.0], 0.5)
+    stream = [GkpRound([1.0, 2.0, 3.0], 2.0)] * 3
+    plays = [{np.int64(2)}, frozenset(np.array([0, 2])), {1, np.int32(0)}]
+    cfg = GftplConfig(N=3, eta=0.0)
+    tr = gftpl_run(static, stream, scripted_oracle(plays), cfg, SeededRng(18))
+    assert tr.masks == (0b100, 0b101, 0b011)
+    assert all(type(m) is int for m in tr.masks)
+    assert tr.actions == (frozenset({2}), frozenset({0, 2}), frozenset({0, 1}))
 
 
 def signed_zero_instance(rng, n, T):
@@ -380,6 +414,7 @@ def test_payoffs_are_the_one_round_rule_bitwise(n):
         assert np.array(tr.values).tobytes() == np.array(one_round).tobytes()
         assert all(type(v) is float for v in tr.values)
     assert list(tr.actions) == plays
+    assert list(tr.masks) == [sum(1 << i for i in A) for A in plays]
 
 
 def test_regret_per_round_shrinks_with_horizon():
@@ -551,7 +586,7 @@ def reference_gftpl_run(static, rounds_stream, oracle, cfg, rng):
     pert_rounds = [GkpRound(pert.a[j] * base[j].p, base[j].B) for j in range(cfg.N)]
     fold = SetFold(static)
     tail = [fold.delta(r) for r in pert_rounds]
-    actions, payoffs = [], []
+    masks, payoffs = [], []
     extras = {"perturbed_obj": [], "best_static_cum": [], "regret": [], "theorem3_bound": []}
     history = []
     cum = 0.0
@@ -566,7 +601,7 @@ def reference_gftpl_run(static, rounds_stream, oracle, cfg, rng):
         cum += payoff
         fold.add(y)
         best = float((fold.P - static.c * fold.K).max())
-        actions.append(frozenset(played))
+        masks.append(sum(1 << i for i in played))
         payoffs.append(payoff)
         extras["perturbed_obj"].append(float(perturbed_obj))
         extras["best_static_cum"].append(best)
@@ -574,7 +609,7 @@ def reference_gftpl_run(static, rounds_stream, oracle, cfg, rng):
         extras["theorem3_bound"].append(theorem3_bound(cfg, eps, t))
     return RegretTrace(
         algorithm="gftpl_gkp",
-        actions=actions,
+        masks=masks,
         values=payoffs,
         extras=extras,
         benchmark=best if T else 0.0,
@@ -655,7 +690,8 @@ def test_sweep_bests_are_prefix_best_values_and_need_no_tail():
     leaders, _ = fold_sweep(static, *_stacked(7, stream), [])
     fold = SetFold(static)
     for t, y in enumerate(stream):
-        assert leaders[t] == fold.leader([], static.c)
+        mask, value = leaders[t]
+        assert (frozenset(mask_members(mask)), value) == fold.leader([], static.c)
         fold.add(y)
 
 
@@ -668,5 +704,5 @@ def test_sweep_guards_the_enumeration():
 @pytest.mark.parametrize("n", range(13))
 def test_lex_order_is_the_sorted_tuple_order(n):
     order = _lex_order(n)
-    assert order.tolist() == sorted(range(2**n), key=_mask_members)
+    assert order.tolist() == sorted(range(2**n), key=mask_members)
     assert _lex_order(n) is order and not order.flags.writeable

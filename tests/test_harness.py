@@ -34,14 +34,14 @@ from regretlab.traces import RegretTrace
 
 
 def one_round_trace(algorithm, cumulative, benchmark):
-    return RegretTrace(algorithm, [frozenset()], [cumulative], benchmark=benchmark)
+    return RegretTrace(algorithm, [0], [cumulative], benchmark=benchmark)
 
 
 # --- compute_regret ---------------------------------------------------------------
 
 
 def test_regret_empty_trace_is_zero():
-    tr = RegretTrace(algorithm="ogd_vc", actions=(), values=(), benchmark=None)
+    tr = RegretTrace(algorithm="ogd_vc", masks=(), values=(), benchmark=None)
     assert compute_regret(tr) == 0.0
 
 
@@ -167,7 +167,7 @@ def test_ogd_verdict_is_the_bound_report_rule_at_the_float_boundary(monkeypatch)
     # rounds above the bound: the row must say what compare_bounds says
     benchmark, bound = 47.80171359446247, 28.43482461178048
     cumulative = 2.0 * benchmark + bound
-    trace = RegretTrace(algorithm="ogd_vc", actions=(frozenset(),), values=(cumulative,), benchmark=benchmark)
+    trace = RegretTrace(algorithm="ogd_vc", masks=(0,), values=(cumulative,), benchmark=benchmark)
     monkeypatch.setattr(harness, "ogd_run", lambda g, seq, ocfg: trace)
     monkeypatch.setattr(harness, "theorem2_bound", lambda W, n, T: bound)
     cfg = ExperimentConfig("ogd_vc", {}, 1, (0,))

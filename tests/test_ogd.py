@@ -482,9 +482,13 @@ def test_exact_step_edge_cases():
 
 
 def test_round_half_examples():
-    assert round_half((0.5, 0.3, 0.9)) == frozenset({0, 2})
-    assert round_half((0.5, 0.5)) == frozenset({0, 1})
-    assert round_half((1.0, 0.0, 1.0)) == frozenset({0, 2})
+    assert round_half((0.5, 0.3, 0.9)) == 0b101
+    assert round_half((0.5, 0.5)) == 0b11
+    assert round_half((1.0, 0.0, 1.0)) == 0b101
+    assert round_half([0.0] * 11 + [0.5]) == 1 << 11
+    assert round_half(np.array([0.25, 0.75])) == 0b10
+    assert round_half(()) == round_half((0.49,)) == 0
+    assert all(type(round_half(x)) is int for x in ((0.5,), (0.0,), np.array([0.9])))
 
 
 def test_round_half_yields_cover_on_feasible_points():
@@ -493,7 +497,9 @@ def test_round_half_yields_cover_on_feasible_points():
         n = 3 + rng.randrange(6)
         g = gen_random_graph(n, 0.5, rng)
         z = random_feasible_point(g, rng)
-        assert is_vertex_cover(g, round_half(z))
+        played = round_half(z)
+        assert is_vertex_cover(g, [v for v in range(n) if played >> v & 1])
+        assert played == sum(1 << v for v in range(n) if z[v] >= 0.5)
 
 
 # --- theorem2_bound -----------------------------------------------------------------
@@ -523,6 +529,7 @@ def test_ogd_run_single_edge_drifts_to_free_vertex():
     g = Graph(2, ((0, 1),))
     seq = WeightSequence(2, [[1.0, 0.0]] * 60)
     tr = ogd_run(g, seq)
+    assert all(m == 0b10 for m in tr.masks[-10:])
     assert all(a == frozenset({1}) for a in tr.actions[-10:])
     assert all(v == 0.0 for v in tr.values[-10:])
     assert tr.benchmark == 0.0  # hindsight cover {1} is free

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import regretlab.reductions
 from regretlab.instances import (
     Dnf3Formula,
     Graph,
@@ -99,20 +100,25 @@ def test_gap_horizon_errors():
 
 def test_ftl_learner_starts_with_star_center():
     learner = FtlMinMaxVcLearner(STAR6)
-    assert learner.play() == frozenset({0})
+    assert learner.play() == 0b1
 
 
 def test_ftl_learner_avoids_heavy_vertex():
     g = Graph(3, ((0, 1), (1, 2)))
     learner = FtlMinMaxVcLearner(g)
-    assert learner.play() == frozenset({1})
+    assert learner.play() == 0b010
     learner.observe(np.array([0.0, 5.0, 0.0]), 5.0)
-    assert learner.play() == frozenset({0, 2})
+    assert learner.play() == 0b101
+
+
+def as_mask(vertices):
+    return sum(1 << v for v in vertices)
 
 
 def reference_ftl_play(g, cum):
     """The FTL prune FtlMinMaxVcLearner.play replaced: drop each vertex in
-    turn and put it back unless the rest is still a vertex cover."""
+    turn and put it back unless the rest is still a vertex cover. Returns
+    the kept vertices as an int mask."""
     deg = np.zeros(g.n, dtype=np.int64)
     for u, v in g.edges:
         deg[u] += 1
@@ -123,7 +129,7 @@ def reference_ftl_play(g, cum):
         kept.discard(v)
         if not is_vertex_cover(g, kept):
             kept.add(v)
-    return frozenset(kept)
+    return as_mask(kept)
 
 
 # running sums the FTL leader may hold: small integer counts, as one-hot
@@ -177,7 +183,7 @@ def test_ftl_observed_sums_match_cover_check_reference():
 
 
 def test_ftl_prune_on_edgeless_and_isolated_vertices():
-    assert FtlMinMaxVcLearner(Graph(3, ())).play() == frozenset()
+    assert FtlMinMaxVcLearner(Graph(3, ())).play() == 0
     # isolated vertices are never needed, at any running sum
     g = Graph(5, ((0, 1), (1, 2)))
     learner = FtlMinMaxVcLearner(g)
@@ -188,7 +194,7 @@ def test_ftl_prune_on_edgeless_and_isolated_vertices():
         ([0.0, 3.0, 0.0, -1.0, -1.0], {0, 2}),
     ):
         learner.cum = cum
-        assert learner.play() == frozenset(played) == reference_ftl_play(g, cum)
+        assert learner.play() == as_mask(played) == reference_ftl_play(g, cum)
 
 
 @pytest.mark.parametrize("step_mode", ["scaled", "paper"])
@@ -202,7 +208,7 @@ def test_ogd_learner_matches_batch_runner(step_mode):
     learner = OgdVcLearner(g, cfg)
     for t in range(seq.T):
         assert np.array(learner.x).tobytes() == iterates[t].tobytes()
-        assert learner.play() == trace.actions[t]
+        assert learner.play() == trace.masks[t]
         learner.observe(seq.rows[t], 0.0)
     assert np.array(learner.x).tobytes() == iterates[seq.T].tobytes()
 
@@ -221,7 +227,7 @@ def test_ftl_learner_rejects_non_finite_rows():
         with pytest.raises(ValueError, match="weight row must be finite"):
             learner.observe(np.array(row), 0.0)
     assert learner.cum == [0.0, 0.0, 0.0]  # nothing was added
-    assert learner.play() == frozenset({1})
+    assert learner.play() == 0b010
 
 
 def test_ftl_learner_rejects_rows_of_the_wrong_length():
@@ -232,7 +238,7 @@ def test_ftl_learner_rejects_rows_of_the_wrong_length():
             learner.observe(np.array(row), 0.0)
     assert learner.cum == [0.0, 0.0, 0.0]
     learner.observe([0.0, 5.0, 0.0], 5.0)  # a plain list of the right length is a row
-    assert learner.play() == frozenset({0, 2})
+    assert learner.play() == 0b101
 
 
 # --- gap solver --------------------------------------------------------------------
@@ -270,7 +276,7 @@ def test_gap_solver_zero_horizon_is_no():
 def test_gap_solver_rejects_non_cover():
     class Liar:
         def play(self):
-            return frozenset({0})
+            return 0b1
 
         def observe(self, w_row, cost):
             pass
@@ -281,7 +287,7 @@ def test_gap_solver_rejects_non_cover():
 
 
 class ScriptedLearner:
-    """Plays the given sets in turn, one per round."""
+    """Plays the given masks in turn, one per round."""
 
     def __init__(self, plays):
         self.plays = plays
@@ -294,28 +300,71 @@ class ScriptedLearner:
         self.t += 1
 
 
-@pytest.mark.parametrize("kind", [frozenset, set])
+@pytest.mark.parametrize("kind", [int, np.int64])
 def test_gap_solver_checks_each_distinct_set_once_and_raises_at_the_first_non_cover(monkeypatch, kind):
     checked = []
 
-    def counting_check(g, s):
-        checked.append(frozenset(s))
-        return is_vertex_cover(g, s)
+    def counting_check(mask, nbr, t):
+        checked.append(mask)
+        return check_cover(mask, nbr, t)
 
-    monkeypatch.setattr("regretlab.reductions.is_vertex_cover", counting_check)
+    check_cover = regretlab.reductions._check_cover
+    monkeypatch.setattr("regretlab.reductions._check_cover", counting_check)
     # covers of K4 with 3 = B*n vertices, so the run never answers Yes
-    a, b = [0, 1, 2], [1, 2, 3]
+    a, b = 0b0111, 0b1110
     cfg = GapConfig(A=0.25, B=0.75, T_override=10)
-    plays = [kind(s) for s in (a, a, b, a, b, b, [0, 1], a)]
+    plays = [kind(s) for s in (a, a, b, a, b, b, 0b0011, a)]
     with pytest.raises(ValueError, match="^learner emitted a non-cover at round 7$"):
         gap_solver(K4, cfg, ScriptedLearner(plays), SeededRng(3))
-    assert checked == [frozenset(a), frozenset(b), frozenset({0, 1})]
+    assert checked == [a, b, 0b0011] and all(type(m) is int for m in checked)
     # the same sets, every one a cover, run to the horizon
     checked.clear()
     plays = [kind(s) for s in (a, b, a, a, b, a, b, b, a, a)]
     res = gap_solver(K4, cfg, ScriptedLearner(plays), SeededRng(3))
-    assert res.decision == "No" and all(x is y for x, y in zip(res.trace.actions, plays, strict=True))
-    assert checked == [frozenset(a), frozenset(b)]
+    assert res.decision == "No" and res.trace.masks == tuple(plays)
+    assert all(type(m) is int for m in res.trace.masks)
+    assert res.trace.actions == tuple(frozenset(v for v in range(4) if m >> v & 1) for m in plays)
+    assert checked == [a, b]
+
+
+def test_gap_solver_cover_check_is_the_set_rule():
+    # every mask of small graphs, isolated vertices and edgeless graphs among them
+    rng = SeededRng(80)
+    cfg = GapConfig(A=0.1, B=0.2, T_override=1)
+    for _ in range(40):
+        g = ftl_test_graph(rng)
+        for mask in range(min(1 << g.n, 256)):
+            members = [v for v in range(g.n) if mask >> v & 1]
+            learner = ScriptedLearner([mask])
+            if is_vertex_cover(g, members):
+                assert gap_solver(g, cfg, learner, SeededRng(1)).trace.masks == (mask,)
+            else:
+                with pytest.raises(ValueError, match="^learner emitted a non-cover at round 1$"):
+                    gap_solver(g, cfg, learner, SeededRng(1))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (True, r"^round 2: a learner's play must be an integer, got True$"),
+        (np.bool_(True), r"^round 2: a learner's play must be an integer, got np\.True_$"),
+        (1.0, r"^round 2: a learner's play must be an integer, got 1\.0$"),
+        (frozenset({0, 1, 2}), r"^round 2: a learner's play must be an integer, got frozenset\(\{0, 1, 2\}\)$"),
+        (-1, r"^round 2: learner played mask -1, not a set of the 4 vertices$"),
+        (0b0111 | 1 << 99, rf"^round 2: learner played mask {0b0111 | 1 << 99}, not a set of the 4 vertices$"),
+        (0b10111, r"^round 2: learner played mask 23, not a set of the 4 vertices$"),
+    ],
+)
+def test_gap_solver_refuses_a_play_that_is_not_a_vertex_mask(bad, message):
+    cfg = GapConfig(A=0.25, B=0.75, T_override=10)
+    with pytest.raises(ValueError, match=message):
+        gap_solver(K4, cfg, ScriptedLearner([0b1111, bad, 0b0111]), SeededRng(3))
+    # mask 1, the star's center, is a checked cover after round 1, and
+    # True == 1 must still be refused
+    cfg = GapConfig(A=0.1, B=1 / 6, T_override=10)
+    with pytest.raises(ValueError, match=r"^round 2: a learner's play must be an integer, got True$"):
+        gap_solver(STAR6, cfg, ScriptedLearner([0b1, True]), SeededRng(3))
+    assert gap_solver(STAR6, cfg, ScriptedLearner([0b1] * 10), SeededRng(3)).decision == "No"
 
 
 def test_gap_solver_guards_huge_horizon():
@@ -339,8 +388,8 @@ def test_gap_solver_adversary_is_oblivious():
 def test_gap_solver_costs_and_trace():
     cfg = GapConfig(A=0.25, B=0.75, T_override=30)
     res = gap_solver(K4, cfg, FtlMinMaxVcLearner(K4), SeededRng(5))
-    for u, played, cost in zip(res.targets, res.trace.actions, res.trace.values, strict=True):
-        assert cost == (1.0 if u in played else 0.0)
+    for u, played, mask, cost in zip(res.targets, res.trace.actions, res.trace.masks, res.trace.values, strict=True):
+        assert cost == (1.0 if u in played else 0.0) == (1.0 if mask >> u & 1 else 0.0)
     text = trace_to_csv(res.trace)
     assert text.splitlines()[0] == "t,played_set,cost,cum_cost"
 

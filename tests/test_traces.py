@@ -1,13 +1,16 @@
 """Trace construction invariants and CSV layouts."""
 
+import re
+
+import numpy as np
 import pytest
 
-from regretlab.traces import RegretTrace, format_action, running_sums, trace_to_csv
+from regretlab.traces import RegretTrace, format_action, mask_members, running_sums, trace_to_csv
 
 
 def test_cumulatives_are_the_exact_running_sum():
     values = (0.1, 0.2, -0.0, 0.3)
-    tr = RegretTrace(algorithm="gap_solver", actions=[frozenset({0})] * 4, values=values)
+    tr = RegretTrace(algorithm="gap_solver", masks=[0b1] * 4, values=values)
     running = 0.0
     for v, c in zip(values, tr.cumulatives, strict=True):
         running += v
@@ -15,7 +18,7 @@ def test_cumulatives_are_the_exact_running_sum():
     assert tr.cumulatives[1] == 0.1 + 0.2 != 0.3  # added in order, not rounded
     assert tr.cumulative == tr.cumulatives[-1]
     # the sum starts at 0.0, so a leading -0.0 cost prints as 0.0
-    first = RegretTrace(algorithm="gap_solver", actions=[frozenset()], values=[-0.0])
+    first = RegretTrace(algorithm="gap_solver", masks=[0], values=[-0.0])
     assert repr(first.cumulatives[0]) == "0.0"
     assert trace_to_csv(first).split("\n")[1] == "1,,-0.0,0.0"
     assert running_sums([]) == ()
@@ -23,11 +26,11 @@ def test_cumulatives_are_the_exact_running_sum():
 
 def test_columns_must_have_one_entry_per_round():
     with pytest.raises(ValueError, match="column 'values' has 1 entries for 2 rounds"):
-        RegretTrace(algorithm="gap_solver", actions=[frozenset(), frozenset()], values=[1.0])
+        RegretTrace(algorithm="gap_solver", masks=[0, 0], values=[1.0])
     with pytest.raises(ValueError, match="column 'frac_cost' has 3 entries for 2 rounds"):
         RegretTrace(
             algorithm="ogd_vc",
-            actions=[frozenset(), frozenset()],
+            masks=[0, 0],
             values=[1.0, 1.0],
             extras={"frac_cost": [0.5, 0.5, 0.5]},
         )
@@ -35,27 +38,48 @@ def test_columns_must_have_one_entry_per_round():
 
 def test_unknown_algorithm_is_rejected():
     with pytest.raises(ValueError, match="unknown algorithm 'ogd'"):
-        RegretTrace(algorithm="ogd", actions=(), values=())
+        RegretTrace(algorithm="ogd", masks=(), values=())
 
 
 def test_empty_trace():
-    tr = RegretTrace(algorithm="ogd_vc", actions=(), values=())
+    tr = RegretTrace(algorithm="ogd_vc", masks=(), values=())
     assert tr.T == 0
     assert tr.cumulative == 0.0
     assert tr.cumulatives == ()
 
 
 def test_format_action():
-    assert format_action(frozenset({2, 0, 1})) == "0;1;2"
-    assert format_action(frozenset()) == ""
-    assert format_action((0, 2, 1)) == "0;2;1"
-    assert format_action(("t", "f")) == "t;f"
+    assert format_action(0b111) == "0;1;2"
+    assert format_action(0) == ""
+    assert format_action(1 << 10 | 1 << 2) == "2;10"  # numeric order, not text order
+    assert mask_members(1 << 10 | 1 << 2) == [2, 10]
+    assert mask_members(0) == []
+
+
+def test_actions_are_derived_from_the_masks():
+    tr = RegretTrace(algorithm="gap_solver", masks=[0b101, 0, 0b101], values=[1.0, 0.0, 1.0])
+    assert tr.masks == (0b101, 0, 0b101)
+    assert tr.actions == (frozenset({0, 2}), frozenset(), frozenset({0, 2}))
+    assert tr.actions is tr.actions  # derived once
+    with pytest.raises(AttributeError):
+        tr.actions = ()
+    assert tr == RegretTrace(algorithm="gap_solver", masks=(0b101, 0, 0b101), values=(1.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "bad, shown",
+    [(True, "True"), (False, "False"), (-1, "-1"), (2.0, "2.0"), (frozenset({1}), "frozenset({1})"),
+     (np.int64(3), "np.int64(3)"), ("3", "'3'"), (None, "None")],
+)
+def test_trace_refuses_a_mask_that_is_not_a_nonnegative_int(bad, shown):
+    with pytest.raises(ValueError, match=rf"^round 2: a played set must be a nonnegative int mask, got {re.escape(shown)}$"):
+        RegretTrace(algorithm="gap_solver", masks=[0b1, bad, 0b1], values=[1.0, 0.0, 1.0])
 
 
 def test_ogd_csv_layout():
     tr = RegretTrace(
         algorithm="ogd_vc",
-        actions=[frozenset({1, 0})],
+        masks=[0b11],
         values=[0.5],
         extras={"frac_cost": [0.25], "cum_frac": [0.25], "bound_additive": [3.0]},
     )
@@ -67,7 +91,7 @@ def test_ogd_csv_layout():
 def test_gftpl_csv_layout():
     tr = RegretTrace(
         algorithm="gftpl_gkp",
-        actions=[frozenset()],
+        masks=[0],
         values=[1.5],
         extras={
             "perturbed_obj": [9.0],  # kept on the trace, not in the CSV
@@ -82,5 +106,5 @@ def test_gftpl_csv_layout():
 
 
 def test_gap_solver_csv_layout():
-    tr = RegretTrace(algorithm="gap_solver", actions=[frozenset({0})] * 2, values=[1.0, 0.0])
+    tr = RegretTrace(algorithm="gap_solver", masks=[0b1] * 2, values=[1.0, 0.0])
     assert trace_to_csv(tr).split("\n") == ["t,played_set,cost,cum_cost", "1,0,1.0,1.0", "2,0,0.0,1.0"]
