@@ -323,9 +323,9 @@ def scripted_oracle(plays):
         ([frozenset(), {0}, RuntimeError("boom")], r"^round 2: negative payoff -10\.0 "),
         ([frozenset(), {0}, {3}], r"^round 2: negative payoff -10\.0 "),
         ([frozenset(), {3}, RuntimeError("boom")], r"^round 2: item index 3 out of range for 1 items$"),
+        ([frozenset(), frozenset(), RuntimeError("boom")], r"^oracle failed at round 3: boom$"),
         ([frozenset(), {0}, {True}], r"^round 2: negative payoff -10\.0 "),
         ([frozenset(), {True}, {0}], r"^round 2: an oracle set member must be an integer, got True$"),
-        ([frozenset(), frozenset(), RuntimeError("boom")], r"^oracle failed at round 3: boom$"),
     ],
 )
 def test_run_reports_the_earliest_fault_first(plays, message):
