@@ -34,7 +34,7 @@ import numpy as np
 from .gkp import MAX_BRUTE_N, _stacked, distinguisher_set, fold_sweep
 from .instances import GkpRound, GkpStatic
 from .rng import SeededRng
-from .traces import RegretTrace, checked_int, mask_members, running_sums
+from .traces import RegretTrace, checked_mask, mask_members, running_sums
 
 __all__ = [
     "GftplConfig",
@@ -190,23 +190,6 @@ def _payoffs(static: GkpStatic, P: np.ndarray, B: np.ndarray, masks, mode: str) 
     return payoffs.tolist()
 
 
-def _item_mask(A, n: int, t: int) -> int:
-    """The oracle's round-t item set A as an int mask over n items. A
-    member that is a bool, not an integer (integer numpy scalars are) or
-    out of range is refused with a ValueError naming the round."""
-    try:
-        members = iter(A)
-    except TypeError:
-        raise ValueError(f"round {t}: oracle returned a {type(A).__name__}, not an item set") from None
-    mask = 0
-    for i in members:
-        i = checked_int(i, t, "an oracle set member")
-        if not 0 <= i < n:
-            raise ValueError(f"round {t}: item index {i} out of range for {n} items")
-        mask |= 1 << i
-    return mask
-
-
 def gftpl_run(
     static: GkpStatic,
     rounds_stream,
@@ -229,7 +212,7 @@ def gftpl_run(
     CachingBruteOracle computes round by round); it needs n <= MAX_BRUTE_N.
     Any other oracle is called once per round as oracle(static,
     rounds_stream[:t-1] + perturbation rounds), and each set it returns
-    is checked and turned into an int mask as it arrives (_item_mask). If
+    is checked and turned into an int mask as it arrives (checked_mask). If
     the oracle fails or returns a bad set at round t, a fault of an
     earlier round is reported first. The hindsight benchmark comes from
     the same sweep whenever n <= MAX_BRUTE_N. The trace holds the played
@@ -268,7 +251,7 @@ def gftpl_run(
                 _payoffs(static, P, B, [A for A, _ in leaders], mode)
                 raise RuntimeError(f"oracle failed at round {t}: {exc}") from exc
             try:
-                leaders.append((_item_mask(played, n, t), perturbed_obj))
+                leaders.append((checked_mask(played, n, f"round {t}: an oracle set"), perturbed_obj))
             except ValueError:
                 _payoffs(static, P, B, [A for A, _ in leaders], mode)
                 raise

@@ -39,7 +39,7 @@ from math import floor, isfinite
 import numpy as np
 
 from .instances import GkpRound, GkpStatic, check_round_length
-from .traces import mask_members
+from .traces import checked_mask, mask_members
 
 ItemSet = frozenset
 
@@ -96,17 +96,10 @@ def excess_value(W: float, f: ExcessFunction) -> float:
     return f.value(W)
 
 
-def _check_members(members, n: int) -> list[int]:
-    members = sorted(set(members))
-    if members and (members[0] < 0 or members[-1] >= n):
-        raise ValueError("item index out of range")
-    return members
-
-
 def gkp_profit(A, static: GkpStatic, rnd: GkpRound) -> float:
     """Single-round objective: item profits minus c * capacity excess."""
     check_round_length(static.n, rnd)
-    members = _check_members(A, static.n)
+    members = mask_members(checked_mask(A, static.n, "an item set"))
     if not members:
         return 0.0
     p_sum = float(rnd.p[members].sum())
@@ -142,7 +135,7 @@ def _summed(static: GkpStatic, rounds) -> tuple[np.ndarray, ExcessFunction] | No
 
 def _aggregate_profit(A, static: GkpStatic, summed) -> float:
     """multi_gkp_profit from the history summary (p_s, f) of _summed."""
-    members = _check_members(A, static.n)
+    members = mask_members(checked_mask(A, static.n, "an item set"))
     if not members or summed is None:
         return 0.0
     p_s, f = summed

@@ -25,9 +25,9 @@ from .instances import (
     random_gkp_rounds,
 )
 from .ogd import OgdConfig, ogd_run, theorem2_bound
-from .reductions import FtlMinMaxVcLearner, GapConfig, OgdVcLearner, gap_solver
+from .reductions import FtlMinMaxVcLearner, GapConfig, OgdVcLearner, _check_eps, gap_solver
 from .rng import SeededRng
-from .traces import RegretTrace, trace_to_csv
+from .traces import RegretTrace, checked_int, trace_to_csv
 
 ALGORITHMS = ("ogd_vc", "gftpl_gkp", "gap_solver")
 
@@ -118,8 +118,8 @@ def _horizons(cfg: ExperimentConfig) -> list[int]:
     alone; a ValueError names T_sweep unless it lists nonnegative ints."""
     sweep = cfg.params.get("T_sweep", [])
     try:
-        horizons = [int(T) for T in sweep]
-    except (TypeError, ValueError):
+        horizons = [checked_int(T, "a T_sweep horizon") for T in sweep]
+    except TypeError:  # sweep is not iterable
         raise ValueError(f"T_sweep must be a list of horizons, got {sweep!r}") from None
     if any(T < 0 for T in horizons):
         raise ValueError(f"T_sweep horizons must be nonnegative, got {horizons}")
@@ -158,7 +158,10 @@ def _gap_config(cfg: ExperimentConfig) -> tuple[GapConfig, dict]:
     gap_cfg = GapConfig(
         A=_number(cfg, "A"), B=_number(cfg, "B"), **_given(cfg, ("p_coeff", "c_exp"))
     )
-    return gap_cfg, _given(cfg, ("eps",))
+    solver_kw = _given(cfg, ("eps",))
+    if "eps" in solver_kw:
+        _check_eps(solver_kw["eps"])
+    return gap_cfg, solver_kw
 
 
 def _gftpl_config(cfg: ExperimentConfig, N: int, rounds) -> GftplConfig:
@@ -197,10 +200,10 @@ def _read_experiment(path) -> tuple[ExperimentConfig, dict]:
         if key not in obj:
             raise ValueError(f"config missing key {key!r}")
     if "seeds" in obj:
-        seeds = tuple(int(s) for s in obj["seeds"])
+        seeds = tuple(checked_int(s, "a seed") for s in obj["seeds"])
     elif "base_seed" in obj and "num_seeds" in obj:
-        base = int(obj["base_seed"])
-        seeds = tuple(base + s for s in range(int(obj["num_seeds"])))
+        base = checked_int(obj["base_seed"], "base_seed")
+        seeds = tuple(base + s for s in range(checked_int(obj["num_seeds"], "num_seeds")))
     else:
         raise ValueError("config needs 'seeds' or 'base_seed' + 'num_seeds'")
     instance = {
@@ -209,7 +212,7 @@ def _read_experiment(path) -> tuple[ExperimentConfig, dict]:
     cfg = ExperimentConfig(
         algorithm=str(obj["algorithm"]),
         instance=instance,
-        T=int(obj["T"]),
+        T=checked_int(obj["T"], "T"),
         seeds=seeds,
         params=dict(obj.get("params", {})),
     )

@@ -22,7 +22,6 @@ round. File formats (all ASCII, LF line endings):
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field
 from math import isfinite
 from typing import ClassVar, Sequence
@@ -30,6 +29,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .rng import SeededRng
+from .traces import checked_index, checked_int
 
 
 class FormatError(ValueError):
@@ -87,14 +87,12 @@ def _scalar(value, what: str) -> float:
 
 def _canonical_edge(u, v, n: int, seen: set) -> tuple[int, int]:
     """The edge {u, v} of a graph on vertices 0..n-1 as (min, max), added to
-    ``seen``. The endpoints must be integers in range, distinct, and the
-    edge must not be in ``seen`` yet."""
+    ``seen``. The endpoints must be vertices (traces.checked_index),
+    distinct, and the edge must not be in ``seen`` yet."""
     try:
-        u, v = operator.index(u), operator.index(v)
-    except TypeError:
-        raise ValueError(f"edge ({u!r},{v!r}) endpoints must be integers") from None
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"edge ({u},{v}) endpoint out of range")
+        u, v = checked_index(u, n, "an endpoint"), checked_index(v, n, "an endpoint")
+    except ValueError as exc:  # the edge is named only on a refusal
+        raise ValueError(f"edge ({u!r},{v!r}): {exc}") from None
     if u == v:
         raise ValueError(f"self-loop at vertex {u}")
     e = (u, v) if u < v else (v, u)
@@ -112,7 +110,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        if checked_int(self.n, "n") < 1:
             raise ValueError("graph needs at least one vertex")
         seen: set[tuple[int, int]] = set()
         canon = tuple(_canonical_edge(u, v, self.n, seen) for u, v in self.edges)
@@ -135,6 +133,7 @@ class _RowMatrix:
     rows: np.ndarray  # shape (T or N, n), read-only float64
 
     def __post_init__(self):
+        checked_int(self.n, "n")
         try:
             rows = np.asarray(self.rows, dtype=np.float64)
         except (TypeError, ValueError, OverflowError):
@@ -183,7 +182,7 @@ class GkpStatic:
 
     def __post_init__(self):
         w = _vector(self.w, "item weights w")
-        if w.shape != (self.n,):
+        if w.shape != (checked_int(self.n, "n"),):
             raise ValueError(f"item weights w must have length {self.n}")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "c", _scalar(self.c, "penalty rate c"))
@@ -246,17 +245,12 @@ Clause = tuple[tuple[int, bool], tuple[int, bool], tuple[int, bool]]
 
 def _canonical_clause(clause, n: int) -> Clause:
     """clause as three (int variable, bool sign) pairs over distinct
-    variables in 0..n-1."""
+    variables, each checked by traces.checked_index."""
     if len(clause) != 3:
         raise ValueError(f"each clause must have exactly 3 literals, got {len(clause)}")
     lits = []
     for v, s in clause:
-        try:
-            v = operator.index(v)
-        except TypeError:
-            raise ValueError(f"variable {v!r} must be an integer") from None
-        if not (0 <= v < n):
-            raise ValueError(f"variable {v} out of range 0..{n - 1}")
+        v = checked_index(v, n, "a clause variable")
         if not isinstance(s, (bool, np.bool_)):
             raise ValueError(f"sign {s!r} of variable {v} must be a bool")
         lits.append((v, bool(s)))
@@ -277,7 +271,7 @@ class Dnf3Formula:
     clauses: tuple[Clause, ...] = field(default=())
 
     def __post_init__(self):
-        if self.n < 1:
+        if checked_int(self.n, "n") < 1:
             raise ValueError("formula needs at least one variable")
         canon = tuple(_canonical_clause(clause, self.n) for clause in self.clauses)
         object.__setattr__(self, "clauses", canon)
@@ -511,7 +505,7 @@ def gen_random_graph(n: int, p: float, rng: SeededRng) -> Graph:
     """Erdos-Renyi G(n, p): each unordered pair independently with probability p."""
     if not (0.0 <= p <= 1.0):
         raise ValueError("edge probability must be in [0, 1]")
-    if n < 1:
+    if checked_int(n, "n") < 1:
         raise ValueError("n must be >= 1")
     # one draw per pair, pairs in the order (0,1), (0,2), ..., (1,2), ...
     us, vs = np.triu_indices(n, 1)
@@ -521,9 +515,9 @@ def gen_random_graph(n: int, p: float, rng: SeededRng) -> Graph:
 
 def gen_onehot_weights(n: int, T: int, rng: SeededRng) -> WeightSequence:
     """Each row puts weight 1 on a uniformly chosen element, 0 elsewhere."""
-    if n < 1:
+    if checked_int(n, "n") < 1:
         raise ValueError("n must be >= 1")
-    if T < 0:
+    if checked_int(T, "T") < 0:
         raise ValueError("T must be >= 0")
     rows = np.zeros((T, n))
     for t in range(T):
@@ -534,9 +528,9 @@ def gen_onehot_weights(n: int, T: int, rng: SeededRng) -> WeightSequence:
 def gen_uniform_weights(n: int, T: int, W: float, rng: SeededRng) -> WeightSequence:
     """Entries i.i.d. uniform on [0, W]."""
     _check_finite_nonnegative(W, W, "W")
-    if n < 1:
+    if checked_int(n, "n") < 1:
         raise ValueError("n must be >= 1")
-    if T < 0:
+    if checked_int(T, "T") < 0:
         raise ValueError("T must be >= 0")
     return WeightSequence(n, rng.uniform_array(0.0, W, T * n).reshape(T, n))
 
@@ -547,9 +541,9 @@ def gen_random_dnf(n: int, m: int, rng: SeededRng) -> Dnf3Formula:
     Instance supply for the reduction validators and the CLI; not an
     adversary distribution.
     """
-    if n < 3:
+    if checked_int(n, "n") < 3:
         raise ValueError("need at least 3 variables for 3-literal clauses")
-    if m < 0:
+    if checked_int(m, "m") < 0:
         raise ValueError(f"need m >= 0 clauses, got m={m!r}")
     clauses = []
     for _ in range(m):
@@ -565,7 +559,7 @@ def gen_random_dnf(n: int, m: int, rng: SeededRng) -> Dnf3Formula:
 def gen_random_gkp(n: int, m: int, rng: SeededRng) -> GkpInstanceSet:
     """Random generalized-knapsack set: unit-range weights and profits,
     capacities spread over [0, total weight], moderate penalty rate."""
-    if n < 1 or m < 0:
+    if checked_int(n, "n") < 1 or checked_int(m, "m") < 0:
         raise ValueError("need n >= 1 items and m >= 0 rounds")
     w = rng.uniform_array(0.1, 1.0, n)
     c = rng.uniform(0.0, 1.0)
@@ -576,6 +570,8 @@ def gen_random_gkp(n: int, m: int, rng: SeededRng) -> GkpInstanceSet:
 def random_gkp_rounds(static: GkpStatic, m: int, rng: SeededRng) -> list[GkpRound]:
     """m random rounds: n profits uniform on [0, 1), then a capacity uniform
     on [0, total weight), each round one row of an (m, n+1) block."""
+    if checked_int(m, "m") < 0:
+        raise ValueError("need m >= 0 rounds")
     u = rng.uniform_array(0.0, 1.0, m * (static.n + 1)).reshape(m, static.n + 1)
     caps = (0.0 + static.total_weight * u[:, -1]).tolist()
     return [GkpRound(row[:-1], B) for row, B in zip(u, caps)]

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .instances import Graph, ProcTimeMatrix, WeightSequence
+from .traces import checked_mask, mask_members
 
 VertexSubset = frozenset  # of vertex indices
 MachineAssignment = tuple  # of machine indices in {0,1,2}, one per job
@@ -39,18 +40,14 @@ def _as_rows(rows) -> np.ndarray:
 def minmax_value(s: Iterable[int], w) -> float:
     """max_{i in s} w_i, with the empty-set maximum defined as 0."""
     w = np.asarray(w, dtype=np.float64)
-    members = list(s)
-    if not members:
-        return 0.0
-    if min(members) < 0 or max(members) >= w.shape[0]:
-        raise ValueError("selection index out of range for weight row")
-    return float(w[members].max())
+    members = mask_members(checked_mask(s, w.shape[0], "a selection"))
+    return float(w[members].max()) if members else 0.0
 
 
 def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:
-    """True iff every edge of g has at least one endpoint in s."""
-    members = set(s)
-    return all(u in members or v in members for u, v in g.edges)
+    """True iff every edge of g has an endpoint in s, a set of vertices of g."""
+    mask = checked_mask(s, g.n, "a vertex set")
+    return all(mask >> u & 1 or mask >> v & 1 for u, v in g.edges)
 
 
 def vc_threshold(w: Sequence[float], edges: Sequence[tuple[int, int]]) -> float:
@@ -85,11 +82,9 @@ def static_minmax_vc(g: Graph, w) -> tuple[frozenset, float]:
 def multi_minmax_cost(selection: Iterable[int], rows) -> float:
     """Sum over rows of the max weight in the selection (empty max is 0)."""
     rows = _as_rows(rows)
-    members = sorted(set(selection))
+    members = mask_members(checked_mask(selection, rows.shape[1], "a selection"))
     if not members or rows.shape[0] == 0:
         return 0.0
-    if members[0] < 0 or members[-1] >= rows.shape[1]:
-        raise ValueError("selection index out of range for weight rows")
     return float(rows[:, members].max(axis=1).sum())
 
 
@@ -140,8 +135,7 @@ def minimal_vertex_covers(g: Graph) -> Iterator[frozenset]:
     """
     full = (1 << g.n) - 1
     for mis in _maximal_independent_sets(g):
-        cover = full & ~mis
-        yield frozenset(i for i in range(g.n) if cover >> i & 1)
+        yield frozenset(mask_members(full & ~mis))
 
 
 def best_static_vc_hindsight(g: Graph, seq: WeightSequence) -> tuple[frozenset, float]:

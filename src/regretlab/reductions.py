@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from math import ceil
+from math import ceil, inf
 from operator import add
 from typing import Protocol, Sequence
 
@@ -61,10 +61,15 @@ class GapConfig:
             raise ValueError(f"need 0 <= A < B <= 1, got A={self.A!r}, B={self.B!r}")
         if not 0.0 <= self.c_exp < 1.0:
             raise ValueError(f"regret exponent c_exp must lie in [0, 1), got {self.c_exp!r}")
-        if self.p_coeff <= 0.0:
-            raise ValueError(f"regret coefficient p_coeff must be positive, got {self.p_coeff!r}")
+        if not 0.0 < self.p_coeff < inf:
+            raise ValueError(f"regret coefficient p_coeff must be positive and finite, got {self.p_coeff!r}")
         if self.T_override is not None and self.T_override < 0:
             raise ValueError(f"T_override must be nonnegative, got {self.T_override!r}")
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
 
 
 def gap_horizon(cfg: GapConfig, eps: float, n: int) -> int:
@@ -74,8 +79,7 @@ def gap_horizon(cfg: GapConfig, eps: float, n: int) -> int:
     rounds up.  Since c < 1 the exponent is negative, so a smaller base
     (tighter gap, larger instance) means more rounds.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if n < 1:
         raise ValueError("need n >= 1")
     base = (cfg.A * eps) / (2.0 * cfg.p_coeff * n * cfg.B)
@@ -203,13 +207,11 @@ def gap_solver(
     index n or above, or a non-cover) raises a ValueError naming the
     round. Each distinct mask is checked once, by bit tests.
     """
-    try:
-        T = gap_horizon(cfg, eps, g.n)
-    except ValueError:
-        if cfg.T_override is None:
-            raise
+    if cfg.A == 0.0 and cfg.T_override is not None:  # no horizon separates A = 0
+        _check_eps(eps)
         T = cfg.T_override
     else:
+        T = gap_horizon(cfg, eps, g.n)
         if cfg.T_override is not None:
             T = min(T, cfg.T_override)
     if T > MAX_GAP_ROUNDS:
@@ -228,7 +230,7 @@ def gap_solver(
     for t in range(1, T + 1):
         played = learner.play()
         if type(played) is not int:  # before the lookup: True == 1 is in covers
-            played = checked_int(played, t, "a learner's play")
+            played = checked_int(played, f"round {t}: a learner's play")
         if played not in covers:
             _check_cover(played, nbr, t)
             covers.add(played)

@@ -18,7 +18,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Mapping
 
-__all__ = ["RegretTrace", "checked_int", "format_action", "mask_members", "running_sums", "trace_to_csv"]
+__all__ = ["RegretTrace", "checked_index", "checked_int", "checked_mask", "format_action", "mask_members",
+           "running_sums", "trace_to_csv"]
 
 
 def running_sums(values) -> tuple[float, ...]:
@@ -26,16 +27,43 @@ def running_sums(values) -> tuple[float, ...]:
     return tuple(accumulate(values, initial=0.0))[1:]
 
 
-def checked_int(x, t: int, what: str) -> int:
-    """x as an int; a bool or a non-integer is refused with a ValueError
-    naming round t and ``what`` x is. An integer numpy scalar is accepted,
-    through operator.index."""
+def checked_int(x, what: str) -> int:
+    """x as an int; a bool or a non-integer is refused with the ValueError
+    "<what> must be an integer, got <x!r>". An integer numpy scalar passes,
+    through operator.index. The one index rule is this and the two below."""
+    if type(x) is int:
+        return x
     if not isinstance(x, bool):
         try:
             return operator.index(x)
         except TypeError:
             pass
-    raise ValueError(f"round {t}: {what} must be an integer, got {x!r}")
+    raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
+def checked_index(x, n: int, what: str) -> int:
+    """checked_int(x, what), refused with the ValueError "<what> must be in
+    [0, <n>), got <x>" unless 0 <= x < n."""
+    i = checked_int(x, what)
+    if 0 <= i < n:
+        return i
+    raise ValueError(f"{what} must be in [0, {n}), got {i}")
+
+
+def checked_mask(A, n: int, what: str) -> int:
+    """The int mask of the indices in A, each checked by checked_index as
+    "<what> member". A that is not iterable is refused with the ValueError
+    "<what> must be an iterable of indices, got <A!r>"."""
+    try:
+        members = iter(A)
+    except TypeError:
+        raise ValueError(f"{what} must be an iterable of indices, got {A!r}") from None
+    mask = 0
+    for i in members:
+        if type(i) is not int or not 0 <= i < n:  # a plain in-range int needs no more
+            i = checked_index(i, n, f"{what} member")
+        mask |= 1 << i
+    return mask
 
 
 def mask_members(mask: int) -> list[int]:

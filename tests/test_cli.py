@@ -167,16 +167,18 @@ def test_run_rejects_unknown_selector_values(capsys, tmp_path, algorithm, instan
     assert_run_usage_error(capsys, tmp_path, algorithm, (instance,), params | {key: value}, message)
 
 
-def assert_run_usage_error(capsys, tmp_path, algorithm, roles, params, message):
+def assert_run_usage_error(capsys, tmp_path, algorithm, roles, params, message, top=None):
     """``regretlab run`` on the config, with an instance file for each of
     ``roles``, exits 2 with one error line, the given message, and writes
     no output directory. Each file has 4 rows or rounds; the weights peak
-    at 1.5."""
+    at 1.5. ``top`` replaces keys of the config's top level (T: 4,
+    seeds: [0]); a None value removes the key."""
     (tmp_path / "graph").write_text(serialize_graph(Graph(3, ((0, 1), (1, 2)))))
     (tmp_path / "weights").write_text(serialize_weights(WeightSequence(3, [[0.25, 1.5, 0.5]] * 4)))
     (tmp_path / "gkp").write_text(serialize_gkp(gen_random_gkp(3, 4, SeededRng(5))))
     cfg = {"algorithm": algorithm, "instance": {role: role for role in roles}, "T": 4,
-           "seeds": [0], "params": params}
+           "seeds": [0], "params": params} | (top or {})
+    cfg = {key: value for key, value in cfg.items() if value is not None}
     (tmp_path / "exp.json").write_text(json.dumps(cfg))
     for out in (("-o", str(tmp_path / "out")), ()):
         with pytest.raises(SystemExit) as exc:
@@ -207,14 +209,36 @@ def assert_run_usage_error(capsys, tmp_path, algorithm, roles, params, message):
         ("gftpl_gkp", {"eps_schedule": "FPTAS"},
          "eps_schedule mode must be 'additive' or 'fptas', got 'FPTAS'"),
         ("gftpl_gkp", {"eta": -1}, "eta must be nonnegative, got -1.0"),
+        ("ogd_vc", {"T_sweep": [3.7]}, "a T_sweep horizon must be an integer, got 3.7"),
+        ("gap_solver", {"A": 0.2, "B": 0.6, "eps": float("inf")}, "eps must be positive and finite, got inf"),
+        ("gap_solver", {"A": 0.2, "B": 0.6, "eps": float("nan")}, "eps must be positive and finite, got nan"),
+        ("gap_solver", {"A": 0.2, "B": 0.6, "p_coeff": float("nan")},
+         "regret coefficient p_coeff must be positive and finite, got nan"),
     ],
     ids=["step_mode", "W_bound_negative", "W_bound_text", "T_sweep_negative", "T_sweep_scalar",
          "gap_missing_A", "gap_c_exp", "gftpl_T_sweep", "gftpl_kappa_text", "gftpl_kappa_below_1",
-         "gftpl_eps_schedule", "gftpl_eta_negative"],
+         "gftpl_eps_schedule", "gftpl_eta_negative", "T_sweep_float", "gap_eps_inf", "gap_eps_nan",
+         "gap_p_coeff_nan"],
 )
 def test_run_rejects_bad_params_before_writing(capsys, tmp_path, algorithm, params, message):
     instance = "gkp" if algorithm == "gftpl_gkp" else "graph"
     assert_run_usage_error(capsys, tmp_path, algorithm, (instance,), params, message)
+
+
+@pytest.mark.parametrize(
+    "top, message",
+    [
+        ({"T": 2.5}, "T must be an integer, got 2.5"),
+        ({"seeds": [True, 1.9]}, "a seed must be an integer, got True"),
+        ({"seeds": [0, 1.9]}, "a seed must be an integer, got 1.9"),
+        ({"seeds": None, "base_seed": 1.5, "num_seeds": 2}, "base_seed must be an integer, got 1.5"),
+        ({"seeds": None, "base_seed": 1, "num_seeds": 2.0}, "num_seeds must be an integer, got 2.0"),
+    ],
+    ids=["T_float", "seed_bool", "seed_float", "base_seed_float", "num_seeds_float"],
+)
+def test_run_refuses_config_integers_that_are_not_integers(capsys, tmp_path, top, message):
+    # int() truncated each of them: T 2.5 ran T = 2, seeds [true, 1.9] ran seed 1 twice
+    assert_run_usage_error(capsys, tmp_path, "ogd_vc", ("graph",), {}, message, top)
 
 
 @pytest.mark.parametrize(
@@ -351,7 +375,7 @@ def test_bound_rejects_invalid_values_as_usage_errors(capsys, argv, message):
         (("gen", "dnf", "--n", "5", "--m", "-2"), "need m >= 0 clauses, got m=-2"),
         (("gen", "gkp", "--n", "0", "--m", "1"), "need n >= 1 items and m >= 0 rounds"),
         (("run", "{dir}/exp.json"), "line 3: self-loop at vertex 1"),
-        (("verify", "reductions", "{dir}/f.dnf", "--n", "5"), "line 1: variable 6 out of range 0..4"),
+        (("verify", "reductions", "{dir}/f.dnf", "--n", "5"), "line 1: a clause variable must be in [0, 5), got 6"),
         (("verify", "projection", "{dir}/empty.txt"), "line 1: missing 'n m' header"),
         (("verify", "projection", "{dir}/g.txt", "--trials", "-1"),
          "argument --trials: must be a nonnegative integer, got '-1'"),

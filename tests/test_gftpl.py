@@ -322,7 +322,7 @@ def scripted_oracle(plays):
     [
         ([frozenset(), {0}, RuntimeError("boom")], r"^round 2: negative payoff -10\.0 "),
         ([frozenset(), {0}, {3}], r"^round 2: negative payoff -10\.0 "),
-        ([frozenset(), {3}, RuntimeError("boom")], r"^round 2: item index 3 out of range for 1 items$"),
+        ([frozenset(), {3}, RuntimeError("boom")], r"^round 2: an oracle set member must be in \[0, 1\), got 3$"),
         ([frozenset(), frozenset(), RuntimeError("boom")], r"^oracle failed at round 3: boom$"),
         ([frozenset(), {0}, {True}], r"^round 2: negative payoff -10\.0 "),
         ([frozenset(), {True}, {0}], r"^round 2: an oracle set member must be an integer, got True$"),
@@ -341,7 +341,7 @@ def test_run_refuses_an_oracle_set_with_an_item_out_of_range():
     stream = [GkpRound([1.0, 1.0], 1.0)] * 3
     for bad, i in (({2}, 2), ({0, -1}, -1)):
         oracle = scripted_oracle([{0}, bad, {1}])
-        with pytest.raises(ValueError, match=f"^round 2: item index {i} out of range for 2 items$"):
+        with pytest.raises(ValueError, match=rf"^round 2: an oracle set member must be in \[0, 2\), got {i}$"):
             gftpl_run(static, stream, oracle, GftplConfig(N=2, eta=0.0), SeededRng(18))
 
 
@@ -353,7 +353,7 @@ def test_run_refuses_an_oracle_set_with_an_item_out_of_range():
         ({1.0}, r"^round 3: an oracle set member must be an integer, got 1\.0$"),
         ({0, 1.5}, r"^round 3: an oracle set member must be an integer, got 1\.5$"),
         ({np.float64(0.0)}, r"^round 3: an oracle set member must be an integer, got np\.float64\(0\.0\)$"),
-        (1, r"^round 3: oracle returned a int, not an item set$"),
+        (1, r"^round 3: an oracle set must be an iterable of indices, got 1$"),
         ("01", r"^round 3: an oracle set member must be an integer, got '0'$"),
     ],
 )

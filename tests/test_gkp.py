@@ -118,6 +118,28 @@ def test_gkp_profit_examples():
         gkp_profit({2}, static, rnd)
 
 
+@pytest.mark.parametrize(
+    "A, message",
+    [
+        ({0, True}, "an item set member must be an integer, got True"),
+        ({1.0}, "an item set member must be an integer, got 1.0"),
+        ({True}, "an item set member must be an integer, got True"),
+        ([0, -1], "an item set member must be in [0, 3), got -1"),
+        (2, "an item set must be an iterable of indices, got 2"),
+    ],
+    ids=["bool_beside_0", "float", "bool", "negative", "not_a_set"],
+)
+def test_item_sets_go_through_the_index_rule(A, message):
+    # {0, True} would pay items {0, 1}; {1.0} and {True} were numpy IndexErrors
+    static = GkpStatic(3, [1.0, 1.0, 1.0], 1.0)
+    rnd = GkpRound([1.0, 2.0, 3.0], 5.0)
+    for profit in (lambda: gkp_profit(A, static, rnd), lambda: multi_gkp_profit(A, static, [rnd])):
+        with pytest.raises(ValueError) as e:
+            profit()
+        assert str(e.value) == message
+    assert gkp_profit([np.int64(1), 1], static, rnd) == gkp_profit({1}, static, rnd) == 2.0
+
+
 def test_multi_gkp_profit_examples():
     static, rounds = TWO_ROUND.static, list(TWO_ROUND.rounds)
     assert multi_gkp_profit({0, 1}, static, rounds) == 3.0

@@ -142,6 +142,28 @@ def test_load_experiment_rejects_bad_configs(tmp_path):
             load_experiment(p)
 
 
+@pytest.mark.parametrize(
+    "top, params, message",
+    [
+        ({"T": 2.5}, {}, "T must be an integer, got 2.5"),
+        ({"seeds": [True, 1.9]}, {}, "a seed must be an integer, got True"),
+        ({"seeds": None, "base_seed": 0, "num_seeds": 1.5}, {}, "num_seeds must be an integer, got 1.5"),
+        ({}, {"T_sweep": [3.7]}, "a T_sweep horizon must be an integer, got 3.7"),
+        ({}, {"T_sweep": "48"}, "a T_sweep horizon must be an integer, got '4'"),
+    ],
+    ids=["T_float", "seeds_bool_float", "num_seeds_float", "T_sweep_float", "T_sweep_text"],
+)
+def test_load_experiment_refuses_integers_it_would_truncate(tmp_path, top, params, message):
+    # int() ran T = 2, seeds (1, 1), T_sweep [3] and [4, 8] here
+    write_graph(tmp_path)
+    obj = {"algorithm": "ogd_vc", "instance": {"graph": "g.txt"}, "T": 5, "seeds": [1], "params": params}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({key: value for key, value in (obj | top).items() if value is not None}))
+    with pytest.raises(ValueError) as e:
+        load_experiment(path)
+    assert str(e.value) == message
+
+
 # --- run_experiment ----------------------------------------------------------------
 
 

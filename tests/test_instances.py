@@ -24,6 +24,7 @@ from regretlab.instances import (
     parse_graph,
     parse_proc_times,
     parse_weights,
+    random_gkp_rounds,
     serialize_dnf,
     serialize_gkp,
     serialize_graph,
@@ -44,8 +45,10 @@ def test_graph_canonicalizes_edge_order():
 
 
 def test_graph_needs_integer_endpoints():
-    with pytest.raises(ValueError, match=r"^edge \(0\.5,1\) endpoints must be integers$"):
+    with pytest.raises(ValueError, match=r"^edge \(0\.5,1\): an endpoint must be an integer, got 0\.5$"):
         Graph(3, ((0.5, 1),))
+    with pytest.raises(ValueError, match=r"^edge \(True,2\): an endpoint must be an integer, got True$"):
+        Graph(3, ((True, 2),))  # was the edge (1, 2)
     g = Graph(3, ((np.int64(2), np.int64(0)),))
     assert g.edges == ((0, 2),) and type(g.edges[0][0]) is int
 
@@ -53,7 +56,7 @@ def test_graph_needs_integer_endpoints():
 @pytest.mark.parametrize(
     "edges, message",
     [
-        (((0, 3),), "edge (0,3) endpoint out of range"),
+        (((0, 3),), "edge (0,3): an endpoint must be in [0, 3), got 3"),
         (((1, 1),), "self-loop at vertex 1"),
         (((0, 1), (1, 0)), "duplicate edge (0,1)"),
     ],
@@ -207,12 +210,13 @@ def test_dnf_validation_and_satisfaction():
 @pytest.mark.parametrize(
     "clause, message",
     [
-        (((0.5, True), (1, True), (2, True)), "variable 0.5 must be an integer"),
+        (((0.5, True), (1, True), (2, True)), "a clause variable must be an integer, got 0.5"),
         (((0, True), (1, "no"), (2, True)), "sign 'no' of variable 1 must be a bool"),
         (((0, True), (1, 1), (2, True)), "sign 1 of variable 1 must be a bool"),
-        (((0, True), (1, True), (3, True)), "variable 3 out of range 0..2"),
+        (((0, True), (1, True), (3, True)), "a clause variable must be in [0, 3), got 3"),
         (((0, True), (1, True)), "each clause must have exactly 3 literals, got 2"),
         (((0, True), (0, False), (2, True)), "clause literals must use distinct variables"),
+        (((0, True), (True, True), (2, True)), "a clause variable must be an integer, got True"),
     ],
 )
 def test_dnf_clause_rule(clause, message):
@@ -388,7 +392,7 @@ def test_dnf_parse_with_explicit_n_reports_the_line():
     with pytest.raises(FormatError) as e:
         parse_dnf("1 2 3\n1 2 7", n=5)
     assert e.value.line == 2
-    assert str(e.value) == "line 2: variable 6 out of range 0..4"
+    assert str(e.value) == "line 2: a clause variable must be in [0, 5), got 6"
     with pytest.raises(FormatError) as e:
         parse_dnf("1 2 3 4")
     assert str(e.value) == "line 1: each clause must have exactly 3 literals, got 4"
@@ -425,6 +429,34 @@ def test_uniform_weights_refuse_a_bad_ceiling_before_drawing(W, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         gen_uniform_weights(2, 3, W, rng)
     assert rng.next_u64() == SeededRng(1).next_u64()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Graph(2.5, ()), "n must be an integer, got 2.5"),
+        (lambda: Graph(True, ()), "n must be an integer, got True"),
+        (lambda: Dnf3Formula(3.0), "n must be an integer, got 3.0"),
+        (lambda: GkpStatic(True, [1.0], 1.0), "n must be an integer, got True"),
+        (lambda: WeightSequence(2.0, [[1.0, 2.0]]), "n must be an integer, got 2.0"),
+        (lambda: ProcTimeMatrix(np.float64(1.0), [[1.0]]), "n must be an integer, got np.float64(1.0)"),
+        (lambda: gen_random_graph(3.0, 0.5, SeededRng(1)), "n must be an integer, got 3.0"),
+        (lambda: gen_uniform_weights(3, 2.5, 1.0, SeededRng(1)), "T must be an integer, got 2.5"),
+        (lambda: gen_onehot_weights(True, 2, SeededRng(1)), "n must be an integer, got True"),
+        (lambda: gen_random_dnf(4, 1.5, SeededRng(1)), "m must be an integer, got 1.5"),
+        (lambda: gen_random_gkp(2.0, 1, SeededRng(1)), "n must be an integer, got 2.0"),
+        (lambda: random_gkp_rounds(GkpStatic(1, [1.0], 1.0), 2.0, SeededRng(1)), "m must be an integer, got 2.0"),
+    ],
+    ids=["graph_float", "graph_bool", "dnf_float", "gkp_static_bool", "weights_float",
+         "proc_times_numpy_float", "gen_graph_float", "gen_uniform_T_float", "gen_onehot_bool",
+         "gen_dnf_m_float", "gen_gkp_float", "gkp_rounds_m_float"],
+)
+def test_counts_go_through_the_index_rule(make, message):
+    # all were accepted, or (gen_uniform_weights) a raw TypeError
+    with pytest.raises(ValueError) as e:
+        make()
+    assert str(e.value) == message
+    assert Graph(np.int64(2), ((0, 1),)) == Graph(2, ((0, 1),))
 
 
 def test_generators_deterministic():

@@ -70,6 +70,40 @@ def test_is_vertex_cover_examples():
     assert is_vertex_cover(Graph(3, ()), set())
 
 
+@pytest.mark.parametrize(
+    "s, message",
+    [
+        ({5, 1}, "a vertex set member must be in [0, 2), got 5"),
+        ({True}, "a vertex set member must be an integer, got True"),
+        ([0.0, 1], "a vertex set member must be an integer, got 0.0"),
+        (None, "a vertex set must be an iterable of indices, got None"),
+    ],
+    ids=["out_of_range", "bool", "float", "not_a_set"],
+)
+def test_is_vertex_cover_checks_its_set(s, message):
+    # {5, 1} was called a cover of the edge (0, 1)
+    with pytest.raises(ValueError) as e:
+        is_vertex_cover(Graph(2, ((0, 1),)), s)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "s, message",
+    [
+        ({True}, "a selection member must be an integer, got True"),
+        ({1.0}, "a selection member must be an integer, got 1.0"),
+        ({-1}, "a selection member must be in [0, 3), got -1"),
+    ],
+    ids=["bool", "float", "negative"],
+)
+def test_selections_go_through_the_index_rule(s, message):
+    # {True} and {1.0} were numpy IndexErrors, or an index when mixed with an int
+    for cost in (lambda: minmax_value(s, (5.0, 1.0, 7.0)), lambda: multi_minmax_cost(s, [[5.0, 1.0, 7.0]])):
+        with pytest.raises(ValueError) as e:
+            cost()
+        assert str(e.value) == message
+
+
 # --- static_minmax_vc ---------------------------------------------------------
 
 

@@ -95,6 +95,35 @@ def test_gap_horizon_errors():
         gap_horizon(GapConfig(A=0.0, B=0.5), eps=1.0, n=4)
 
 
+@pytest.mark.parametrize("p_coeff", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_gap_config_refuses_a_non_finite_p_coeff(p_coeff):
+    # NaN failed later as "cannot convert float NaN to integer", inf as "A·eps = 0"
+    with pytest.raises(ValueError) as e:
+        GapConfig(A=0.25, B=0.5, p_coeff=p_coeff)
+    assert str(e.value) == f"regret coefficient p_coeff must be positive and finite, got {p_coeff!r}"
+
+
+@pytest.mark.parametrize("eps", [float("inf"), float("nan"), 0.0, -1.0], ids=["inf", "nan", "zero", "negative"])
+def test_gap_decider_refuses_a_bad_eps_even_with_T_override(eps):
+    # gap_horizon gave 0 rounds for eps = inf, and gap_solver fell back to
+    # T_override on any ValueError of gap_horizon
+    message = f"eps must be positive and finite, got {eps!r}"
+    with pytest.raises(ValueError) as e:
+        gap_horizon(GapConfig(A=0.25, B=0.5), eps=eps, n=4)
+    assert str(e.value) == message
+    for A in (0.25, 0.0):
+        with pytest.raises(ValueError) as e:
+            gap_solver(K4, GapConfig(A=A, B=0.75, T_override=5), FtlMinMaxVcLearner(K4), SeededRng(1), eps=eps)
+        assert str(e.value) == message
+
+
+def test_gap_solver_falls_back_to_T_override_only_for_A_zero():
+    res = gap_solver(K4, GapConfig(A=0.0, B=0.75, T_override=7), FtlMinMaxVcLearner(K4), SeededRng(1))
+    assert res.T == 7
+    with pytest.raises(ValueError, match="T_override"):
+        gap_solver(K4, GapConfig(A=0.0, B=0.75), FtlMinMaxVcLearner(K4), SeededRng(1))
+
+
 # --- learners ---------------------------------------------------------------------
 
 

@@ -1,11 +1,22 @@
 """Trace construction invariants and CSV layouts."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from regretlab.traces import RegretTrace, format_action, mask_members, running_sums, trace_to_csv
+import regretlab
+from regretlab.traces import (
+    RegretTrace,
+    checked_index,
+    checked_int,
+    checked_mask,
+    format_action,
+    mask_members,
+    running_sums,
+    trace_to_csv,
+)
 
 
 def test_cumulatives_are_the_exact_running_sum():
@@ -108,3 +119,59 @@ def test_gftpl_csv_layout():
 def test_gap_solver_csv_layout():
     tr = RegretTrace(algorithm="gap_solver", masks=[0b1] * 2, values=[1.0, 0.0])
     assert trace_to_csv(tr).split("\n") == ["t,played_set,cost,cum_cost", "1,0,1.0,1.0", "2,0,0.0,1.0"]
+
+
+# --- the index rule ----------------------------------------------------------------
+
+
+def test_checked_int_takes_ints_and_integer_numpy_scalars():
+    assert checked_int(7, "x") == 7
+    got = checked_int(np.int64(-3), "x")
+    assert got == -3 and type(got) is int
+
+
+@pytest.mark.parametrize(
+    "x, shown",
+    [(True, "True"), (np.True_, "np.True_"), (1.0, "1.0"), (np.float64(2.0), "np.float64(2.0)"),
+     ("1", "'1'"), (None, "None")],
+    ids=["bool", "numpy_bool", "float", "numpy_float", "text", "none"],
+)
+def test_checked_int_refuses_bools_and_non_integers(x, shown):
+    with pytest.raises(ValueError) as e:
+        checked_int(x, "a count")
+    assert str(e.value) == f"a count must be an integer, got {shown}"
+
+
+def test_checked_index_adds_the_range():
+    assert checked_index(np.uint8(2), 3, "v") == 2
+    for bad in (-1, 3, 2**70):
+        with pytest.raises(ValueError) as e:
+            checked_index(bad, 3, "a vertex")
+        assert str(e.value) == f"a vertex must be in [0, 3), got {bad}"
+    with pytest.raises(ValueError) as e:
+        checked_index(False, 3, "a vertex")
+    assert str(e.value) == "a vertex must be an integer, got False"
+
+
+def test_checked_mask_checks_each_member():
+    assert checked_mask([2, np.int64(0), 2], 3, "s") == 0b101
+    assert checked_mask((), 0, "s") == 0
+    with pytest.raises(ValueError) as e:
+        checked_mask({0, True}, 3, "an item set")  # {0, True} has two members
+    assert str(e.value) == "an item set member must be an integer, got True"
+    with pytest.raises(ValueError) as e:
+        checked_mask([0, 3], 3, "an item set")
+    assert str(e.value) == "an item set member must be in [0, 3), got 3"
+    with pytest.raises(ValueError) as e:
+        checked_mask(5, 3, "an item set")
+    assert str(e.value) == "an item set must be an iterable of indices, got 5"
+
+
+def test_operator_index_is_written_only_in_the_index_rule():
+    # a second copy of the rule would call operator.index on its own
+    src = Path(regretlab.__file__).parent
+    users = sorted(
+        p.name for p in src.glob("*.py")
+        if re.search(r"\boperator\.index\b|from operator import[^\n]*\bindex\b", p.read_text())
+    )
+    assert users == ["traces.py"]
