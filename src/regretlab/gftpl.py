@@ -16,12 +16,12 @@ and eta (default_eta when unset) in one place, for the engine and for
 callers that need them first, such as the harness's FPTAS error.
 
 The adversary is oblivious, so no round's leader depends on what was
-played. The engine stacks the stream once and runs in two stages: the
-leaders (with ``oracle=None`` every round's exact leader from one
-gkp.fold_sweep, which also gives every prefix's hindsight benchmark;
-otherwise one oracle call per round), then one scoring pass, a gathered
-row sum of the stacked stream per distinct played set, keyed on its int
-bitmask.
+played. The engine reads the stream as one GkpRounds block and runs in
+two stages: the leaders (with ``oracle=None`` every round's exact leader
+from one gkp.fold_sweep, which also gives every prefix's hindsight
+benchmark; otherwise one oracle call per round), then one scoring pass,
+a gathered row sum of the block per distinct played set, keyed on its
+int bitmask.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .gkp import MAX_BRUTE_N, _stacked, distinguisher_set, fold_sweep
-from .instances import GkpRound, GkpStatic
+from .gkp import MAX_BRUTE_N, distinguisher_set, fold_sweep
+from .instances import GkpRounds, GkpStatic, stack_rounds
 from .rng import SeededRng
 from .traces import RegretTrace, checked_mask, mask_members, running_sums
 
@@ -168,7 +168,7 @@ def resolve_run(cfg: GftplConfig, T: int) -> tuple[GftplConfig, float]:
     return cfg, eps
 
 
-def _payoffs(static: GkpStatic, P: np.ndarray, B: np.ndarray, masks, mode: str) -> list[float]:
+def _payoffs(static: GkpStatic, rounds: GkpRounds, masks, mode: str) -> list[float]:
     """gkp_profit of the set masks[k] in round k+1 for every k, bit for bit,
     as one gathered row sum per distinct mask over its members, ascending.
     Under fptas the earliest round with a negative payoff is refused."""
@@ -179,8 +179,8 @@ def _payoffs(static: GkpStatic, P: np.ndarray, B: np.ndarray, masks, mode: str) 
     for mask, rows in rows_of.items():
         members = mask_members(mask)
         if members:
-            excess = np.maximum(0.0, static.w[members].sum() - B[rows])
-            payoffs[rows] = P[np.ix_(rows, members)].sum(axis=1) - static.c * excess
+            excess = np.maximum(0.0, static.w[members].sum() - rounds.B[rows])
+            payoffs[rows] = rounds.rows[np.ix_(rows, members)].sum(axis=1) - static.c * excess
     if mode == "fptas" and (payoffs < 0).any():
         t = int(np.argmax(payoffs < 0)) + 1
         raise ValueError(
@@ -201,7 +201,8 @@ def gftpl_run(
 
     Round t plays the leader of y^1..y^{t-1} plus the N perturbation-scaled
     distinguisher rounds and is paid y^t. The run takes every round's
-    leader first, then scores the stacked stream in one pass (_payoffs).
+    leader first, then scores the stream (a GkpRounds or a list of
+    GkpRound) in one pass (_payoffs).
     The trace records, per round, the payoff, the oracle's claimed
     perturbed objective, the best static payoff on rounds 1..t, the
     running regret against it, and the running theorem bound.
@@ -210,20 +211,20 @@ def gftpl_run(
     plus the perturbation deltas, added in slot order, with brute_oracle's
     tie rule, for all rounds at once by fold_sweep (the floats
     CachingBruteOracle computes round by round); it needs n <= MAX_BRUTE_N.
-    Any other oracle is called once per round as oracle(static,
-    rounds_stream[:t-1] + perturbation rounds), and each set it returns
+    Any other oracle is called once per round with a list: the caller's
+    first t-1 rounds (its own objects when rounds_stream is a list), then
+    the perturbation rounds, built once per run. Each set it returns
     is checked and turned into an int mask as it arrives (checked_mask). If
     the oracle fails or returns a bad set at round t, a fault of an
     earlier round is reported first. The hindsight benchmark comes from
     the same sweep whenever n <= MAX_BRUTE_N. The trace holds the played
     sets as masks.
     """
-    rounds_stream = list(rounds_stream)
-    T = len(rounds_stream)
     n = static.n
     if cfg.N != n:
         raise ValueError("distinguisher-backed runs need N equal to the item count")
-    P, B = _stacked(n, rounds_stream)
+    rounds = stack_rounds(n, rounds_stream)
+    T = len(rounds)
     if oracle is None and n > MAX_BRUTE_N:
         raise ValueError(
             f"oracle=None is the exact leader over all 2^n sets: n={n} exceeds "
@@ -234,30 +235,31 @@ def gftpl_run(
     pert = draw_perturbation(cfg, rng)
 
     base = distinguisher_set(static, P=cfg.delta)
-    pert_rounds = [GkpRound(pert.a[j] * base[j].p, base[j].B) for j in range(cfg.N)]
+    pert_rounds = GkpRounds(n, pert.a[:, None] * base.rows, base.B)
 
     # the leaders never depend on the plays and the bests never depend on
     # the oracle, so both come from one sweep before round 1
     leaders = bests = None
     if n <= MAX_BRUTE_N:
-        leaders, bests = fold_sweep(static, P, B, pert_rounds if oracle is None else None)
+        leaders, bests = fold_sweep(static, rounds, pert_rounds if oracle is None else None)
     if oracle is not None:
-        leaders = []
+        history = rounds_stream if isinstance(rounds_stream, list) else list(rounds)
+        tail, leaders = list(pert_rounds), []
         for t in range(1, T + 1):
             # on a fault at round t, _payoffs of the rounds before raises theirs first
             try:
-                played, perturbed_obj = oracle(static, rounds_stream[: t - 1] + pert_rounds)
+                played, perturbed_obj = oracle(static, history[: t - 1] + tail)
             except Exception as exc:
-                _payoffs(static, P, B, [A for A, _ in leaders], mode)
+                _payoffs(static, rounds, [A for A, _ in leaders], mode)
                 raise RuntimeError(f"oracle failed at round {t}: {exc}") from exc
             try:
                 leaders.append((checked_mask(played, n, f"round {t}: an oracle set"), perturbed_obj))
             except ValueError:
-                _payoffs(static, P, B, [A for A, _ in leaders], mode)
+                _payoffs(static, rounds, [A for A, _ in leaders], mode)
                 raise
 
     masks = [A for A, _ in leaders]
-    payoffs = _payoffs(static, P, B, masks, mode)
+    payoffs = _payoffs(static, rounds, masks, mode)
     benchmark = None if bests is None else (bests[-1] if T else 0.0)
     if bests is None:  # n above the enumeration guard: no benchmark columns
         bests = [float("nan")] * T

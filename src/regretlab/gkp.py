@@ -10,17 +10,17 @@ is piecewise linear and convex in the set's total weight W, evaluable in
 O(log m) from the sorted capacities. Oracles: exhaustive subset search
 (ground truth), a caching variant of it for a growing history, a
 pseudo-polynomial profit-indexed DP, and the profit-scaling FPTAS built
-on it. Round lists are stacked only by _stacked, and the oracles read
-the history only through _summed, its summed profits p_s and excess
+on it. Every reader takes a round stream through instances.stack_rounds,
+which hands a GkpRounds block over as it is, and the oracles read the
+history only through _summed, its summed profits p_s and excess
 function k; the two DPs share one grid guard and pick (_dp_set), and the
-FPTAS and fptas_grid_info one grid (_fptas_grid). SetFold keeps the
-per-set aggregates P[mask] and K[mask] of a growing history, one round at
-a time; the caching oracle folds its prefix through it and takes its
-leader from SetFold.leader. fold_sweep computes the same floats for a
-whole stacked horizon at once, on row blocks of the (rounds x 2^n) fold:
-every round's exact leader of the prefix plus a fixed tail (the FTPL
-engine's leader) and every prefix's hindsight benchmark
-(prefix_best_values). One tie rule serves them all: the first
+FPTAS and fptas_grid_info one grid (_fptas_grid). fold_sweep keeps the
+per-set aggregates P[mask] and K[mask] of a whole horizon's prefixes, on
+row blocks of the (rounds x 2^n) fold: every round's exact leader of the
+prefix plus a fixed tail (the FTPL engine's leader) and every prefix's
+hindsight benchmark (prefix_best_values). The caching oracle folds a
+growing history into the same aggregates one round at a time, with the
+same floats. One tie rule serves them all: the first
 maximum in _lex_order, of which leader_set is the one-row case. The
 DP keeps only the reachable profit levels (at most 2^n), so its cost
 follows the distinct subset profits, not the width of the profit grid;
@@ -32,13 +32,12 @@ machinery of the FTPL engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import floor, isfinite
 
 import numpy as np
 
-from .instances import GkpRound, GkpStatic, check_round_length
+from .instances import GkpRound, GkpRounds, GkpStatic, check_round_length, stack_rounds
 from .traces import checked_mask, mask_members
 
 ItemSet = frozenset
@@ -49,36 +48,22 @@ MAX_DP_CELLS = 20_000_000
 _BLOCK_CELLS = 4096
 
 
-@dataclass(frozen=True, eq=False)
 class ExcessFunction:
-    """k(W) = sum_t max(0, W - B^t) in evaluable form.
+    """k(W) = sum_t max(0, W - B^t) in evaluable form, built from the
+    capacities B^t.
 
-    prefix_sums[j] is the sum of the j smallest capacities, so with
-    j = #{capacities < W} the value is j*W - prefix_sums[j].
+    sorted_caps holds the capacities in ascending order and prefix_sums[j]
+    the sum of the j smallest, so with j = #{capacities < W} the value is
+    j*W - prefix_sums[j].
     """
 
-    sorted_caps: np.ndarray
-    prefix_sums: np.ndarray
+    __slots__ = ("sorted_caps", "prefix_sums")
 
-    def __post_init__(self):
-        caps = np.asarray(self.sorted_caps, dtype=np.float64)
-        pref = np.asarray(self.prefix_sums, dtype=np.float64)
-        if caps.ndim != 1 or pref.shape != (caps.shape[0] + 1,):
-            raise ValueError("prefix_sums must have one more entry than sorted_caps")
-        if caps.size and np.any(np.diff(caps) < 0):
-            raise ValueError("capacities must be sorted non-decreasingly")
-        expect = np.concatenate(([0.0], np.cumsum(caps)))
-        if not np.array_equal(pref, expect):
-            raise ValueError("prefix_sums must be the cumulative capacity sums")
-        caps.flags.writeable = False
-        pref.flags.writeable = False
-        object.__setattr__(self, "sorted_caps", caps)
-        object.__setattr__(self, "prefix_sums", pref)
-
-    @classmethod
-    def from_caps(cls, caps) -> "ExcessFunction":
-        caps = np.sort(np.asarray(caps, dtype=np.float64))
-        return cls(caps, np.concatenate(([0.0], np.cumsum(caps))))
+    def __init__(self, caps) -> None:
+        self.sorted_caps = np.sort(np.asarray(caps, dtype=np.float64))
+        self.prefix_sums = np.concatenate(([0.0], np.cumsum(self.sorted_caps)))
+        self.sorted_caps.flags.writeable = False
+        self.prefix_sums.flags.writeable = False
 
     def value(self, W: float) -> float:
         j = int(np.searchsorted(self.sorted_caps, W, side="left"))
@@ -116,21 +101,11 @@ def multi_gkp_profit(A, static: GkpStatic, rounds) -> float:
     return _aggregate_profit(A, static, _summed(static, rounds))
 
 
-def _stacked(n: int, rounds) -> tuple[np.ndarray, np.ndarray]:
-    """The one reader of a round list: its (m, n) profit block and (m,)
-    capacity vector, refusing a round without n profits by its index."""
-    rounds = list(rounds)
-    for k, r in enumerate(rounds):
-        check_round_length(n, r, k)
-    P = np.array([r.p for r in rounds]).reshape(len(rounds), n)
-    return P, np.array([r.B for r in rounds], dtype=np.float64)
-
-
 def _summed(static: GkpStatic, rounds) -> tuple[np.ndarray, ExcessFunction] | None:
     """The history summary every oracle reads: the rounds' summed profit
     vector p_s and their excess function k, or None for no rounds."""
-    P, B = _stacked(static.n, rounds)
-    return (P.sum(axis=0), ExcessFunction.from_caps(B)) if B.size else None
+    rounds = stack_rounds(static.n, rounds)
+    return (rounds.rows.sum(axis=0), ExcessFunction(rounds.B)) if len(rounds) else None
 
 
 def _aggregate_profit(A, static: GkpStatic, summed) -> float:
@@ -190,51 +165,6 @@ def leader_set(values: np.ndarray) -> tuple[frozenset, float]:
     return frozenset(mask_members(mask)), top
 
 
-class SetFold:
-    """Per-set aggregates of a round history, for all 2^n item sets.
-
-    P[mask] is the summed profit of set mask over the folded rounds and
-    K[mask] its summed capacity excess k(W_mask), W_all[mask] being the
-    set's total weight. add() folds one round in place as
-    ``P += _subset_sums(p)`` then ``K += max(0, W_all - B)``, so rounds
-    folded in arrival order give the same floats wherever this is used,
-    fold_sweep's row blocks included.
-    """
-
-    __slots__ = ("n", "W_all", "P", "K")
-
-    def __init__(self, static: GkpStatic) -> None:
-        if static.n > MAX_BRUTE_N:
-            raise ValueError(f"n={static.n} exceeds enumeration guard {MAX_BRUTE_N}")
-        self.n = static.n
-        self.W_all = _subset_sums(static.w)
-        self.P = np.zeros(self.W_all.shape[0])
-        self.K = np.zeros(self.W_all.shape[0])
-
-    def delta(self, r: GkpRound) -> tuple[np.ndarray, np.ndarray]:
-        """The per-set (profit, excess) increments of one round."""
-        check_round_length(self.n, r)
-        return _subset_sums(r.p), np.maximum(0.0, self.W_all - r.B)
-
-    def add(self, r: GkpRound) -> None:
-        dP, dK = self.delta(r)
-        self.P += dP
-        self.K += dK
-
-    def leader(self, tail, c: float) -> tuple[frozenset, float]:
-        """leader_set of the fold plus the (dP, dK) pairs of ``tail``.
-
-        The pairs are added one by one in order (``P = P + dP``,
-        ``K = K + dK``), as folding those rounds would, and the fold itself
-        is left unchanged.
-        """
-        P, K = self.P, self.K
-        for dP, dK in tail:
-            P = P + dP
-            K = K + dK
-        return leader_set(P - c * K)
-
-
 def brute_oracle(static: GkpStatic, rounds) -> tuple[frozenset, float]:
     """Exact maximizer over all 2^n item sets.
 
@@ -255,42 +185,50 @@ def brute_oracle(static: GkpStatic, rounds) -> tuple[frozenset, float]:
 
 
 def fold_sweep(
-    static: GkpStatic, P: np.ndarray, B: np.ndarray, tail=None
+    static: GkpStatic, rounds, tail=None
 ) -> tuple[list[tuple[int, float]] | None, list[float]]:
     """Every round's exact leader and hindsight benchmark, in one pass.
 
-    P and B are the stream as _stacked returns it. Returns (leaders, bests):
-    leaders[t-1] is leader_set of the fold of rounds 1..t-1 plus the per-set
-    deltas of the ``tail`` rounds, with the set as its int bitmask (bit i
-    for item i), bests[t-1] the best set's value on the
-    fold of rounds 1..t. ``tail=None`` skips the leaders (returns None).
+    Returns (leaders, bests) of the round streams ``rounds`` and ``tail``:
+    leaders[t-1] is leader_set of the fold of rounds 1..t-1 plus the
+    ``tail`` rounds, with the set as its int bitmask (bit i for item i),
+    bests[t-1] the best set's value on the fold of rounds 1..t.
+    ``tail=None`` skips the leaders (returns None).
 
-    The (rounds x 2^n) fold is computed in blocks of about _BLOCK_CELLS
-    cells (64 rounds at n = 6, one round from n = 12 up), the running P
-    and K carried from block to block, with the floats SetFold would
-    produce round by round: the same subset sums, the profits and excesses
-    accumulated sequentially along the rounds (as ``P += dP``), and the
-    tail deltas added one at a time in slot order.
+    The fold holds each set's summed profit P[mask] and capacity excess
+    K[mask]: a round adds its profits' subset sums dP and
+    dK = max(0, W_all - B), W_all[mask] being the set's weight. The
+    (rounds x 2^n) fold is computed in blocks of about _BLOCK_CELLS cells
+    (64 rounds at n = 6, one round from n = 12 up), carrying P and K, with
+    the floats of folding round by round (``P += dP``), the tail's
+    increments added one round at a time in slot order.
     """
-    fold = SetFold(static)
-    deltas = None if tail is None else [fold.delta(r) for r in tail]
+    n = static.n
+    if n > MAX_BRUTE_N:
+        raise ValueError(f"n={n} exceeds enumeration guard {MAX_BRUTE_N}")
+    rounds = stack_rounds(n, rounds)
+    W_all = _subset_sums(static.w)
+    P = K = np.zeros(W_all.shape[0])  # the fold of the rounds before the block
     leaders = None if tail is None else []
+    if tail is not None:  # the tail rounds' (dP, dK) increments, in slot order
+        tail = stack_rounds(n, tail)
+        tail = list(zip(_subset_sums(tail.rows), np.maximum(0.0, W_all - tail.B[:, None])))
     bests: list[float] = []
-    step = max(1, _BLOCK_CELLS >> fold.n)
-    for lo in range(0, B.shape[0], step):
-        dP = _subset_sums(P[lo : lo + step])
-        dK = np.maximum(0.0, fold.W_all - B[lo : lo + step, None])
+    step = max(1, _BLOCK_CELLS >> n)
+    for lo in range(0, len(rounds), step):
+        dP = _subset_sums(rounds.rows[lo : lo + step])
+        dK = np.maximum(0.0, W_all - rounds.B[lo : lo + step, None])
         # row 0 is the carried fold, row j the fold through block round j
-        FP = np.add.accumulate(np.vstack((fold.P, dP)), axis=0)
-        FK = np.add.accumulate(np.vstack((fold.K, dK)), axis=0)
-        if deltas is not None:
+        FP = np.add.accumulate(np.vstack((P, dP)), axis=0)
+        FK = np.add.accumulate(np.vstack((K, dK)), axis=0)
+        if tail is not None:
             LP, LK = FP[:-1], FK[:-1]
-            for tP, tK in deltas:
+            for tP, tK in tail:
                 LP = LP + tP
                 LK = LK + tK
             leaders.extend(_row_leaders(LP - static.c * LK))
         bests.extend((FP[1:] - static.c * FK[1:]).max(axis=1).tolist())
-        fold.P, fold.K = FP[-1].copy(), FK[-1].copy()
+        P, K = FP[-1], FK[-1]
     return leaders, bests
 
 
@@ -302,7 +240,7 @@ def prefix_best_values(static: GkpStatic, rounds) -> list[float]:
     enumerations. The maxima agree with brute_oracle up to float summation
     order.
     """
-    return fold_sweep(static, *_stacked(static.n, rounds))[1]
+    return fold_sweep(static, rounds)[1]
 
 
 class CachingBruteOracle:
@@ -313,9 +251,9 @@ class CachingBruteOracle:
     ``oracle=None``, whose exact leader comes from fold_sweep and picks the
     sets this oracle would, with the same values. This class
     serves callers that hand over whole round lists, consecutive queries
-    sharing all but a few rounds. It keeps the SetFold of the longest
-    stable prefix of the query and folds only the changing tail, making
-    each query O(2^n) plus one list comparison.
+    sharing all but a few rounds. It keeps fold_sweep's per-set aggregates
+    P and K of the longest stable prefix of the query and folds only the
+    changing tail, making each query O(2^n) plus one list comparison.
 
     The cached prefix is matched by a single list comparison against the
     query's leading rounds. It short-cuts on object identity and otherwise
@@ -335,32 +273,33 @@ class CachingBruteOracle:
 
     def __init__(self) -> None:
         self._static: GkpStatic | None = None
-        self._fold: SetFold | None = None
+        # every set's total weight, and the prefix's summed profits and excesses
+        self._W_all = self._P = self._K = None
         self._prefix: list[GkpRound] = []
         self._last: list[GkpRound] = []
         # tail slot, counted from the end of the query -> (round, dP, dK)
         self._tail: dict[int, tuple[GkpRound, np.ndarray, np.ndarray]] = {}
 
     def _bind(self, static: GkpStatic) -> None:
-        self._fold = SetFold(static)
+        if static.n > MAX_BRUTE_N:
+            raise ValueError(f"n={static.n} exceeds enumeration guard {MAX_BRUTE_N}")
         self._static = static
+        self._W_all = _subset_sums(static.w)
         self._last = []
         self._tail = {}
-        self._prefix = []
+        self._drop_prefix()
 
     def _drop_prefix(self) -> None:
         # keeps _last: the previous query still tells us which tail slots
         # are transient, so the refold can leave them out of the prefix
-        self._fold = SetFold(self._static)
+        self._P = np.zeros(self._W_all.shape[0])
+        self._K = np.zeros(self._W_all.shape[0])
         self._prefix = []
 
-    def _tail_delta(self, slot: int, r: GkpRound) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._tail.get(slot)
-        if cached is not None and cached[0] is r:
-            return cached[1], cached[2]
-        dP, dK = self._fold.delta(r)
-        self._tail[slot] = (r, dP, dK)
-        return dP, dK
+    def _delta(self, r: GkpRound) -> tuple[np.ndarray, np.ndarray]:
+        """The per-set (profit, excess) increments of one round."""
+        check_round_length(self._static.n, r)
+        return _subset_sums(r.p), np.maximum(0.0, self._W_all - r.B)
 
     def __call__(self, static: GkpStatic, rounds) -> tuple[frozenset, float]:
         rounds = list(rounds)
@@ -379,14 +318,21 @@ class CachingBruteOracle:
             and rounds[-1 - s] is self._last[-1 - s]
         ):
             s += 1
-        fold = self._fold
         for r in rounds[k : len(rounds) - s]:
-            fold.add(r)
+            dP, dK = self._delta(r)
+            self._P += dP
+            self._K += dK
             self._prefix.append(r)
         self._last = rounds
         m = len(rounds)
-        tail = [self._tail_delta(m - 1 - j, rounds[j]) for j in range(m - s, m)]
-        return fold.leader(tail, static.c)
+        P, K = self._P, self._K
+        for j in range(m - s, m):  # the repeated tail, added in slot order
+            r, cached = rounds[j], self._tail.get(m - 1 - j)
+            if cached is None or cached[0] is not r:
+                cached = self._tail[m - 1 - j] = (r, *self._delta(r))
+            P = P + cached[1]
+            K = K + cached[2]
+        return leader_set(P - static.c * K)
 
 
 def _min_weight_dp(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -533,7 +479,7 @@ def fptas_oracle(static: GkpStatic, rounds, eps: float) -> tuple[frozenset, floa
     return best, -value
 
 
-def distinguisher_set(static: GkpStatic, P: float = 1.0) -> list[GkpRound]:
+def distinguisher_set(static: GkpStatic, P: float = 1.0) -> GkpRounds:
     """The n marker rounds: round j pays P for holding item j and nothing
     else, with capacity equal to the full item weight so the penalty can
     never bind. The induced payoff matrix has all-distinct rows, at most
@@ -541,10 +487,4 @@ def distinguisher_set(static: GkpStatic, P: float = 1.0) -> list[GkpRound]:
     """
     if P <= 0:
         raise ValueError("marker profit must be positive")
-    total = static.total_weight
-    rounds = []
-    for j in range(static.n):
-        p = np.zeros(static.n)
-        p[j] = P
-        rounds.append(GkpRound(p, total))
-    return rounds
+    return GkpRounds(static.n, P * np.eye(static.n), np.full(static.n, static.total_weight))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .gftpl import GftplConfig, epsilon_prime, gftpl_run, resolve_run
-from .gkp import _stacked, fptas_oracle
+from .gkp import fptas_oracle
 from .instances import (
     gen_onehot_weights,
     gen_uniform_weights,
@@ -23,6 +23,7 @@ from .instances import (
     parse_graph,
     parse_weights,
     random_gkp_rounds,
+    stack_rounds,
 )
 from .ogd import OgdConfig, ogd_run, theorem2_bound
 from .reductions import FtlMinMaxVcLearner, GapConfig, OgdVcLearner, _check_eps, gap_solver
@@ -92,6 +93,9 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be nonnegative")
+        if len(set(self.seeds)) < len(self.seeds):  # it would weigh one replica twice
+            twice = next(s for k, s in enumerate(self.seeds) if s in self.seeds[:k])
+            raise ValueError(f"seed {twice} is listed twice")
         for key in _SELECTORS[self.algorithm]:
             _selector(self, key)
         _horizons(self)
@@ -170,7 +174,7 @@ def _gftpl_config(cfg: ExperimentConfig, N: int, rounds) -> GftplConfig:
     than its profits summed), and F_M to G_f."""
     given = _given(cfg, ("eta", "kappa", "delta", "G_gamma", "G_f", "F_M", "eps"))
     if "G_f" not in given:
-        given["G_f"] = float(_stacked(N, rounds)[0].sum(axis=1).max(initial=1.0))
+        given["G_f"] = float(stack_rounds(N, rounds).rows.sum(axis=1).max(initial=1.0))
     given.setdefault("F_M", given["G_f"])
     mode, eps = GftplConfig.eps_schedule  # the defaults
     schedule = (cfg.params.get("eps_schedule", mode), given.pop("eps", eps))
@@ -200,6 +204,8 @@ def _read_experiment(path) -> tuple[ExperimentConfig, dict]:
         if key not in obj:
             raise ValueError(f"config missing key {key!r}")
     if "seeds" in obj:
+        if not isinstance(obj["seeds"], list):
+            raise ValueError(f"seeds must be a list of seeds, got {obj['seeds']!r}")
         seeds = tuple(checked_int(s, "a seed") for s in obj["seeds"])
     elif "base_seed" in obj and "num_seeds" in obj:
         base = checked_int(obj["base_seed"], "base_seed")
@@ -277,7 +283,7 @@ def _replica_gftpl(cfg: ExperimentConfig, inst: dict, T: int, seed: int):
     static = gkp.static
     rng = SeededRng(seed)
     if _selector(cfg, "round_source") == "file":  # long enough, see _load_instances
-        rounds = list(gkp.rounds[:T])
+        rounds = gkp.rounds[:T]
     else:
         rounds = random_gkp_rounds(static, T, rng)
     gcfg = _gftpl_config(cfg, static.n, rounds)

@@ -227,17 +227,56 @@ def check_round_length(n: int, r: GkpRound, k: int | None = None) -> None:
         raise ValueError(f"{where} profit vector length must match item count {n}")
 
 
-@dataclass(frozen=True)
-class GkpInstanceSet:
-    """A static knapsack plus its per-round (profit, capacity) stream."""
+@dataclass(frozen=True, eq=False)
+class GkpRounds(_RowMatrix):
+    """A stream of m revealed rounds as one block: row k of ``rows`` is
+    round k's profit vector and B[k] its capacity. ``rounds[k]`` is that
+    round as a GkpRound, ``rounds[a:b]`` the rounds a..b-1 as a block."""
 
-    static: GkpStatic
-    rounds: tuple[GkpRound, ...]
+    _what, _count = "profits p", "m"
+
+    B: np.ndarray  # shape (m,), read-only float64
 
     def __post_init__(self):
-        object.__setattr__(self, "rounds", tuple(self.rounds))
-        for k, r in enumerate(self.rounds):
-            check_round_length(self.static.n, r, k)
+        super().__post_init__()
+        B = _vector(self.B, "capacities B")
+        if B.shape != (self.rows.shape[0],):
+            raise ValueError(f"capacities B must have shape ({self.rows.shape[0]},)")
+        object.__setattr__(self, "B", B)
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return GkpRounds(self.n, self.rows[k], self.B[k])
+        return GkpRound(self.rows[k], float(self.B[k]))
+
+    def __eq__(self, other) -> bool:
+        return super().__eq__(other) and np.array_equal(self.B, other.B)
+
+
+def stack_rounds(n: int, rounds) -> GkpRounds:
+    """The one reader of a round stream: a GkpRounds of n items as it is,
+    any other sequence of GkpRound stacked into one, refusing a round
+    without n profits by its index."""
+    if isinstance(rounds, GkpRounds) and rounds.n == n:
+        return rounds
+    rounds = list(rounds)
+    for k, r in enumerate(rounds):
+        check_round_length(n, r, k)
+    return GkpRounds(n, [r.p for r in rounds], [r.B for r in rounds])
+
+
+@dataclass(frozen=True)
+class GkpInstanceSet:
+    """A static knapsack plus its (profit, capacity) stream, one block."""
+
+    static: GkpStatic
+    rounds: GkpRounds
+
+    def __post_init__(self):
+        object.__setattr__(self, "rounds", stack_rounds(self.static.n, self.rounds))
 
 
 Clause = tuple[tuple[int, bool], tuple[int, bool], tuple[int, bool]]
@@ -392,16 +431,21 @@ def parse_gkp(text: str) -> GkpInstanceSet:
         static = GkpStatic(len(w) if isinstance(w, list) else 0, w, obj["c"])
     except ValueError as exc:
         raise FormatError(str(exc), 1) from None
-    rounds = []
-    for k, r in enumerate(obj["rounds"]):
-        if not isinstance(r, dict) or "p" not in r or "B" not in r:
-            raise FormatError(f"rounds[{k}] must be an object with keys 'p' and 'B'", 1)
-        try:
-            rounds.append(GkpRound(r["p"], r["B"]))
-        except ValueError as exc:
-            raise FormatError(f"rounds[{k}]: {exc}", 1) from None
+    raw = obj["rounds"]
     try:
-        return GkpInstanceSet(static, tuple(rounds))
+        rounds = GkpRounds(static.n, [r["p"] for r in raw], [r["B"] for r in raw])
+    except (KeyError, TypeError, ValueError):
+        # the block refused some round: find it under the per-round rules
+        rounds = []
+        for k, r in enumerate(raw):
+            if not isinstance(r, dict) or "p" not in r or "B" not in r:
+                raise FormatError(f"rounds[{k}] must be an object with keys 'p' and 'B'", 1) from None
+            try:
+                rounds.append(GkpRound(r["p"], r["B"]))
+            except ValueError as exc:
+                raise FormatError(f"rounds[{k}]: {exc}", 1) from None
+    try:
+        return GkpInstanceSet(static, rounds)
     except ValueError as exc:
         raise FormatError(str(exc), 1) from None
 
@@ -471,7 +515,7 @@ def serialize_gkp(inst: GkpInstanceSet) -> str:
     obj = {
         "w": [float(x) for x in inst.static.w],
         "c": inst.static.c,
-        "rounds": [{"p": [float(x) for x in r.p], "B": r.B} for r in inst.rounds],
+        "rounds": [{"p": p, "B": B} for p, B in zip(inst.rounds.rows.tolist(), inst.rounds.B.tolist())],
     }
     return json.dumps(obj)
 
@@ -487,7 +531,7 @@ def serialize_instances(obj) -> str:
     """Serialize any instance object to its canonical text format."""
     if isinstance(obj, Graph):
         return serialize_graph(obj)
-    if isinstance(obj, _RowMatrix):
+    if isinstance(obj, (WeightSequence, ProcTimeMatrix)):
         return _serialize_rows(obj)
     if isinstance(obj, GkpInstanceSet):
         return serialize_gkp(obj)
@@ -567,11 +611,10 @@ def gen_random_gkp(n: int, m: int, rng: SeededRng) -> GkpInstanceSet:
     return GkpInstanceSet(static, random_gkp_rounds(static, m, rng))
 
 
-def random_gkp_rounds(static: GkpStatic, m: int, rng: SeededRng) -> list[GkpRound]:
+def random_gkp_rounds(static: GkpStatic, m: int, rng: SeededRng) -> GkpRounds:
     """m random rounds: n profits uniform on [0, 1), then a capacity uniform
     on [0, total weight), each round one row of an (m, n+1) block."""
     if checked_int(m, "m") < 0:
         raise ValueError("need m >= 0 rounds")
     u = rng.uniform_array(0.0, 1.0, m * (static.n + 1)).reshape(m, static.n + 1)
-    caps = (0.0 + static.total_weight * u[:, -1]).tolist()
-    return [GkpRound(row[:-1], B) for row, B in zip(u, caps)]
+    return GkpRounds(static.n, u[:, :-1], 0.0 + static.total_weight * u[:, -1])

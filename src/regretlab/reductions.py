@@ -77,7 +77,9 @@ def gap_horizon(cfg: GapConfig, eps: float, n: int) -> int:
 
     Evaluates ((A·eps) / (2·p(n)·B))^(1/(c−1)) with p(n) = p_coeff·n and
     rounds up.  Since c < 1 the exponent is negative, so a smaller base
-    (tighter gap, larger instance) means more rounds.
+    (tighter gap, larger instance) means more rounds.  A horizon that no
+    float holds (A·eps = 0, or a power that overflows) is refused with a
+    ValueError that suggests T_override.
     """
     _check_eps(eps)
     if n < 1:
@@ -85,7 +87,10 @@ def gap_horizon(cfg: GapConfig, eps: float, n: int) -> int:
     base = (cfg.A * eps) / (2.0 * cfg.p_coeff * n * cfg.B)
     if base == 0.0:
         raise ValueError("A·eps = 0 gives an unbounded horizon; set T_override")
-    return ceil(base ** (1.0 / (cfg.c_exp - 1.0)))
+    try:
+        return ceil(base ** (1.0 / (cfg.c_exp - 1.0)))
+    except OverflowError:
+        raise ValueError(f"the horizon {base!r}^(1/(c-1)) overflows a float; set T_override") from None
 
 
 class OnlineVcLearner(Protocol):
@@ -207,13 +212,14 @@ def gap_solver(
     index n or above, or a non-cover) raises a ValueError naming the
     round. Each distinct mask is checked once, by bit tests.
     """
-    if cfg.A == 0.0 and cfg.T_override is not None:  # no horizon separates A = 0
-        _check_eps(eps)
-        T = cfg.T_override
-    else:
+    if cfg.T_override is None:
         T = gap_horizon(cfg, eps, g.n)
-        if cfg.T_override is not None:
-            T = min(T, cfg.T_override)
+    else:
+        _check_eps(eps)
+        try:
+            T = min(gap_horizon(cfg, eps, g.n), cfg.T_override)
+        except ValueError:  # eps is checked: the horizon is unbounded or overflows
+            T = cfg.T_override
     if T > MAX_GAP_ROUNDS:
         raise ValueError(f"horizon {T} exceeds {MAX_GAP_ROUNDS}; set T_override")
 

@@ -371,7 +371,7 @@ def test_criterion_9_aggregate_objective_and_excess_consistency():
     exc_bad = conv_bad = 0
     for _ in range(1000):
         caps = [dyadic(0, 512) for _ in range(1 + rng.randrange(10))]
-        f = ExcessFunction.from_caps(caps)
+        f = ExcessFunction(caps)
         W = dyadic(0, 1024)
         if excess_value(W, f) != sum(max(0.0, W - b) for b in caps):
             exc_bad += 1

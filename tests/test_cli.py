@@ -242,6 +242,34 @@ def test_run_refuses_config_integers_that_are_not_integers(capsys, tmp_path, top
 
 
 @pytest.mark.parametrize(
+    "top, message",
+    [
+        ({"seeds": 5}, "seeds must be a list of seeds, got 5"),
+        ({"seeds": "01"}, "seeds must be a list of seeds, got '01'"),
+        ({"seeds": [1, 0, 1]}, "seed 1 is listed twice"),
+    ],
+    ids=["seeds_int", "seeds_text", "seed_twice"],
+)
+def test_run_refuses_seeds_that_are_no_list_of_distinct_seeds(capsys, tmp_path, top, message):
+    # "seeds": 5 ended in a TypeError traceback, and [1, 1] ran seed 1 twice,
+    # weighing it double in mean_regret
+    assert_run_usage_error(capsys, tmp_path, "gap_solver", ("graph",), {"A": 0.2, "B": 0.6}, message, top)
+
+
+def test_run_gap_config_whose_horizon_overflows_runs_each_replica_horizon(capsys, tmp_path):
+    # ((A·eps) / (2·p(n)·B))^(1/(c-1)) overflows a float here; each replica
+    # sets T_override = T, so the run plays T rounds instead of raising
+    (tmp_path / "g.txt").write_text(serialize_graph(Graph(3, ((0, 1), (1, 2)))))
+    cfg = {"algorithm": "gap_solver", "instance": {"graph": "g.txt"}, "T": 4, "seeds": [0, 1],
+           "params": {"A": 1e-300, "B": 0.6, "c_exp": 0.99}}
+    (tmp_path / "exp.json").write_text(json.dumps(cfg))
+    code, _ = run_cli(capsys, "run", str(tmp_path / "exp.json"), "-o", str(tmp_path / "out"))
+    assert code == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [row["T"] for row in summary["per_seed"]] == [4, 4]
+
+
+@pytest.mark.parametrize(
     "algorithm, roles, params, message",
     [
         ("ogd_vc", ("graph", "weights"), {"W_bound": 2.0, "T_sweep": [4, 8]},

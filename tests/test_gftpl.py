@@ -17,9 +17,7 @@ from regretlab.gftpl import (
 from regretlab.gkp import (
     MAX_BRUTE_N,
     CachingBruteOracle,
-    SetFold,
     _lex_order,
-    _stacked,
     _subset_sums,
     brute_oracle,
     distinguisher_set,
@@ -29,7 +27,7 @@ from regretlab.gkp import (
     leader_set,
     prefix_best_values,
 )
-from regretlab.instances import GkpRound, GkpStatic
+from regretlab.instances import GkpRound, GkpStatic, stack_rounds
 from regretlab.rng import SeededRng
 from regretlab.traces import RegretTrace, mask_members
 
@@ -482,10 +480,38 @@ def test_exact_leader_matches_caching_oracle_bitwise(n):
                 assert tr.benchmark == (best[-1] if best else 0.0)
 
 
+class Fold:
+    """Per-set aggregates of a round history, folded one round at a time:
+    P[mask] is set mask's summed profit and K[mask] its summed capacity
+    excess, W_all[mask] being its total weight."""
+
+    def __init__(self, static):
+        self.W_all = _subset_sums(static.w)
+        self.P = np.zeros(self.W_all.shape[0])
+        self.K = np.zeros(self.W_all.shape[0])
+
+    def delta(self, r):
+        return _subset_sums(r.p), np.maximum(0.0, self.W_all - r.B)
+
+    def add(self, r):
+        dP, dK = self.delta(r)
+        self.P += dP
+        self.K += dK
+
+    def leader(self, tail, c):
+        """leader_set of the fold plus the (dP, dK) pairs of tail, added
+        one by one in order; the fold itself is left unchanged."""
+        P, K = self.P, self.K
+        for dP, dK in tail:
+            P = P + dP
+            K = K + dK
+        return leader_set(P - c * K)
+
+
 def fresh_fold_oracle(static, rounds):
     """The exact leader the long way: every round of the query, the
     perturbation rounds included, folded afresh in order."""
-    fold = SetFold(static)
+    fold = Fold(static)
     for r in rounds:
         fold.add(r)
     return leader_set(fold.P - static.c * fold.K)
@@ -519,7 +545,7 @@ def test_exact_leader_matches_brute_oracle_on_exact_sums(n):
         # the leader of round t+1 is the sorted-tuple-smallest maximizer on
         # rounds 1..t, the empty set first; count the rounds where it is one
         # of several nonempty maximizers
-        fold = SetFold(static)
+        fold = Fold(static)
         for t, y in enumerate(stream[:-1], start=1):
             fold.add(y)
             values = fold.P - static.c * fold.K
@@ -571,7 +597,7 @@ def test_exact_leader_guard_fires_before_round_one():
 def reference_gftpl_run(static, rounds_stream, oracle, cfg, rng):
     """The per-round engine fold_sweep replaced.
 
-    Each round it asked SetFold.leader for the leader of the fold plus the
+    Each round it asked its fold for the leader of the fold plus the
     perturbation deltas, then folded the round in and read the benchmark
     off the fold. Its floats are the reference gftpl_run must reproduce
     bit for bit.
@@ -584,7 +610,7 @@ def reference_gftpl_run(static, rounds_stream, oracle, cfg, rng):
     pert = draw_perturbation(cfg, rng)
     base = distinguisher_set(static, P=cfg.delta)
     pert_rounds = [GkpRound(pert.a[j] * base[j].p, base[j].B) for j in range(cfg.N)]
-    fold = SetFold(static)
+    fold = Fold(static)
     tail = [fold.delta(r) for r in pert_rounds]
     masks, payoffs = [], []
     extras = {"perturbed_obj": [], "best_static_cum": [], "regret": [], "theorem3_bound": []}
@@ -664,31 +690,43 @@ def test_sweep_reproduces_the_per_round_engine_one_round_a_block(n):
 
 
 def test_exact_leader_makes_no_per_round_fold_call(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("per-round SetFold call")
+    # one subset-sum call for the set weights, one for the perturbation
+    # block and one per block of 64 rounds; no one-row leader
+    import regretlab.gkp as gkp
 
+    def refuse(*args):
+        raise AssertionError("per-round leader call")
+
+    calls = []
+
+    def counted(v):
+        calls.append(v.shape)
+        return subset_sums(v)
+
+    subset_sums = gkp._subset_sums
     rng = SeededRng(7400)
     static, stream = random_instance(rng, 6, 200)
     cfg = GftplConfig(N=6, G_f=6.0, F_M=6.0)
     ref = reference_gftpl_run(static, stream, None, cfg, SeededRng(1))
-    monkeypatch.setattr(SetFold, "add", refuse)
-    monkeypatch.setattr(SetFold, "leader", refuse)
+    monkeypatch.setattr(gkp, "leader_set", refuse)
+    monkeypatch.setattr(gkp, "_subset_sums", counted)
     assert trace_repr(gftpl_run(static, stream, None, cfg, SeededRng(1))) == trace_repr(ref)
+    assert calls == [(6,), (6, 6), (64, 6), (64, 6), (64, 6), (8, 6)]
 
 
 def test_sweep_bests_are_prefix_best_values_and_need_no_tail():
     rng = SeededRng(7500)
     static, stream = random_instance(rng, 7, 150)
-    leaders, bests = fold_sweep(static, *_stacked(7, stream))
+    leaders, bests = fold_sweep(static, stack_rounds(7, stream))
     assert leaders is None
     assert bests == prefix_best_values(static, stream)
-    fold = SetFold(static)
+    fold = Fold(static)
     for t, y in enumerate(stream):
         fold.add(y)
         assert bests[t] == float((fold.P - static.c * fold.K).max())
     # an empty tail makes the leader of round t follow the plain prefix
-    leaders, _ = fold_sweep(static, *_stacked(7, stream), [])
-    fold = SetFold(static)
+    leaders, _ = fold_sweep(static, stack_rounds(7, stream), [])
+    fold = Fold(static)
     for t, y in enumerate(stream):
         mask, value = leaders[t]
         assert (frozenset(mask_members(mask)), value) == fold.leader([], static.c)
@@ -698,7 +736,7 @@ def test_sweep_bests_are_prefix_best_values_and_need_no_tail():
 def test_sweep_guards_the_enumeration():
     n = MAX_BRUTE_N + 1
     with pytest.raises(ValueError, match="enumeration guard"):
-        fold_sweep(GkpStatic(n, np.ones(n), 1.0), *_stacked(n, []))
+        fold_sweep(GkpStatic(n, np.ones(n), 1.0), stack_rounds(n, []))
 
 
 @pytest.mark.parametrize("n", range(13))

@@ -164,6 +164,12 @@ def test_load_experiment_refuses_integers_it_would_truncate(tmp_path, top, param
     assert str(e.value) == message
 
 
+def test_experiment_config_refuses_a_repeated_seed():
+    with pytest.raises(ValueError) as e:
+        ExperimentConfig("ogd_vc", {}, 5, (3, 1, 4, 1))
+    assert str(e.value) == "seed 1 is listed twice"
+
+
 # --- run_experiment ----------------------------------------------------------------
 
 

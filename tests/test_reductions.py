@@ -124,6 +124,18 @@ def test_gap_solver_falls_back_to_T_override_only_for_A_zero():
         gap_solver(K4, GapConfig(A=0.0, B=0.75), FtlMinMaxVcLearner(K4), SeededRng(1))
 
 
+def test_a_horizon_that_overflows_is_refused_or_cut_to_T_override():
+    # the power overflowed as a bare OverflowError, with T_override or without
+    cfg = GapConfig(A=1e-300, B=0.6, c_exp=0.99)
+    with pytest.raises(ValueError) as e:
+        gap_horizon(cfg, eps=1.0, n=4)
+    assert "overflows a float; set T_override" in str(e.value)
+    with pytest.raises(ValueError, match="overflows a float; set T_override"):
+        gap_solver(K4, cfg, FtlMinMaxVcLearner(K4), SeededRng(1))
+    res = gap_solver(K4, GapConfig(A=1e-300, B=0.6, c_exp=0.99, T_override=6), FtlMinMaxVcLearner(K4), SeededRng(1))
+    assert res.T == 6
+
+
 # --- learners ---------------------------------------------------------------------
 
 
