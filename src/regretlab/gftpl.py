@@ -32,7 +32,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .gkp import MAX_BRUTE_N, distinguisher_set, fold_sweep
-from .instances import GkpRounds, GkpStatic, stack_rounds
+from .instances import GkpRounds, GkpStatic, owned_array, stack_rounds
 from .rng import SeededRng
 from .traces import RegretTrace, checked_mask, mask_members, running_sums
 
@@ -98,13 +98,14 @@ class GftplConfig:
 
 @dataclass(frozen=True, eq=False)
 class PerturbationVector:
-    """The single random draw a in [0, eta]^N of a run."""
+    """The single random draw a in [0, eta]^N of a run, stored read-only
+    in an array of its own."""
 
     a: np.ndarray
     eta: float
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64)
+        a = owned_array(self.a)
         if a.ndim != 1:
             raise ValueError("a must be a vector")
         if a.size and (a.min() < 0 or a.max() > self.eta):

@@ -50,8 +50,21 @@ def _check_finite_nonnegative(lo: float, hi: float, what: str) -> None:
         raise ValueError(f"{what} must be nonnegative")
 
 
+def owned_array(value) -> np.ndarray:
+    """value as a float64 array that no caller holds: np.asarray's result,
+    copied when that is value itself or a view of other memory. So a
+    type that stores it and clears its writeable flag never changes the
+    caller's array, and no later write through the caller's array or a
+    view of it reaches the stored one."""
+    a = np.asarray(value, dtype=np.float64)
+    if a is value or not a.flags.owndata:
+        a = a.copy()
+    return a
+
+
 def _finite_nonnegative_array(a: np.ndarray, what: str) -> np.ndarray:
-    """a, read-only, once every entry is finite and nonnegative."""
+    """a, read-only, once every entry is finite and nonnegative; a must be
+    an array of the caller's own (see owned_array)."""
     if a.size:
         _check_finite_nonnegative(a.min(), a.max(), what)
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -62,7 +75,7 @@ def _finite_nonnegative_array(a: np.ndarray, what: str) -> np.ndarray:
 def _vector(value, what: str) -> np.ndarray:
     """value as a read-only vector of finite nonnegative floats."""
     try:
-        a = np.asarray(value, dtype=np.float64)
+        a = owned_array(value)
     except (TypeError, ValueError, OverflowError):
         a = None
     if a is None or a.ndim != 1:
@@ -123,8 +136,9 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class _RowMatrix:
-    """Rows of n finite nonnegative floats, stored read-only; a subclass
-    names its field (``_what``) and its row count (``_count``)."""
+    """Rows of n finite nonnegative floats, stored read-only in an array of
+    their own; a subclass names its field (``_what``) and its row count
+    (``_count``)."""
 
     _what: ClassVar[str]
     _count: ClassVar[str]
@@ -135,7 +149,7 @@ class _RowMatrix:
     def __post_init__(self):
         checked_int(self.n, "n")
         try:
-            rows = np.asarray(self.rows, dtype=np.float64)
+            rows = owned_array(self.rows)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{self._what} must be rows of numbers") from None
         if rows.ndim == 1 and rows.size == 0:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .instances import Graph, WeightSequence
 from .minmax import MAX_HINDSIGHT_N, best_static_vc_hindsight
-from .traces import RegretTrace, mask_members, running_sums
+from .traces import RegretTrace, checked_index, mask_members, running_sums
 
 __all__ = [
     "OgdConfig",
@@ -258,6 +258,9 @@ class OgdVcLearner:
     y = x - (scale/sqrt(t)) * w_{i*} e_{i*} with i* the first argmax of
     w*x, and projects y back onto the cover polytope. ``scale`` is 1 in
     "paper" mode and sqrt(n)/W_bound in "scaled" mode.
+    ``observe_vertex(u, cost)`` takes the same step for the one-hot row
+    e_u without building it: it picks i* and w_{i*} by the same first
+    argmax rule, so it matches ``observe`` on e_u bit for bit.
 
     The projection is exact. Only coordinate i* moved off the feasible
     point x, so every edge away from i* still holds, and for x_{i*} = z the
@@ -271,8 +274,13 @@ class OgdVcLearner:
     breakpoints, for the first k at which the next breakpoint is not above
     z; clipping that z to [0, 1] gives the minimizer. Every other
     coordinate keeps its value. The neighbour lists are built once here.
-    :func:`ogd_run` drives the same learner, so the gap decider and the
-    batch runner step alike.
+
+    The played mask is kept with ``x``: a step changes only x_{i*} and
+    the neighbours it raises, so it updates only their bits, and ``play``
+    returns the mask as it stands. Assigning ``x`` stores a copy of the
+    sequence and recomputes the mask; an item written into the list in
+    place is not seen by ``play``. :func:`ogd_run` drives the same
+    learner, so the gap decider and the batch runner step alike.
     """
 
     def __init__(self, g: Graph, cfg: OgdConfig | None = None):
@@ -283,21 +291,53 @@ class OgdVcLearner:
         self._adj = neighbour_lists(g)
         self._scale = sqrt(g.n) / self.cfg.W_bound if self.cfg.step_mode == "scaled" else 1.0
 
+    @property
+    def x(self) -> list:
+        return self._x
+
+    @x.setter
+    def x(self, x) -> None:
+        self._x = list(x)
+        self._mask = round_half(self._x)
+
     def play(self) -> int:
-        return round_half(self.x)
+        return self._mask
 
     def observe(self, w_row, cost: float) -> None:
         """Step on a revealed weight row; rejects a row that is not a
         finite vector of length n with a ValueError."""
         self._step(checked_weight_row(w_row, self.g.n).tolist())
 
+    def observe_vertex(self, u: int, cost: float) -> None:
+        """Step on the one-hot row e_u, vertex u checked by
+        :func:`~regretlab.traces.checked_index`."""
+        x = self._x
+        n = len(x)
+        if type(u) is not int or not 0 <= u < n:
+            u = checked_index(u, n, "a revealed vertex")
+        # the products w*x are x_u at u and a zero of either sign elsewhere
+        # (x is finite), so the first maximizer is u when x_u > 0, else
+        # index 0; but index 1 when u = 0 has x_0 < 0 and n > 1
+        if x[u] > 0.0:
+            i_star = u
+        elif u == 0 and x[0] < 0.0 and n > 1:
+            i_star = 1
+        else:
+            i_star = 0
+        self._step_at(i_star, 1.0 if i_star == u else 0.0)
+
     def _step(self, w: list) -> None:
         """Step on the row ``w``, a list of n finite floats."""
-        t = self.t
-        x = self.x
-        prods = list(map(mul, w, x))
+        prods = list(map(mul, w, self._x))
         i_star = prods.index(max(prods))  # the first maximizer, as np.argmax
-        y = x[i_star] - (self._scale / sqrt(t)) * w[i_star]
+        self._step_at(i_star, w[i_star])
+
+    def _step_at(self, i_star: int, w_i: float) -> None:
+        """Step on coordinate i_star, whose row weight is w_i: the
+        water-fill, and the played mask's bits of the moved coordinates."""
+        t = self.t
+        x = self._x
+        y = x[i_star] - (self._scale / sqrt(t)) * w_i
         nbrs = self._adj[i_star]
         z = y
         k = 0
@@ -310,10 +350,14 @@ class OgdVcLearner:
             z = (y + total) / (k + 1)
         z = 0.0 if z < 0.0 else 1.0 if z > 1.0 else z
         x[i_star] = z
+        mask = self._mask | 1 << i_star if z >= 0.5 else self._mask & ~(1 << i_star)
         low = 1.0 - z
         for j in nbrs:
             if x[j] < low:
                 x[j] = low
+                if low >= 0.5:
+                    mask |= 1 << j
+        self._mask = mask
         self.t = t + 1
 
 
@@ -327,11 +371,16 @@ def ogd_run(
     committed before row t is revealed.
 
     A thin driver over :class:`OgdVcLearner`: each round it records the
-    learner's play, then steps the learner on the row. The trace charges
-    each round the integral cover's cost and also logs the fractional
-    iterate's cost and the running additive bound 3*W_bound*sqrt(n*t). The
-    benchmark is the exact hindsight optimum when the graph is small
-    enough to enumerate.
+    learner's play and its iterate, then steps the learner on the row.
+    The costs are scored after the loop, in one pass over the recorded
+    (T, n) block of iterates: the fractional costs as the row maxima of
+    w*x, and the integral costs as one gathered row max per distinct
+    played cover (0.0 for the empty one). numpy's row max keeps the
+    1-D max's sign of zero, so these are the per-round values bit for
+    bit. The trace charges each round the integral cover's cost and also
+    logs the fractional iterate's cost and the running additive bound
+    3*W_bound*sqrt(n*t). The benchmark is the exact hindsight optimum
+    when the graph is small enough to enumerate.
     """
     cfg = cfg or OgdConfig()
     if seq.n != g.n:
@@ -341,20 +390,24 @@ def ogd_run(
         raise ValueError("weights exceed the configured W_bound")
     n = g.n
     learner = OgdVcLearner(g, cfg)
+    x = learner.x  # stepped in place
+    iterates = np.empty((seq.T, n))
     masks = []
-    int_costs = []
-    frac_costs = []
-    members_of: dict[int, list[int]] = {}  # one member index list per distinct mask
-    for w in rows:
+    rounds_of: dict[int, list[int]] = {}  # each distinct played mask's rounds
+    for t, w in enumerate(rows.tolist()):
         played = learner.play()
         masks.append(played)
-        members = members_of.get(played)
-        if members is None:
-            members = members_of[played] = mask_members(played)
-        # numpy reductions, not max(): the two differ on the sign of a zero
-        int_costs.append(float(w[members].max()) if members else 0.0)
-        frac_costs.append(float((w * np.array(learner.x)).max()))
-        learner._step(w.tolist())
+        rounds_of.setdefault(played, []).append(t)
+        iterates[t] = x
+        learner._step(w)
+
+    # numpy reductions, not max(): the two differ on the sign of a zero
+    frac_costs = (rows * iterates).max(axis=1).tolist() if seq.T else []
+    int_costs = np.zeros(seq.T)
+    for played, ks in rounds_of.items():
+        if played:
+            int_costs[ks] = rows[np.ix_(ks, mask_members(played))].max(axis=1)
+    int_costs = int_costs.tolist()
 
     benchmark = None
     if compute_benchmark and n <= MAX_HINDSIGHT_N:

@@ -29,7 +29,7 @@ from .minmax import PathChain, multi_minmax_cost, vc_threshold
 from .ogd import OgdVcLearner  # re-exported: the gap decider's OGD learner
 from .ogd import checked_weight_row, neighbour_lists
 from .rng import SeededRng
-from .traces import RegretTrace, checked_int
+from .traces import RegretTrace, checked_index, checked_int
 
 # Refuse to pre-draw absurdly long adversary streams; callers with a huge
 # computed horizon should set T_override instead.
@@ -98,12 +98,34 @@ class OnlineVcLearner(Protocol):
 
     ``play`` must return a vertex cover of the learner's graph as an int
     bitmask: bit v set means vertex v is in the cover. ``observe``
-    receives the revealed weight row and the incurred cost.
+    receives a revealed weight row and the incurred cost.
+    ``observe_vertex(u, cost)`` receives a one-hot round by its vertex:
+    weight 1 on u and 0 elsewhere, as ``observe`` of that row would. The
+    gap decider reveals every round this way; a learner without
+    ``observe_vertex`` is wrapped once, at entry, in an adapter that builds
+    the one-hot row for its ``observe``.
     """
 
     def play(self) -> int: ...
 
     def observe(self, w_row: np.ndarray, cost: float) -> None: ...
+
+    def observe_vertex(self, u: int, cost: float) -> None: ...
+
+
+class _OneHotRows:
+    """A learner with only ``observe``, revealed one-hot rounds by vertex:
+    ``observe_vertex(u, cost)`` passes it a new row with 1.0 at u."""
+
+    def __init__(self, learner, n: int):
+        self.play = learner.play
+        self._observe = learner.observe
+        self._n = n
+
+    def observe_vertex(self, u: int, cost: float) -> None:
+        w_row = np.zeros(self._n)
+        w_row[u] = 1.0
+        self._observe(w_row, cost)
 
 
 def _neighbour_masks(adj: list[list[int]]) -> list[int]:
@@ -121,21 +143,40 @@ class FtlMinMaxVcLearner:
     actually played as a small set. The learner's state is plain Python:
     the running sums ``cum`` are a list of n floats, and the prune works on
     int bitmasks of the vertices and plays the pruned mask.
+
+    The threshold (:func:`~regretlab.minmax.vc_threshold` of ``cum``) is
+    kept between rounds. ``observe_vertex(u, cost)`` adds 1.0 to cum[u],
+    which can raise only the edge minima at u, so it raises the kept
+    threshold from u's edges alone; the result is the same max over the
+    same floats. ``observe`` and an assignment to ``cum`` (which stores a
+    copy of the sequence) drop it, to be computed again on the next
+    ``play``; an item written into the list in place is not seen by it.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.cum = [0.0] * g.n
-        adj = neighbour_lists(g)
+        adj = self._adj = neighbour_lists(g)
         self._nbr = _neighbour_masks(adj)
         # ties on cum drop the lower degree first, then the higher index
         self._order = sorted(range(g.n), key=lambda v: (len(adj[v]), -v))
 
+    @property
+    def cum(self) -> list:
+        return self._cum
+
+    @cum.setter
+    def cum(self, cum) -> None:
+        self._cum = list(cum)
+        self._thr = None
+
     def play(self) -> int:
         if not self.g.m:
             return 0
-        cum = self.cum
-        thr = vc_threshold(cum, self.g.edges)
+        cum = self._cum
+        thr = self._thr
+        if thr is None:
+            thr = self._thr = vc_threshold(cum, self.g.edges)
         # a stable sort on cum alone keeps (degree, -v) order among ties
         order = sorted([v for v in self._order if cum[v] <= thr], key=cum.__getitem__, reverse=True)
         kept = sum([1 << v for v in order])
@@ -150,7 +191,23 @@ class FtlMinMaxVcLearner:
     def observe(self, w_row: np.ndarray, cost: float) -> None:
         """Add a revealed weight row to the running sums; rejects a row
         that is not a finite vector of length n with a ValueError."""
-        self.cum = list(map(add, self.cum, checked_weight_row(w_row, self.g.n).tolist()))
+        self._cum = list(map(add, self._cum, checked_weight_row(w_row, self.g.n).tolist()))
+        self._thr = None
+
+    def observe_vertex(self, u: int, cost: float) -> None:
+        """Add the one-hot row e_u to the running sums, vertex u checked by
+        :func:`~regretlab.traces.checked_index`."""
+        cum = self._cum
+        if type(u) is not int or not 0 <= u < len(cum):
+            u = checked_index(u, len(cum), "a revealed vertex")
+        cu = cum[u] = cum[u] + 1.0
+        thr = self._thr
+        if thr is not None:
+            for v in self._adj[u]:
+                low = cum[v] if cum[v] < cu else cu
+                if low > thr:
+                    thr = low
+            self._thr = thr
 
 
 @dataclass(frozen=True)
@@ -211,6 +268,11 @@ def gap_solver(
     play that is not one (a bool, a non-integer, a negative int, a bit at
     index n or above, or a non-cover) raises a ValueError naming the
     round. Each distinct mask is checked once, by bit tests.
+
+    Each round is revealed by its vertex, ``learner.observe_vertex(u,
+    cost)``, so no weight row is built. A learner without
+    ``observe_vertex`` is wrapped once, here, in an adapter that passes
+    its ``observe`` the one-hot row instead; the rounds are the same.
     """
     if cfg.T_override is None:
         T = gap_horizon(cfg, eps, g.n)
@@ -233,8 +295,11 @@ def gap_solver(
     costs = []
     nbr = _neighbour_masks(neighbour_lists(g))
     covers: set[int] = set()
+    if not hasattr(learner, "observe_vertex"):
+        learner = _OneHotRows(learner, g.n)
+    play, reveal = learner.play, learner.observe_vertex
     for t in range(1, T + 1):
-        played = learner.play()
+        played = play()
         if type(played) is not int:  # before the lookup: True == 1 is in covers
             played = checked_int(played, f"round {t}: a learner's play")
         if played not in covers:
@@ -246,11 +311,9 @@ def gap_solver(
             costs.append(0.0)
             break
         u = targets[t - 1]
-        w_row = np.zeros(g.n)
-        w_row[u] = 1.0
         cost = 1.0 if played >> u & 1 else 0.0
         costs.append(cost)
-        learner.observe(w_row, cost)
+        reveal(u, cost)
 
     trace = RegretTrace(
         algorithm="gap_solver",

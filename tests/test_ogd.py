@@ -438,6 +438,21 @@ def test_learner_iterates_match_reference_bitwise():
                 assert learner.x is x and np.array(x).tobytes() == expected[t].tobytes(), (n, mode, t)
 
 
+def test_learner_mask_follows_assigned_iterate():
+    g = Graph(3, ((0, 1), (1, 2)))
+    learner = OgdVcLearner(g)
+    assert learner.play() == 0b111
+    mine = [0.25, 0.75, 0.25]
+    learner.x = mine
+    assert learner.play() == 0b010
+    assert learner.x == mine and learner.x is not mine  # the learner's own copy
+    learner.observe_vertex(1, 1.0)
+    assert mine == [0.25, 0.75, 0.25]
+    assert learner.play() == round_half(learner.x)
+    learner.x = (0.5, 0.5, 0.5)
+    assert learner.play() == 0b111 and type(learner.x) is list
+
+
 def check_exact_step(g, x, w, t, cfg):
     """One learner step from the feasible x on row w in round t equals its
     :func:`reference_step` bit for bit; returns (i*, y, stepped iterate),
@@ -533,6 +548,34 @@ def test_ogd_run_single_edge_drifts_to_free_vertex():
     assert all(a == frozenset({1}) for a in tr.actions[-10:])
     assert all(v == 0.0 for v in tr.values[-10:])
     assert tr.benchmark == 0.0  # hindsight cover {1} is free
+
+
+def test_ogd_run_costs_are_the_one_round_rule_bitwise():
+    # ogd_run scores after its loop, from the recorded iterates; each cost
+    # must be the per-round 1-D numpy max bit for bit, signed zeros
+    # included. Edgeless graphs walk to the empty cover, priced 0.0.
+    rng = SeededRng(610)
+    empty = neg_zero = 0
+    for n in range(1, 25):
+        for p in (0.0, 0.2, 0.6):
+            g = Graph(n, gen_random_graph(n, p, rng).edges) if n > 1 else Graph(1, ())
+            rows = [[(0.0, -0.0, 1.0, rng.random(), 1e-3 * rng.random())[rng.randrange(5)] for _ in range(n)]
+                    for _ in range(30)]
+            seq = WeightSequence(n, rows)
+            tr = ogd_run(g, seq, compute_benchmark=False)
+            learner = OgdVcLearner(g)
+            int_costs, frac_costs = [], []
+            for w in seq.rows:
+                members = [v for v in range(n) if learner.play() >> v & 1]
+                int_costs.append(float(w[members].max()) if members else 0.0)
+                frac_costs.append(float((w * np.array(learner.x)).max()))
+                learner.observe(w, 0.0)
+            assert np.array(tr.values).tobytes() == np.array(int_costs).tobytes(), (n, p)
+            assert np.array(tr.extras["frac_cost"]).tobytes() == np.array(frac_costs).tobytes(), (n, p)
+            assert all(type(v) is float for v in tr.values + tr.extras["frac_cost"])
+            empty += tr.masks.count(0)
+            neg_zero += sum(np.signbit(c) for c in tr.values + tr.extras["frac_cost"])
+    assert empty > 100 and neg_zero > 100  # both cases are reached
 
 
 def test_ogd_plays_are_covers_and_ratio_is_exact():

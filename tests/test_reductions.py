@@ -282,6 +282,42 @@ def test_ftl_learner_rejects_rows_of_the_wrong_length():
     assert learner.play() == 0b101
 
 
+def test_ftl_threshold_follows_assigned_sums():
+    learner = FtlMinMaxVcLearner(PATH3)
+    assert learner.play() == 0b010  # the threshold is kept from here
+    mine = [0.0, 5.0, 0.0]
+    learner.cum = mine
+    assert learner.play() == 0b101
+    learner.observe_vertex(0, 0.0)
+    learner.observe_vertex(2, 1.0)
+    assert mine == [0.0, 5.0, 0.0]  # the learner added into its own copy
+    assert learner.cum == [1.0, 5.0, 1.0]
+    assert learner.play() == reference_ftl_play(PATH3, learner.cum) == 0b101
+    for _ in range(5):
+        learner.observe_vertex(0, 0.0)  # cum[0] = 6 passes cum[1]: the threshold rises
+    assert learner.play() == reference_ftl_play(PATH3, learner.cum) == 0b010
+
+
+@pytest.mark.parametrize("kind", [FtlMinMaxVcLearner, OgdVcLearner])
+@pytest.mark.parametrize(
+    "u, message",
+    [
+        (3, r"^a revealed vertex must be in \[0, 3\), got 3$"),
+        (-1, r"^a revealed vertex must be in \[0, 3\), got -1$"),
+        (True, r"^a revealed vertex must be an integer, got True$"),
+        (1.0, r"^a revealed vertex must be an integer, got 1\.0$"),
+    ],
+)
+def test_learners_refuse_a_revealed_vertex_out_of_range(kind, u, message):
+    learner = kind(PATH3)
+    with pytest.raises(ValueError, match=message):
+        learner.observe_vertex(u, 0.0)
+    learner.observe_vertex(np.int64(1), 0.0)  # an integer numpy scalar passes
+    fresh = kind(PATH3)
+    fresh.observe_vertex(1, 0.0)
+    assert learner.play() == fresh.play()
+
+
 # --- gap solver --------------------------------------------------------------------
 
 
