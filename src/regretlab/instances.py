@@ -64,7 +64,7 @@ def owned_array(value) -> np.ndarray:
 
 def _finite_nonnegative_array(a: np.ndarray, what: str) -> np.ndarray:
     """a, read-only, once every entry is finite and nonnegative; a must be
-    an array of the caller's own (see owned_array)."""
+    an array that no caller holds (see owned_array)."""
     if a.size:
         _check_finite_nonnegative(a.min(), a.max(), what)
     a = np.ascontiguousarray(a, dtype=np.float64)
