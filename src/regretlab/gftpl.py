@@ -27,14 +27,14 @@ int bitmask.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import isfinite, sqrt
+from math import sqrt
 
 import numpy as np
 
 from .gkp import MAX_BRUTE_N, distinguisher_set, fold_sweep
-from .instances import GkpRounds, GkpStatic, owned_array, stack_rounds
+from .instances import GkpRounds, GkpStatic, checked_vector, stack_rounds
 from .rng import SeededRng
-from .traces import RegretTrace, checked_mask, mask_members, running_sums
+from .traces import RegretTrace, checked_int, checked_mask, checked_real, mask_members, running_sums
 
 __all__ = [
     "GftplConfig",
@@ -53,10 +53,14 @@ __all__ = [
 class GftplConfig:
     """Engine parameters.
 
+    ``N`` is an integer >= 1 (traces.checked_int). Each real field is
+    checked by traces.checked_real and stored as a float: ``eta`` in
+    [0, inf), ``kappa`` in [1, inf), ``delta`` in (0, inf), and
+    ``G_gamma``, ``G_f`` and ``F_M`` in [0, inf).
     ``eta=None`` means "derive at run time" via default_eta from the
     horizon and the eps schedule. ``eps_schedule`` is ("additive", eps)
-    or ("fptas", eps) with eps=None meaning the T^(-1/2) default; under
-    "fptas" the relative error fed to the oracle should be
+    or ("fptas", eps) with eps in [0, inf), or None meaning the T^(-1/2)
+    default; under "fptas" the relative error fed to the oracle should be
     epsilon_prime(eps, T, cfg).
     """
 
@@ -70,48 +74,33 @@ class GftplConfig:
     eps_schedule: tuple = ("additive", None)
 
     def __post_init__(self):
-        mode, eps = self.eps_schedule
-        for name, value in (
-            ("eta", self.eta), ("kappa", self.kappa), ("delta", self.delta),
-            ("G_gamma", self.G_gamma), ("G_f", self.G_f), ("F_M", self.F_M), ("eps", eps),
-        ):
-            if value is not None and not isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.N < 1:
+        if checked_int(self.N, "N") < 1:
             raise ValueError(f"N must be >= 1, got {self.N!r}")
-        if self.eta is not None and self.eta < 0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta!r}")
-        if self.kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa!r}")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
-        if min(self.G_gamma, self.G_f, self.F_M) < 0:
-            raise ValueError(
-                "G_gamma, G_f, F_M must be nonnegative, got "
-                f"{self.G_gamma!r}, {self.G_f!r}, {self.F_M!r}"
-            )
+        mode, eps = self.eps_schedule
+        if self.eta is not None:
+            object.__setattr__(self, "eta", checked_real(self.eta, "eta", 0.0))
+        object.__setattr__(self, "kappa", checked_real(self.kappa, "kappa", 1.0))
+        object.__setattr__(self, "delta", checked_real(self.delta, "delta", 0.0, open_low=True))
+        for name in ("G_gamma", "G_f", "F_M"):
+            object.__setattr__(self, name, checked_real(getattr(self, name), name, 0.0))
         if mode not in ("additive", "fptas"):
             raise ValueError(f"eps_schedule mode must be 'additive' or 'fptas', got {mode!r}")
-        if eps is not None and eps < 0:
-            raise ValueError(f"eps must be nonnegative, got {eps!r}")
+        if eps is not None:
+            object.__setattr__(self, "eps_schedule", (mode, checked_real(eps, "eps", 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
 class PerturbationVector:
     """The single random draw a in [0, eta]^N of a run, stored read-only
-    in an array of its own."""
+    in an array of its own (instances.checked_vector); eta is in [0, inf)."""
 
     a: np.ndarray
     eta: float
 
     def __post_init__(self):
-        a = owned_array(self.a)
-        if a.ndim != 1:
-            raise ValueError("a must be a vector")
-        if a.size and (a.min() < 0 or a.max() > self.eta):
-            raise ValueError("components must lie in [0, eta]")
-        a.flags.writeable = False
-        object.__setattr__(self, "a", a)
+        eta = checked_real(self.eta, "eta", 0.0)
+        object.__setattr__(self, "a", checked_vector(self.a, "perturbation a", eta))
+        object.__setattr__(self, "eta", eta)
 
 
 def draw_perturbation(cfg: GftplConfig, rng: SeededRng) -> PerturbationVector:
@@ -123,9 +112,10 @@ def draw_perturbation(cfg: GftplConfig, rng: SeededRng) -> PerturbationVector:
 
 def default_eta(cfg: GftplConfig, eps: float, T: int) -> float:
     """Perturbation range equating the stability and perturbation terms:
-    sqrt(kappa * G_f * (G_f + 2*eps) * T / (delta * G_gamma))."""
-    if cfg.G_gamma <= 0:
-        raise ValueError("default eta needs G_gamma > 0")
+    sqrt(kappa * G_f * (G_f + 2*eps) * T / (delta * G_gamma)), for eps
+    in [0, inf) and G_gamma in (0, inf)."""
+    eps = checked_real(eps, "eps", 0.0)
+    checked_real(cfg.G_gamma, "G_gamma of a default eta", 0.0, open_low=True)
     return sqrt(cfg.kappa * cfg.G_f * (cfg.G_f + 2.0 * eps) * T / (cfg.delta * cfg.G_gamma))
 
 
@@ -134,8 +124,9 @@ def epsilon_prime(eps: float, T: int, cfg: GftplConfig) -> float:
     multiplicative contract within additive eps of the exact leader.
 
     Gamma_M, the largest translation-matrix entry, equals G_gamma here
-    (distinguisher payoffs live in {0, P}).
+    (distinguisher payoffs live in {0, P}). eps is in [0, inf).
     """
+    eps = checked_real(eps, "eps", 0.0)
     if cfg.eta is None:
         raise ValueError("eta is unresolved; compute default_eta for the horizon first")
     denom = T * cfg.F_M + cfg.N * cfg.eta * cfg.G_gamma
@@ -145,9 +136,16 @@ def epsilon_prime(eps: float, T: int, cfg: GftplConfig) -> float:
 
 
 def theorem3_bound(cfg: GftplConfig, eps: float, T: int) -> float:
-    """Regret guarantee N*sqrt(kappa*G_f*G_gamma*(G_f+2*eps)/delta*T) + eps*T."""
-    if T < 0:
+    """Regret guarantee N*sqrt(kappa*G_f*G_gamma*(G_f+2*eps)/delta*T) + eps*T,
+    for eps in [0, inf) and an integer T >= 0."""
+    eps = checked_real(eps, "eps", 0.0)
+    if checked_int(T, "T") < 0:
         raise ValueError(f"T must be nonnegative, got {T!r}")
+    return _theorem3(cfg, eps, T)
+
+
+def _theorem3(cfg: GftplConfig, eps: float, T: int) -> float:
+    """theorem3_bound's formula on checked parameters, for every round."""
     inner = cfg.kappa * cfg.G_f * cfg.G_gamma * (cfg.G_f + 2.0 * eps) / cfg.delta * T
     return cfg.N * sqrt(inner) + eps * T
 
@@ -158,7 +156,7 @@ def run_eps(cfg: GftplConfig, T: int) -> float:
     eps = cfg.eps_schedule[1]
     if eps is None:
         return T ** -0.5 if T > 0 else 0.0
-    return float(eps)
+    return eps
 
 
 def resolve_run(cfg: GftplConfig, T: int) -> tuple[GftplConfig, float]:
@@ -273,7 +271,7 @@ def gftpl_run(
             "perturbed_obj": [float(v) for _, v in leaders],
             "best_static_cum": bests,
             "regret": regrets,
-            "theorem3_bound": [theorem3_bound(cfg, eps, t) for t in range(1, T + 1)],
+            "theorem3_bound": [_theorem3(cfg, eps, t) for t in range(1, T + 1)],
         },
         benchmark=benchmark,
         meta={

@@ -33,12 +33,12 @@ machinery of the FTPL engine.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import floor, isfinite
+from math import floor, inf
 
 import numpy as np
 
 from .instances import GkpRound, GkpRounds, GkpStatic, check_round_length, stack_rounds
-from .traces import checked_mask, mask_members
+from .traces import checked_mask, checked_real, mask_members
 
 ItemSet = frozenset
 
@@ -76,9 +76,7 @@ class ExcessFunction:
 
 def excess_value(W: float, f: ExcessFunction) -> float:
     """k(W) by binary search over the sorted capacities."""
-    if W < 0:
-        raise ValueError("total weight must be nonnegative")
-    return f.value(W)
+    return f.value(checked_real(W, "total weight W", 0.0))
 
 
 def gkp_profit(A, static: GkpStatic, rnd: GkpRound) -> float:
@@ -379,11 +377,6 @@ def _min_weight_dp(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return levels, weight, chosen
 
 
-def _check_positive_finite(value: float, name: str) -> None:
-    if not (isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 def _dp_set(q: list[int], unit: float, static: GkpStatic, f: ExcessFunction) -> frozenset:
     """The DP's set on the integer item levels q: of the reachable levels,
     the least-weight set maximizing level*unit - c*k(weight), the smallest
@@ -407,12 +400,12 @@ def exact_dp_oracle(
     scaled-profit level and maximizes level*profit_grid - c*k(min_weight)
     over those levels, the smallest level winning ties.
     """
-    _check_positive_finite(profit_grid, "profit_grid")
+    profit_grid = checked_real(profit_grid, "profit_grid", 0.0, open_low=True)
     summed = _summed(static, rounds)
     if summed is None:
         return frozenset(), 0.0
     p_s, f = summed
-    if not isfinite(float(p_s.max(initial=0.0)) / profit_grid):
+    if not float(p_s.max(initial=0.0)) / profit_grid < inf:
         raise ValueError(f"grid overflow: profit_grid={profit_grid!r} is too fine")
     scaled = p_s / profit_grid
     q = np.rint(scaled)
@@ -422,17 +415,19 @@ def exact_dp_oracle(
     return best, _aggregate_profit(best, static, summed)
 
 
-def _fptas_grid(p_s: np.ndarray, eps: float, n: int) -> tuple[list[int], float] | None:
-    """The FPTAS profit grid (q, K): every item's summed profit floored
-    onto the unit K = eps * P_max / n, as Python ints, and K. None when no
-    item has a positive summed profit."""
-    p_max = float(p_s.max(initial=0.0))
+def _fptas_grid(static: GkpStatic, rounds, eps: float) -> tuple:
+    """The history summary of _summed and the FPTAS profit grid (q, K): each
+    item's summed profit floored onto the unit K = eps * P_max / n, as Python
+    ints, and K; the grid is None when no summed profit is positive."""
+    eps = checked_real(eps, "eps", 0.0, open_low=True)
+    summed = _summed(static, rounds)
+    p_max = float(summed[0].max(initial=0.0)) if summed else 0.0
     if p_max <= 0:
-        return None
-    K = eps * p_max / n
-    if not (K > 0 and isfinite(p_max / K)):
+        return summed, None
+    K = eps * p_max / static.n
+    if not (K > 0 and p_max / K < inf):
         raise ValueError(f"grid overflow: eps={eps!r} makes the unit K={K!r} too fine")
-    return [floor(float(x) / K) for x in p_s], K
+    return summed, ([floor(float(x) / K) for x in summed[0]], K)
 
 
 def fptas_grid_info(static: GkpStatic, rounds, eps: float) -> dict:
@@ -442,9 +437,7 @@ def fptas_grid_info(static: GkpStatic, rounds, eps: float) -> dict:
     MAX_DP_CELLS guard caps. It is not the work done: the DP only visits
     the reachable levels, at most min(levels, 2^n) of them.
     """
-    _check_positive_finite(eps, "eps")
-    summed = _summed(static, rounds)
-    grid = _fptas_grid(summed[0], eps, static.n) if summed else None
+    _, grid = _fptas_grid(static, rounds, eps)
     if grid is None:
         return {"K": 0.0, "levels": 0, "dp_cells": 0}
     levels = sum(grid[0]) + 1
@@ -463,9 +456,7 @@ def fptas_oracle(static: GkpStatic, rounds, eps: float) -> tuple[frozenset, floa
     tested regime. The grid-overflow guard still caps the dense grid size
     (see fptas_grid_info), so the instances accepted are unchanged.
     """
-    _check_positive_finite(eps, "eps")
-    summed = _summed(static, rounds)
-    grid = _fptas_grid(summed[0], eps, static.n) if summed else None
+    summed, grid = _fptas_grid(static, rounds, eps)
     if grid is None:
         return frozenset(), 0.0
     dp_set = _dp_set(*grid, static, summed[1])
@@ -485,6 +476,5 @@ def distinguisher_set(static: GkpStatic, P: float = 1.0) -> GkpRounds:
     never bind. The induced payoff matrix has all-distinct rows, at most
     two values per column, and per-column gap exactly P.
     """
-    if P <= 0:
-        raise ValueError("marker profit must be positive")
+    P = checked_real(P, "marker profit P", 0.0, open_low=True)
     return GkpRounds(static.n, P * np.eye(static.n), np.full(static.n, static.total_weight))

@@ -26,9 +26,9 @@ from .instances import (
     stack_rounds,
 )
 from .ogd import OgdConfig, ogd_run, theorem2_bound
-from .reductions import FtlMinMaxVcLearner, GapConfig, OgdVcLearner, _check_eps, gap_solver
+from .reductions import FtlMinMaxVcLearner, GapConfig, OgdVcLearner, gap_solver
 from .rng import SeededRng
-from .traces import RegretTrace, checked_int, trace_to_csv
+from .traces import RegretTrace, checked_int, checked_real, trace_to_csv
 
 ALGORITHMS = ("ogd_vc", "gftpl_gkp", "gap_solver")
 
@@ -48,20 +48,20 @@ _MAXIMIZING = frozenset({"gftpl_gkp"})
 def compute_regret(trace: RegretTrace, alpha: float = 1.0) -> float:
     """alpha-regret of a finished trace against its hindsight benchmark.
 
-    Minimization traces pay cumulative − alpha·benchmark (alpha ≥ 1);
-    payoff traces earn alpha·benchmark − cumulative (0 < alpha ≤ 1).
-    An empty trace has no regret regardless of benchmark.
+    Minimization traces pay cumulative − alpha·benchmark (alpha in
+    [1, inf)); payoff traces earn alpha·benchmark − cumulative (alpha in
+    (0, 1]). An empty trace has no regret regardless of benchmark.
     """
+    if trace.algorithm in _MAXIMIZING:
+        alpha = checked_real(alpha, "maximization alpha", 0.0, 1.0, open_low=True)
+    else:
+        alpha = checked_real(alpha, "minimization alpha", 1.0)
     if trace.T == 0:
         return 0.0
     if trace.benchmark is None:
         raise ValueError("trace has no benchmark to measure regret against")
     if trace.algorithm in _MAXIMIZING:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("maximization alpha must lie in (0, 1]")
         return alpha * trace.benchmark - trace.cumulative
-    if alpha < 1.0:
-        raise ValueError("minimization alpha must be >= 1")
     return trace.cumulative - alpha * trace.benchmark
 
 
@@ -74,7 +74,8 @@ def compute_regret(trace: RegretTrace, alpha: float = 1.0) -> float:
 class ExperimentConfig:
     """One experiment: an algorithm, its instance files, horizon and seeds.
 
-    ``instance`` maps roles to file paths ('graph', 'weights', 'gkp');
+    ``instance`` maps roles to file paths ('graph', 'weights', 'gkp'); ``T``
+    and each of the distinct ``seeds`` are integers >= 0 (traces.checked_int);
     ``params`` carries the algorithm-specific knobs (see the runners).
     """
 
@@ -87,11 +88,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; pick from {ALGORITHMS}")
-        if self.T < 0:
+        if checked_int(self.T, "T") < 0:
             raise ValueError("T must be nonnegative")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if any(s < 0 for s in self.seeds):
+        if any(checked_int(s, "a seed") < 0 for s in self.seeds):
             raise ValueError("seeds must be nonnegative")
         if len(set(self.seeds)) < len(self.seeds):  # it would weigh one replica twice
             twice = next(s for k, s in enumerate(self.seeds) if s in self.seeds[:k])
@@ -130,41 +131,28 @@ def _horizons(cfg: ExperimentConfig) -> list[int]:
     return horizons or [cfg.T]
 
 
-def _number(cfg: ExperimentConfig, key: str) -> float:
-    """``cfg.params[key]`` as a float; a ValueError names a key that is
-    absent or no number."""
-    if key not in cfg.params:
-        raise ValueError(f"{cfg.algorithm} needs param {key!r}")
-    value = cfg.params[key]
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"param {key!r} must be a number, got {value!r}") from None
-
-
-def _given(cfg: ExperimentConfig, numbers: tuple[str, ...], others: tuple[str, ...] = ()) -> dict:
-    """The keys of ``numbers`` (as floats, see :func:`_number`) and of
-    ``others`` (as they are) that ``cfg.params`` sets to a value other than
-    null; the config classes fill in their own defaults for the rest."""
-    p = cfg.params
-    given = {key: _number(cfg, key) for key in numbers if p.get(key) is not None}
-    return given | {key: p[key] for key in others if p.get(key) is not None}
+def _given(cfg: ExperimentConfig, keys: tuple[str, ...]) -> dict:
+    """The ``keys`` that ``cfg.params`` sets to a value other than null, as
+    they are: the config classes check them (a number by
+    traces.checked_real) and fill in their own defaults for the rest."""
+    return {key: cfg.params[key] for key in keys if cfg.params.get(key) is not None}
 
 
 def _ogd_config(cfg: ExperimentConfig) -> OgdConfig:
     """The OGD parameters of an ogd_vc config."""
-    return OgdConfig(**_given(cfg, ("W_bound",), ("step_mode",)))
+    return OgdConfig(**_given(cfg, ("W_bound", "step_mode")))
 
 
 def _gap_config(cfg: ExperimentConfig) -> tuple[GapConfig, dict]:
     """The gap parameters of a gap_solver config and gap_solver's keyword
     arguments (its eps); each replica sets the horizon as T_override."""
-    gap_cfg = GapConfig(
-        A=_number(cfg, "A"), B=_number(cfg, "B"), **_given(cfg, ("p_coeff", "c_exp"))
-    )
+    for key in ("A", "B"):
+        if key not in cfg.params:
+            raise ValueError(f"{cfg.algorithm} needs param {key!r}")
+    gap_cfg = GapConfig(cfg.params["A"], cfg.params["B"], **_given(cfg, ("p_coeff", "c_exp")))
     solver_kw = _given(cfg, ("eps",))
     if "eps" in solver_kw:
-        _check_eps(solver_kw["eps"])
+        solver_kw["eps"] = checked_real(solver_kw["eps"], "eps", 0.0, open_low=True)
     return gap_cfg, solver_kw
 
 
@@ -206,7 +194,7 @@ def _read_experiment(path) -> tuple[ExperimentConfig, dict]:
     if "seeds" in obj:
         if not isinstance(obj["seeds"], list):
             raise ValueError(f"seeds must be a list of seeds, got {obj['seeds']!r}")
-        seeds = tuple(checked_int(s, "a seed") for s in obj["seeds"])
+        seeds = tuple(obj["seeds"])
     elif "base_seed" in obj and "num_seeds" in obj:
         base = checked_int(obj["base_seed"], "base_seed")
         seeds = tuple(base + s for s in range(checked_int(obj["num_seeds"], "num_seeds")))
@@ -218,7 +206,7 @@ def _read_experiment(path) -> tuple[ExperimentConfig, dict]:
     cfg = ExperimentConfig(
         algorithm=str(obj["algorithm"]),
         instance=instance,
-        T=checked_int(obj["T"], "T"),
+        T=obj["T"],
         seeds=seeds,
         params=dict(obj.get("params", {})),
     )

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import isfinite
+from math import inf
 from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .rng import SeededRng
-from .traces import checked_index, checked_int
+from .traces import checked_index, checked_int, checked_real
 
 
 class FormatError(ValueError):
@@ -38,16 +38,6 @@ class FormatError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-def _check_finite_nonnegative(lo: float, hi: float, what: str) -> None:
-    """Reject a field whose least or greatest value is NaN or infinite, then
-    one whose least value is negative; a scalar is its own lo and hi."""
-    # NaN propagates through min and max, so both are finite iff every entry is
-    if not (isfinite(lo) and isfinite(hi)):
-        raise ValueError(f"{what} must be finite")
-    if lo < 0:
-        raise ValueError(f"{what} must be nonnegative")
 
 
 def owned_array(value) -> np.ndarray:
@@ -62,35 +52,29 @@ def owned_array(value) -> np.ndarray:
     return a
 
 
-def _finite_nonnegative_array(a: np.ndarray, what: str) -> np.ndarray:
-    """a, read-only, once every entry is finite and nonnegative; a must be
-    an array that no caller holds (see owned_array)."""
+def _finite_nonnegative_array(a: np.ndarray, what: str, high: float = inf) -> np.ndarray:
+    """a, read-only, once every entry is a finite number in [0, high]; a
+    must be an array that no caller holds (see owned_array). Its least and
+    greatest entries go through traces.checked_real; NaN propagates
+    through both, so they pass iff every entry does."""
     if a.size:
-        _check_finite_nonnegative(a.min(), a.max(), what)
+        checked_real(float(a.min()), what, 0.0, high)
+        checked_real(float(a.max()), what, 0.0, high)
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False
     return a
 
 
-def _vector(value, what: str) -> np.ndarray:
-    """value as a read-only vector of finite nonnegative floats."""
+def checked_vector(value, what: str, high: float = inf) -> np.ndarray:
+    """value as a read-only vector of finite floats in [0, high], in an
+    array of its own (owned_array)."""
     try:
         a = owned_array(value)
     except (TypeError, ValueError, OverflowError):
         a = None
     if a is None or a.ndim != 1:
         raise ValueError(f"{what} must be a list of numbers")
-    return _finite_nonnegative_array(a, what)
-
-
-def _scalar(value, what: str) -> float:
-    """value as a finite nonnegative float."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} must be a number") from None
-    _check_finite_nonnegative(x, x, what)
-    return x
+    return _finite_nonnegative_array(a, what, high)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +179,11 @@ class GkpStatic:
     c: float
 
     def __post_init__(self):
-        w = _vector(self.w, "item weights w")
+        w = checked_vector(self.w, "item weights w")
         if w.shape != (checked_int(self.n, "n"),):
             raise ValueError(f"item weights w must have length {self.n}")
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "c", _scalar(self.c, "penalty rate c"))
+        object.__setattr__(self, "c", checked_real(self.c, "penalty rate c", 0.0))
 
     @property
     def total_weight(self) -> float:
@@ -222,8 +206,8 @@ class GkpRound:
     B: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _vector(self.p, "profits p"))
-        object.__setattr__(self, "B", _scalar(self.B, "capacity B"))
+        object.__setattr__(self, "p", checked_vector(self.p, "profits p"))
+        object.__setattr__(self, "B", checked_real(self.B, "capacity B", 0.0))
 
     def __eq__(self, other) -> bool:
         return (
@@ -253,7 +237,7 @@ class GkpRounds(_RowMatrix):
 
     def __post_init__(self):
         super().__post_init__()
-        B = _vector(self.B, "capacities B")
+        B = checked_vector(self.B, "capacities B")
         if B.shape != (self.rows.shape[0],):
             raise ValueError(f"capacities B must have shape ({self.rows.shape[0]},)")
         object.__setattr__(self, "B", B)
@@ -447,7 +431,9 @@ def parse_gkp(text: str) -> GkpInstanceSet:
         raise FormatError(str(exc), 1) from None
     raw = obj["rounds"]
     try:
-        rounds = GkpRounds(static.n, [r["p"] for r in raw], [r["B"] for r in raw])
+        # each B is one number, so the number rule checks it as GkpRound would
+        B = [checked_real(r["B"], "capacity B", 0.0) for r in raw]
+        rounds = GkpRounds(static.n, [r["p"] for r in raw], B)
     except (KeyError, TypeError, ValueError):
         # the block refused some round: find it under the per-round rules
         rounds = []
@@ -561,8 +547,7 @@ def serialize_instances(obj) -> str:
 
 def gen_random_graph(n: int, p: float, rng: SeededRng) -> Graph:
     """Erdos-Renyi G(n, p): each unordered pair independently with probability p."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("edge probability must be in [0, 1]")
+    p = checked_real(p, "edge probability p", 0.0, 1.0)
     if checked_int(n, "n") < 1:
         raise ValueError("n must be >= 1")
     # one draw per pair, pairs in the order (0,1), (0,2), ..., (1,2), ...
@@ -585,7 +570,7 @@ def gen_onehot_weights(n: int, T: int, rng: SeededRng) -> WeightSequence:
 
 def gen_uniform_weights(n: int, T: int, W: float, rng: SeededRng) -> WeightSequence:
     """Entries i.i.d. uniform on [0, W]."""
-    _check_finite_nonnegative(W, W, "W")
+    W = checked_real(W, "W", 0.0)
     if checked_int(n, "n") < 1:
         raise ValueError("n must be >= 1")
     if checked_int(T, "T") < 0:

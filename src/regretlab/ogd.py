@@ -21,14 +21,14 @@ arbitrary point, in :func:`project_vc_polytope`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import sqrt
 from operator import add, mul, sub
 
 import numpy as np
 
 from .instances import Graph, WeightSequence
 from .minmax import MAX_HINDSIGHT_N, best_static_vc_hindsight
-from .traces import RegretTrace, checked_index, mask_members, running_sums
+from .traces import RegretTrace, checked_index, checked_int, checked_real, mask_members, running_sums
 
 __all__ = [
     "OgdConfig",
@@ -47,19 +47,18 @@ __all__ = [
 class OgdConfig:
     """Run parameters: weight scale and step-size mode.
 
-    ``step_mode`` is either "paper" (step 1/sqrt(t), the verbatim update
-    rule) or "scaled" (step sqrt(n)/(W_bound*sqrt(t)), the diameter-over-
-    gradient rate under which the 3*W*sqrt(nT) guarantee is proved).
+    ``W_bound`` is in (0, inf), checked by traces.checked_real and stored
+    as a float. ``step_mode`` is either "paper" (step 1/sqrt(t), the
+    verbatim update rule) or "scaled" (step sqrt(n)/(W_bound*sqrt(t)), the
+    diameter-over-gradient rate under which the 3*W*sqrt(nT) guarantee is
+    proved).
     """
 
     W_bound: float = 1.0
     step_mode: str = "scaled"
 
     def __post_init__(self):
-        if not isfinite(self.W_bound):
-            raise ValueError(f"W_bound must be finite, got {self.W_bound!r}")
-        if self.W_bound <= 0:
-            raise ValueError(f"W_bound must be positive, got {self.W_bound!r}")
+        object.__setattr__(self, "W_bound", checked_real(self.W_bound, "W_bound", 0.0, open_low=True))
         if self.step_mode not in ("paper", "scaled"):
             raise ValueError(f"step_mode must be 'paper' or 'scaled', got {self.step_mode!r}")
 
@@ -239,11 +238,16 @@ def round_half(x) -> int:
 
 
 def theorem2_bound(W: float, n: int, T: int) -> float:
-    """Additive regret term 3*W*sqrt(n*T); callers add 2*OPT."""
-    if W < 0:
-        raise ValueError(f"W must be nonnegative, got {W!r}")
-    if n < 1 or T < 0:
+    """Additive regret term 3*W*sqrt(n*T); callers add 2*OPT. W is in
+    [0, inf) and n >= 1 and T >= 0 are integers."""
+    W = checked_real(W, "W", 0.0)
+    if checked_int(n, "n") < 1 or checked_int(T, "T") < 0:
         raise ValueError(f"need n >= 1 and T >= 0, got n={n!r}, T={T!r}")
+    return _theorem2(W, n, T)
+
+
+def _theorem2(W: float, n: int, T: int) -> float:
+    """theorem2_bound's formula on checked parameters, for every round."""
     return 3.0 * W * sqrt(n * T)
 
 
@@ -419,7 +423,7 @@ def ogd_run(
         extras={
             "frac_cost": frac_costs,
             "cum_frac": running_sums(frac_costs),
-            "bound_additive": [theorem2_bound(cfg.W_bound, n, t) for t in range(1, seq.T + 1)],
+            "bound_additive": [_theorem2(cfg.W_bound, n, t) for t in range(1, seq.T + 1)],
         },
         benchmark=benchmark,
         meta={

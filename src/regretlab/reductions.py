@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from math import ceil, inf
+from math import ceil
 from operator import add
 from typing import Protocol, Sequence
 
@@ -29,7 +29,7 @@ from .minmax import PathChain, multi_minmax_cost, vc_threshold
 from .ogd import OgdVcLearner  # re-exported: the gap decider's OGD learner
 from .ogd import checked_weight_row, neighbour_lists
 from .rng import SeededRng
-from .traces import RegretTrace, checked_index, checked_int
+from .traces import RegretTrace, checked_index, checked_int, checked_real
 
 # Refuse to pre-draw absurdly long adversary streams; callers with a huge
 # computed horizon should set T_override instead.
@@ -45,9 +45,12 @@ MAX_GAP_ROUNDS = 1_000_000
 class GapConfig:
     """Parameters of an [A,B]-gap decision backed by an online learner.
 
-    ``p_coeff`` and ``c_exp`` describe the learner's regret guarantee
+    ``A`` and ``B`` are in [0, 1] with A < B. ``p_coeff`` in (0, inf) and
+    ``c_exp`` in [0, 1) describe the learner's regret guarantee
     p(n)·T^c with p(n) = p_coeff·n; they are inputs because the guarantee
     is a property of the learner that the caller must know.
+    ``T_override`` is None or an integer >= 0. Each real field is checked
+    by traces.checked_real and stored as a float.
     """
 
     A: float
@@ -57,19 +60,15 @@ class GapConfig:
     T_override: int | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.A < self.B <= 1.0:
-            raise ValueError(f"need 0 <= A < B <= 1, got A={self.A!r}, B={self.B!r}")
-        if not 0.0 <= self.c_exp < 1.0:
-            raise ValueError(f"regret exponent c_exp must lie in [0, 1), got {self.c_exp!r}")
-        if not 0.0 < self.p_coeff < inf:
-            raise ValueError(f"regret coefficient p_coeff must be positive and finite, got {self.p_coeff!r}")
-        if self.T_override is not None and self.T_override < 0:
+        A, B = checked_real(self.A, "A", 0.0, 1.0), checked_real(self.B, "B", 0.0, 1.0)
+        if not A < B:
+            raise ValueError(f"need A < B, got A={A!r}, B={B!r}")
+        c_exp = checked_real(self.c_exp, "regret exponent c_exp", 0.0, 1.0, open_high=True)
+        p_coeff = checked_real(self.p_coeff, "regret coefficient p_coeff", 0.0, open_low=True)
+        if self.T_override is not None and checked_int(self.T_override, "T_override") < 0:
             raise ValueError(f"T_override must be nonnegative, got {self.T_override!r}")
-
-
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps < inf:
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+        for name, value in (("A", A), ("B", B), ("c_exp", c_exp), ("p_coeff", p_coeff)):
+            object.__setattr__(self, name, value)
 
 
 def gap_horizon(cfg: GapConfig, eps: float, n: int) -> int:
@@ -79,10 +78,11 @@ def gap_horizon(cfg: GapConfig, eps: float, n: int) -> int:
     rounds up.  Since c < 1 the exponent is negative, so a smaller base
     (tighter gap, larger instance) means more rounds.  A horizon that no
     float holds (A·eps = 0, or a power that overflows) is refused with a
-    ValueError that suggests T_override.
+    ValueError that suggests T_override. eps is in (0, inf) and n >= 1 an
+    integer.
     """
-    _check_eps(eps)
-    if n < 1:
+    eps = checked_real(eps, "eps", 0.0, open_low=True)
+    if checked_int(n, "n") < 1:
         raise ValueError("need n >= 1")
     base = (cfg.A * eps) / (2.0 * cfg.p_coeff * n * cfg.B)
     if base == 0.0:
@@ -274,10 +274,10 @@ def gap_solver(
     ``observe_vertex`` is wrapped once, here, in an adapter that passes
     its ``observe`` the one-hot row instead; the rounds are the same.
     """
+    eps = checked_real(eps, "eps", 0.0, open_low=True)
     if cfg.T_override is None:
         T = gap_horizon(cfg, eps, g.n)
     else:
-        _check_eps(eps)
         try:
             T = min(gap_horizon(cfg, eps, g.n), cfg.T_override)
         except ValueError:  # eps is checked: the horizon is unbounded or overflows

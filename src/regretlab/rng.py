@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .traces import checked_int, checked_real
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -39,6 +41,7 @@ class SeededRng:
     __slots__ = ("seed", "_state")
 
     def __init__(self, seed: int):
+        seed = checked_int(seed, "seed")
         if seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         self.seed = seed & _MASK64
@@ -72,16 +75,15 @@ class SeededRng:
         return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def uniform(self, low: float, high: float) -> float:
-        """Uniform float in [low, high)."""
-        if high < low:
-            raise ValueError("uniform() requires low <= high")
+        """Uniform float in [low, high), for finite reals low <= high
+        (traces.checked_real)."""
+        low, high = _checked_range(low, high)
         return low + (high - low) * self.random()
 
     def uniform_array(self, low: float, high: float, k: int) -> np.ndarray:
         """The next k uniform(low, high) floats as one array, with the same
         values: the same formula, elementwise on random_array(k)."""
-        if high < low:
-            raise ValueError("uniform_array() requires low <= high")
+        low, high = _checked_range(low, high)
         return low + (high - low) * self.random_array(k)
 
     def randrange(self, n: int) -> int:
@@ -93,3 +95,11 @@ class SeededRng:
             v = self.next_u64()
             if v < limit:
                 return v % n
+
+
+def _checked_range(low, high) -> tuple[float, float]:
+    """low <= high as floats, each checked by traces.checked_real first."""
+    low, high = checked_real(low, "low"), checked_real(high, "high")
+    if high < low:
+        raise ValueError(f"need low <= high, got low={low!r}, high={high!r}")
+    return low, high

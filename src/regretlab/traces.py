@@ -12,14 +12,16 @@ A played set is an int bitmask, the one action type from a learner's
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from math import inf, isfinite
 from typing import Mapping
 
-__all__ = ["RegretTrace", "checked_index", "checked_int", "checked_mask", "format_action", "mask_members",
-           "running_sums", "trace_to_csv"]
+__all__ = ["RegretTrace", "checked_index", "checked_int", "checked_mask", "checked_real", "format_action",
+           "mask_members", "running_sums", "trace_to_csv"]
 
 
 def running_sums(values) -> tuple[float, ...]:
@@ -64,6 +66,28 @@ def checked_mask(A, n: int, what: str) -> int:
             i = checked_index(i, n, f"{what} member")
         mask |= 1 << i
     return mask
+
+
+def checked_real(x, what: str, low: float = -inf, high: float = inf, *,
+                 open_low: bool = False, open_high: bool = False) -> float:
+    """x as a Python float, refused with the ValueError "<what> must be a
+    finite number in <interval>, got <x>" unless it is a finite real in
+    [low, high] (open at low or high when asked; an infinite end is always
+    open). A bool, a numpy bool, a str, None or an int too large for a
+    float is no real. The one number rule is this; a check that relates
+    two values (low <= high, A < B) follows each value's own."""
+    if type(x) is not float and isinstance(x, numbers.Real) and not isinstance(x, bool):
+        try:
+            x = float(x)
+        except OverflowError:
+            pass
+    if (type(x) is float and isfinite(x) and (low < x if open_low else low <= x)
+            and (x < high if open_high else x <= high)):
+        return x
+    left = "(" if open_low or low == -inf else "["
+    right = ")" if open_high or high == inf else "]"
+    low, high = (str(end).removesuffix(".0") for end in (low, high))  # 0 for 0.0
+    raise ValueError(f"{what} must be a finite number in {left}{low}, {high}{right}, got {x!r}")
 
 
 def mask_members(mask: int) -> list[int]:

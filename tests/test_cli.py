@@ -196,29 +196,31 @@ def assert_run_usage_error(capsys, tmp_path, algorithm, roles, params, message, 
     "algorithm, params, message",
     [
         ("ogd_vc", {"step_mode": "Paper"}, "step_mode must be 'paper' or 'scaled', got 'Paper'"),
-        ("ogd_vc", {"W_bound": -1}, "W_bound must be positive, got -1.0"),
-        ("ogd_vc", {"W_bound": "one"}, "param 'W_bound' must be a number, got 'one'"),
+        ("ogd_vc", {"W_bound": -1}, "W_bound must be a finite number in (0, inf), got -1.0"),
+        ("ogd_vc", {"W_bound": "one"}, "W_bound must be a finite number in (0, inf), got 'one'"),
         ("ogd_vc", {"T_sweep": [4, -1]}, "T_sweep horizons must be nonnegative, got [4, -1]"),
         ("ogd_vc", {"T_sweep": 4}, "T_sweep must be a list of horizons, got 4"),
         ("gap_solver", {"B": 0.6}, "gap_solver needs param 'A'"),
         ("gap_solver", {"A": 0.2, "B": 0.6, "c_exp": 1.0},
-         "regret exponent c_exp must lie in [0, 1), got 1.0"),
+         "regret exponent c_exp must be a finite number in [0, 1), got 1.0"),
         ("gftpl_gkp", {"T_sweep": [4, -1]}, "T_sweep horizons must be nonnegative, got [4, -1]"),
-        ("gftpl_gkp", {"kappa": "abc"}, "param 'kappa' must be a number, got 'abc'"),
-        ("gftpl_gkp", {"kappa": 0.5}, "kappa must be >= 1, got 0.5"),
+        ("gftpl_gkp", {"kappa": "abc"}, "kappa must be a finite number in [1, inf), got 'abc'"),
+        ("gftpl_gkp", {"kappa": 0.5}, "kappa must be a finite number in [1, inf), got 0.5"),
         ("gftpl_gkp", {"eps_schedule": "FPTAS"},
          "eps_schedule mode must be 'additive' or 'fptas', got 'FPTAS'"),
-        ("gftpl_gkp", {"eta": -1}, "eta must be nonnegative, got -1.0"),
+        ("gftpl_gkp", {"eta": -1}, "eta must be a finite number in [0, inf), got -1.0"),
         ("ogd_vc", {"T_sweep": [3.7]}, "a T_sweep horizon must be an integer, got 3.7"),
-        ("gap_solver", {"A": 0.2, "B": 0.6, "eps": float("inf")}, "eps must be positive and finite, got inf"),
-        ("gap_solver", {"A": 0.2, "B": 0.6, "eps": float("nan")}, "eps must be positive and finite, got nan"),
+        ("gap_solver", {"A": 0.2, "B": 0.6, "eps": float("inf")}, "eps must be a finite number in (0, inf), got inf"),
+        ("gap_solver", {"A": 0.2, "B": 0.6, "eps": float("nan")}, "eps must be a finite number in (0, inf), got nan"),
         ("gap_solver", {"A": 0.2, "B": 0.6, "p_coeff": float("nan")},
-         "regret coefficient p_coeff must be positive and finite, got nan"),
+         "regret coefficient p_coeff must be a finite number in (0, inf), got nan"),
+        ("ogd_vc", {"W_bound": "2"}, "W_bound must be a finite number in (0, inf), got '2'"),
+        ("ogd_vc", {"W_bound": True}, "W_bound must be a finite number in (0, inf), got True"),
     ],
     ids=["step_mode", "W_bound_negative", "W_bound_text", "T_sweep_negative", "T_sweep_scalar",
          "gap_missing_A", "gap_c_exp", "gftpl_T_sweep", "gftpl_kappa_text", "gftpl_kappa_below_1",
          "gftpl_eps_schedule", "gftpl_eta_negative", "T_sweep_float", "gap_eps_inf", "gap_eps_nan",
-         "gap_p_coeff_nan"],
+         "gap_p_coeff_nan", "W_bound_numeric_text", "W_bound_bool"],
 )
 def test_run_rejects_bad_params_before_writing(capsys, tmp_path, algorithm, params, message):
     instance = "gkp" if algorithm == "gftpl_gkp" else "graph"
@@ -379,10 +381,15 @@ def test_bound_theorem3_cli_needs_no_eta(capsys):
     "argv, message",
     [
         (("theorem3", "--N", "0", "--T", "10"), "N must be >= 1, got 0"),
-        (("theorem3", "--N", "2", "--T", "10", "--kappa", "nan"), "kappa must be finite, got nan"),
+        # each pytest.param id names the rule its value breaks
+        pytest.param(("theorem3", "--N", "2", "--T", "10", "--kappa", "nan"),
+                     "kappa must be a finite number in [1, inf), got nan", id="argv1-kappa must be finite, got nan"),
         (("theorem3", "--N", "2", "--T", "-1"), "T must be nonnegative, got -1"),
-        (("theorem2", "--W", "-1", "--n", "3", "--T", "10"), "W must be nonnegative, got -1.0"),
+        pytest.param(("theorem2", "--W", "-1", "--n", "3", "--T", "10"),
+                     "W must be a finite number in [0, inf), got -1.0", id="argv3-W must be nonnegative, got -1.0"),
         (("theorem2", "--n", "0", "--T", "10"), "need n >= 1 and T >= 0, got n=0, T=10"),
+        pytest.param(("theorem2", "--W", "nan", "--n", "3", "--T", "10"),
+                     "W must be a finite number in [0, inf), got nan", id="argv5-W must be finite, got nan"),
     ],
 )
 def test_bound_rejects_invalid_values_as_usage_errors(capsys, argv, message):
@@ -397,8 +404,8 @@ def test_bound_rejects_invalid_values_as_usage_errors(capsys, argv, message):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("gen", "graph", "--n", "3", "--p", "2"), "edge probability must be in [0, 1]"),
-        (("gen", "weights", "--n", "2", "--T", "2", "--W", "inf"), "W must be finite"),
+        (("gen", "graph", "--n", "3", "--p", "2"), "edge probability p must be a finite number in [0, 1], got 2.0"),
+        (("gen", "weights", "--n", "2", "--T", "2", "--W", "inf"), "W must be a finite number in [0, inf), got inf"),
         (("gen", "dnf", "--n", "2", "--m", "1"), "need at least 3 variables for 3-literal clauses"),
         (("gen", "dnf", "--n", "5", "--m", "-2"), "need m >= 0 clauses, got m=-2"),
         (("gen", "gkp", "--n", "0", "--m", "1"), "need n >= 1 items and m >= 0 rounds"),
@@ -409,7 +416,8 @@ def test_bound_rejects_invalid_values_as_usage_errors(capsys, argv, message):
          "argument --trials: must be a nonnegative integer, got '-1'"),
         (("verify", "projection", "{dir}/g.txt", "--candidates", "-1"),
          "argument --candidates: must be a nonnegative integer, got '-1'"),
-        (("bench", "oracle", "{dir}/bad.json", "--eps", "0.5"), "line 1: penalty rate c must be a number"),
+        (("bench", "oracle", "{dir}/bad.json", "--eps", "0.5"),
+         "line 1: penalty rate c must be a finite number in [0, inf), got 'x'"),
         (("bench", "oracle", "{dir}/missing.json", "--eps", "0.5"),
          "[Errno 2] No such file or directory: '{dir}/missing.json'"),
         (("bound", "theorem2", "--n", "0", "--T", "10"), "need n >= 1 and T >= 0, got n=0, T=10"),

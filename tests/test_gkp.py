@@ -415,11 +415,11 @@ def test_single_round_readers_reject_a_round_of_the_wrong_length():
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
 def test_dp_oracles_reject_non_finite_or_non_positive_grid_parameters(bad):
     for static, rounds in (_three_items(), _random_four()):
-        with pytest.raises(ValueError, match="profit_grid must be positive and finite"):
+        with pytest.raises(ValueError, match=rf"^profit_grid must be a finite number in \(0, inf\), got {bad!r}$"):
             exact_dp_oracle(static, rounds, bad)
-        with pytest.raises(ValueError, match="eps must be positive and finite"):
+        with pytest.raises(ValueError, match=rf"^eps must be a finite number in \(0, inf\), got {bad!r}$"):
             fptas_oracle(static, rounds, bad)
-        with pytest.raises(ValueError, match="eps must be positive and finite"):
+        with pytest.raises(ValueError, match=rf"^eps must be a finite number in \(0, inf\), got {bad!r}$"):
             fptas_grid_info(static, rounds, bad)
 
 

@@ -56,10 +56,10 @@ def test_block_indexes_as_rounds_and_slices_as_blocks():
     [
         ([[1.0, 2.0]], [1.0, 2.0], "capacities B must have shape (1,)"),
         ([[1.0, 2.0]], [[1.0]], "capacities B must be a list of numbers"),
-        ([[1.0, 2.0]], [float("nan")], "capacities B must be finite"),
-        ([[1.0, 2.0]], [-1.0], "capacities B must be nonnegative"),
-        ([[1.0, float("inf")]], [1.0], "profits p must be finite"),
-        ([[1.0, -2.0]], [1.0], "profits p must be nonnegative"),
+        ([[1.0, 2.0]], [float("nan")], "capacities B must be a finite number in [0, inf), got nan"),
+        ([[1.0, 2.0]], [-1.0], "capacities B must be a finite number in [0, inf), got -1.0"),
+        ([[1.0, float("inf")]], [1.0], "profits p must be a finite number in [0, inf), got inf"),
+        ([[1.0, -2.0]], [1.0], "profits p must be a finite number in [0, inf), got -2.0"),
         ([[1.0]], [1.0], "rows must have shape (m, 2)"),
         ([[[1.0], [2.0]]], [1.0], "rows must have shape (m, 2)"),
         ([[1.0, 2.0], [1.0]], [1.0, 1.0], "profits p must be rows of numbers"),

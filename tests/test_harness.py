@@ -265,7 +265,7 @@ def test_config_builders_pass_only_the_given_params():
     # every default lives in its config class, or in gap_solver's signature, alone
     ogd = ExperimentConfig("ogd_vc", {"graph": "g"}, 4, (0,))
     assert harness._ogd_config(ogd) == OgdConfig()
-    ogd = ExperimentConfig("ogd_vc", {"graph": "g"}, 4, (0,), {"W_bound": "2", "step_mode": "paper"})
+    ogd = ExperimentConfig("ogd_vc", {"graph": "g"}, 4, (0,), {"W_bound": 2, "step_mode": "paper"})
     assert harness._ogd_config(ogd) == OgdConfig(W_bound=2.0, step_mode="paper")
     gap = ExperimentConfig("gap_solver", {"graph": "g"}, 4, (0,), {"A": 0.2, "B": 0.6})
     assert harness._gap_config(gap) == (GapConfig(A=0.2, B=0.6), {})
@@ -279,7 +279,7 @@ def test_config_builders_pass_only_the_given_params():
     # null counts as not given: eta is derived at run time, G_f from the rounds
     nulls = ExperimentConfig("gftpl_gkp", {"gkp": "k"}, 4, (0,), {"eta": None, "G_f": None})
     assert harness._gftpl_config(nulls, 2, rounds) == GftplConfig(N=2, G_f=3.0, F_M=3.0)
-    params = {"G_f": 2, "eps": "0.25", "eps_schedule": "fptas", "eta": 0, "kappa": 3}
+    params = {"G_f": 2, "eps": 0.25, "eps_schedule": "fptas", "eta": 0, "kappa": 3}
     gftpl = ExperimentConfig("gftpl_gkp", {"gkp": "k"}, 4, (0,), params)
     assert harness._gftpl_config(gftpl, 2, rounds) == GftplConfig(
         N=2, eta=0.0, kappa=3.0, G_f=2.0, F_M=2.0, eps_schedule=("fptas", 0.25)

@@ -32,6 +32,10 @@ from regretlab.instances import (
     serialize_proc_times,
     serialize_weights,
 )
+from regretlab.gftpl import GftplConfig, theorem3_bound
+from regretlab.harness import ExperimentConfig
+from regretlab.ogd import theorem2_bound
+from regretlab.reductions import GapConfig
 from regretlab.rng import SeededRng
 
 
@@ -103,7 +107,7 @@ def test_row_matrices_share_a_body_but_stay_distinct_types():
         WeightSequence(3, rows)
     with pytest.raises(ValueError, match=r"^rows must have shape \(N, 3\)$"):
         ProcTimeMatrix(3, rows)
-    with pytest.raises(ValueError, match="^processing times must be nonnegative$"):
+    with pytest.raises(ValueError, match=r"^processing times must be a finite number in \[0, inf\), got -1\.0$"):
         ProcTimeMatrix(2, [[1.0, -1.0]])
 
 
@@ -143,13 +147,19 @@ NAN, INF = float("nan"), float("inf")
     [
         (lambda: GkpRound("abc", 1.0), "profits p must be a list of numbers"),
         (lambda: GkpRound([[1.0]], 1.0), "profits p must be a list of numbers"),
-        (lambda: GkpRound([1.0], "x"), "capacity B must be a number"),
-        (lambda: GkpRound([1.0], None), "capacity B must be a number"),
-        (lambda: GkpRound([1.0], -1.0), "capacity B must be nonnegative"),
+        # the ids name the rule each value breaks
+        pytest.param(lambda: GkpRound([1.0], "x"), "capacity B must be a finite number in [0, inf), got 'x'",
+                     id="<lambda>-capacity B must be a number0"),
+        pytest.param(lambda: GkpRound([1.0], None), "capacity B must be a finite number in [0, inf), got None",
+                     id="<lambda>-capacity B must be a number1"),
+        pytest.param(lambda: GkpRound([1.0], -1.0), "capacity B must be a finite number in [0, inf), got -1.0",
+                     id="<lambda>-capacity B must be nonnegative"),
         (lambda: GkpStatic(1, "abc", 1.0), "item weights w must be a list of numbers"),
         (lambda: GkpStatic(2, [1.0], 1.0), "item weights w must have length 2"),
-        (lambda: GkpStatic(1, [1.0], [1.0]), "penalty rate c must be a number"),
-        (lambda: GkpStatic(1, [1.0], -0.5), "penalty rate c must be nonnegative"),
+        pytest.param(lambda: GkpStatic(1, [1.0], [1.0]), "penalty rate c must be a finite number in [0, inf), got [1.0]",
+                     id="<lambda>-penalty rate c must be a number"),
+        pytest.param(lambda: GkpStatic(1, [1.0], -0.5), "penalty rate c must be a finite number in [0, inf), got -0.5",
+                     id="<lambda>-penalty rate c must be nonnegative"),
     ],
 )
 def test_gkp_types_name_the_field_of_a_bad_value(build, message):
@@ -192,7 +202,7 @@ def test_gkp_instance_set_names_the_round_of_the_wrong_length():
     ],
 )
 def test_non_finite_numbers_rejected_at_the_boundary(build, field):
-    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be finite"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be a finite number in \[0, inf\), got (nan|inf)$"):
         build()
 
 
@@ -300,10 +310,10 @@ def test_weights_header_and_errors():
 def test_row_parse_reports_the_first_row_the_type_refuses():
     with pytest.raises(FormatError) as e:
         parse_weights("n=2\n1.0,2.0\n\n1.0,-1.0\nnan,1.0")
-    assert str(e.value) == "line 4: weights must be nonnegative"
+    assert str(e.value) == "line 4: weights must be a finite number in [0, inf), got -1.0"
     with pytest.raises(FormatError) as e:
         parse_proc_times("n=2\n1.0,inf\n1.0,-1.0")
-    assert str(e.value) == "line 2: processing times must be finite"
+    assert str(e.value) == "line 2: processing times must be a finite number in [0, inf), got inf"
 
 
 def test_proc_times_round_trip():
@@ -345,18 +355,24 @@ def test_gkp_parse_errors():
     [
         ("5", "top level must be a JSON object"),
         ('{"w": 5, "c": 1.0, "rounds": []}', "item weights w must be a list of numbers"),
-        ('{"w": [1.0], "c": [1.0], "rounds": []}', "penalty rate c must be a number"),
-        ('{"w": [1.0], "c": null, "rounds": []}', "penalty rate c must be a number"),
+        ('{"w": [1.0], "c": [1.0], "rounds": []}', "penalty rate c must be a finite number in [0, inf), got [1.0]"),
+        ('{"w": [1.0], "c": null, "rounds": []}', "penalty rate c must be a finite number in [0, inf), got None"),
         ('{"w": [1.0], "c": 1.0, "rounds": 5}', "'rounds' must be a list"),
         ('{"w": [1.0], "c": 1.0, "rounds": [5]}', "rounds[0] must be an object with keys 'p' and 'B'"),
         ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": 1.0}, {"p": [1.0]}]}', "rounds[1] must be an object"),
         ('{"w": [1.0], "c": 1.0, "rounds": [{"p": "x", "B": 1.0}]}', "rounds[0]: profits p must be a list of numbers"),
-        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": "x"}]}', "rounds[0]: capacity B must be a number"),
+        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": "x"}]}',
+         "rounds[0]: capacity B must be a finite number in [0, inf), got 'x'"),
         ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0, 2.0], "B": 1.0}]}', "rounds[0]: profit vector length"),
         ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": 1.0}, {"p": [-1.0], "B": 1.0}]}',
-         "rounds[1]: profits p must be nonnegative"),
-        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": -1.0}]}', "rounds[0]: capacity B must be nonnegative"),
-        ('{"w": [-1.0], "c": 1.0, "rounds": []}', "item weights w must be nonnegative"),
+         "rounds[1]: profits p must be a finite number in [0, inf), got -1.0"),
+        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": -1.0}]}',
+         "rounds[0]: capacity B must be a finite number in [0, inf), got -1.0"),
+        ('{"w": [-1.0], "c": 1.0, "rounds": []}', "item weights w must be a finite number in [0, inf), got -1.0"),
+        ('{"w": [1.0], "c": "0.5", "rounds": []}', "penalty rate c must be a finite number in [0, inf), got '0.5'"),
+        ('{"w": [1.0], "c": true, "rounds": []}', "penalty rate c must be a finite number in [0, inf), got True"),
+        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": "1.5"}]}',
+         "rounds[0]: capacity B must be a finite number in [0, inf), got '1.5'"),
     ],
 )
 def test_gkp_parse_errors_name_the_field_and_round(text, message):
@@ -423,11 +439,18 @@ def test_serialize_instances_dispatch():
 # --- generators ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("W, message", [(NAN, "W must be finite"), (INF, "W must be finite"), (-1.0, "W must be nonnegative")])
+@pytest.mark.parametrize(
+    "W, message",
+    [(NAN, "W must be a finite number in [0, inf), got nan"), (INF, "W must be a finite number in [0, inf), got inf"),
+     (-1.0, "W must be a finite number in [0, inf), got -1.0")],
+    # the ids name the rule each value breaks
+    ids=["nan-W must be finite", "inf-W must be finite", "-1.0-W must be nonnegative"],
+)
 def test_uniform_weights_refuse_a_bad_ceiling_before_drawing(W, message):
     rng = SeededRng(1)
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError) as e:
         gen_uniform_weights(2, 3, W, rng)
+    assert str(e.value) == message
     assert rng.next_u64() == SeededRng(1).next_u64()
 
 
@@ -446,13 +469,24 @@ def test_uniform_weights_refuse_a_bad_ceiling_before_drawing(W, message):
         (lambda: gen_random_dnf(4, 1.5, SeededRng(1)), "m must be an integer, got 1.5"),
         (lambda: gen_random_gkp(2.0, 1, SeededRng(1)), "n must be an integer, got 2.0"),
         (lambda: random_gkp_rounds(GkpStatic(1, [1.0], 1.0), 2.0, SeededRng(1)), "m must be an integer, got 2.0"),
+        (lambda: GapConfig(A=0.1, B=0.5, T_override=2.5), "T_override must be an integer, got 2.5"),
+        (lambda: GftplConfig(N=2.5), "N must be an integer, got 2.5"),
+        (lambda: theorem2_bound(1.0, 2.5, 4), "n must be an integer, got 2.5"),
+        (lambda: theorem3_bound(GftplConfig(N=2), 0.5, 4.0), "T must be an integer, got 4.0"),
+        (lambda: SeededRng(True), "seed must be an integer, got True"),
+        (lambda: SeededRng(1.5), "seed must be an integer, got 1.5"),
+        (lambda: ExperimentConfig("ogd_vc", {"graph": "g"}, 2.5, (0,)), "T must be an integer, got 2.5"),
+        (lambda: ExperimentConfig("ogd_vc", {"graph": "g"}, 4, (0, 1.5)), "a seed must be an integer, got 1.5"),
     ],
     ids=["graph_float", "graph_bool", "dnf_float", "gkp_static_bool", "weights_float",
          "proc_times_numpy_float", "gen_graph_float", "gen_uniform_T_float", "gen_onehot_bool",
-         "gen_dnf_m_float", "gen_gkp_float", "gkp_rounds_m_float"],
+         "gen_dnf_m_float", "gen_gkp_float", "gkp_rounds_m_float", "gap_T_override_float", "gftpl_N_float",
+         "theorem2_n_float", "theorem3_T_float", "seed_bool", "seed_float", "experiment_T_float",
+         "experiment_seed_float"],
 )
 def test_counts_go_through_the_index_rule(make, message):
-    # all were accepted, or (gen_uniform_weights) a raw TypeError
+    # all were accepted, or (gen_uniform_weights, T_override in the gap
+    # decider, a float seed) a raw TypeError
     with pytest.raises(ValueError) as e:
         make()
     assert str(e.value) == message

@@ -100,14 +100,14 @@ def test_gap_config_refuses_a_non_finite_p_coeff(p_coeff):
     # NaN failed later as "cannot convert float NaN to integer", inf as "A·eps = 0"
     with pytest.raises(ValueError) as e:
         GapConfig(A=0.25, B=0.5, p_coeff=p_coeff)
-    assert str(e.value) == f"regret coefficient p_coeff must be positive and finite, got {p_coeff!r}"
+    assert str(e.value) == f"regret coefficient p_coeff must be a finite number in (0, inf), got {p_coeff!r}"
 
 
 @pytest.mark.parametrize("eps", [float("inf"), float("nan"), 0.0, -1.0], ids=["inf", "nan", "zero", "negative"])
 def test_gap_decider_refuses_a_bad_eps_even_with_T_override(eps):
     # gap_horizon gave 0 rounds for eps = inf, and gap_solver fell back to
     # T_override on any ValueError of gap_horizon
-    message = f"eps must be positive and finite, got {eps!r}"
+    message = f"eps must be a finite number in (0, inf), got {eps!r}"
     with pytest.raises(ValueError) as e:
         gap_horizon(GapConfig(A=0.25, B=0.5), eps=eps, n=4)
     assert str(e.value) == message

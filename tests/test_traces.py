@@ -175,3 +175,14 @@ def test_operator_index_is_written_only_in_the_index_rule():
         if re.search(r"\boperator\.index\b|from operator import[^\n]*\bindex\b", p.read_text())
     )
     assert users == ["traces.py"]
+
+
+def test_math_isfinite_is_written_only_in_the_number_rule():
+    # a second copy of the rule would test finiteness on its own; np.isfinite
+    # on a whole weight row or point is an array check and may stay
+    src = Path(regretlab.__file__).parent
+    users = sorted(
+        p.name for p in src.glob("*.py")
+        if re.search(r"\bmath\.isfinite\b|from math import[^\n]*\bisfinite\b", p.read_text())
+    )
+    assert users == ["traces.py"]
