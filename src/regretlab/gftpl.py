@@ -145,9 +145,19 @@ def theorem3_bound(cfg: GftplConfig, eps: float, T: int) -> float:
 
 
 def _theorem3(cfg: GftplConfig, eps: float, T: int) -> float:
-    """theorem3_bound's formula on checked parameters, for every round."""
+    """theorem3_bound's formula on checked parameters."""
     inner = cfg.kappa * cfg.G_f * cfg.G_gamma * (cfg.G_f + 2.0 * eps) / cfg.delta * T
     return cfg.N * sqrt(inner) + eps * T
+
+
+def _theorem3_column(cfg: GftplConfig, eps: float, T: int) -> list[float]:
+    """[_theorem3(cfg, eps, t) for t in 1..T] bit for bit, as one numpy
+    expression in the scalar formula's operation order (and, as Python
+    floats do, silent when a product overflows to inf)."""
+    t = np.arange(1, T + 1)
+    c = cfg.kappa * cfg.G_f * cfg.G_gamma * (cfg.G_f + 2.0 * eps) / cfg.delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (cfg.N * np.sqrt(c * t) + eps * t).tolist()
 
 
 def run_eps(cfg: GftplConfig, T: int) -> float:
@@ -271,7 +281,7 @@ def gftpl_run(
             "perturbed_obj": [float(v) for _, v in leaders],
             "best_static_cum": bests,
             "regret": regrets,
-            "theorem3_bound": [_theorem3(cfg, eps, t) for t in range(1, T + 1)],
+            "theorem3_bound": _theorem3_column(cfg, eps, T),
         },
         benchmark=benchmark,
         meta={

@@ -24,7 +24,11 @@ same floats. One tie rule serves them all: the first
 maximum in _lex_order, of which leader_set is the one-row case. The
 DP keeps only the reachable profit levels (at most 2^n), so its cost
 follows the distinct subset profits, not the width of the profit grid;
-the grid size still bounds which instances are accepted.
+the grid size still bounds which instances are accepted. It holds each
+level's set as packed uint64 mask words (one word per 64 items), so an
+offer's set is one OR, and hands its pick on as an int mask. The FPTAS
+scores the DP's set at true profit against the empty set and every
+singleton, the singletons as one vector.
 The distinguisher set is the n-round instance family whose induced
 payoff matrix tells every pair of item sets apart — the perturbation
 machinery of the FTPL engine.
@@ -220,10 +224,10 @@ def fold_sweep(
         FP = np.add.accumulate(np.vstack((P, dP)), axis=0)
         FK = np.add.accumulate(np.vstack((K, dK)), axis=0)
         if tail is not None:
-            LP, LK = FP[:-1], FK[:-1]
+            LP, LK = FP[:-1].copy(), FK[:-1].copy()
             for tP, tK in tail:
-                LP = LP + tP
-                LK = LK + tK
+                LP += tP
+                LK += tK
             leaders.extend(_row_leaders(LP - static.c * LK))
         bests.extend((FP[1:] - static.c * FK[1:]).max(axis=1).tolist())
         P, K = FP[-1], FK[-1]
@@ -333,61 +337,75 @@ class CachingBruteOracle:
         return leader_set(P - static.c * K)
 
 
+@lru_cache(maxsize=64)
+def _item_bits(n: int) -> np.ndarray:
+    """Row i holds item i's bit in the packed mask words of _min_weight_dp:
+    bit i % 64 of word i // 64 (one word for n <= 64)."""
+    bits = np.zeros((n, max(1, (n + 63) >> 6)), dtype=np.uint64)
+    items = np.arange(n)
+    bits[items, items >> 6] = np.left_shift(np.uint64(1), (items & 63).astype(np.uint64))
+    bits.flags.writeable = False
+    return bits
+
+
 def _min_weight_dp(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """0/1 DP over integer profit levels: least total weight per reachable level.
 
-    Returns (levels, min_weight, chosen): the reachable profit levels in
+    Returns (levels, min_weight, words): the reachable profit levels in
     ascending order (level 0, the empty set, always among them), the least
-    total weight attaining each, and chosen[k], the item-indicator row of
-    one least-weight set attaining levels[k]. Only reachable levels are
-    kept, at most min(q.sum() + 1, 2^n) of them, so the work follows the
-    distinct subset profits rather than the size of the profit grid.
+    total weight attaining each, and words[k], the packed item mask of one
+    least-weight set attaining levels[k]: a row of uint64 words, item i
+    being bit i % 64 of word i // 64 (one word for n <= 64). Only
+    reachable levels are kept, at most min(q.sum() + 1, 2^n) of them, so
+    the work follows the distinct subset profits rather than the size of
+    the profit grid.
 
     Items are folded in index order. Item i offers level l + q_i at the
-    pre-item weight of level l plus w_i, and replaces the set held there
-    only when strictly lighter: on a tie the established solution is kept
-    (deterministic, item order fixed).
+    pre-item weight of level l plus w_i, its set being level l's words
+    OR'd with item i's bit. One stable sort of the held and offered levels
+    merges them, a held level coming before an offer of the same level;
+    that offer replaces the held set only when strictly lighter, so on a
+    tie the established solution is kept (deterministic, item order
+    fixed), and is dropped otherwise. The sort order, so amended, then
+    gathers the weights and words once.
     """
-    n = q.shape[0]
+    bits = _item_bits(q.shape[0])
     levels = np.zeros(1, dtype=np.int64)
     weight = np.zeros(1)
-    chosen = np.zeros((1, n), dtype=bool)
-    for i in range(n):
+    words = np.zeros((1, bits.shape[1]), dtype=np.uint64)
+    for i in range(q.shape[0]):
         qi = int(q[i])
         if qi == 0:
             # zero-profit items never help: they only add weight
             continue
-        cand_l = levels + qi
-        cand_w = weight + w[i]
-        cand_c = chosen.copy()
-        cand_c[:, i] = True
-        pos = np.searchsorted(levels, cand_l)
-        hit = levels[np.minimum(pos, levels.shape[0] - 1)] == cand_l
-        better = hit.copy()
-        better[hit] = cand_w[hit] < weight[pos[hit]]
-        weight[pos[better]] = cand_w[better]
-        chosen[pos[better]] = cand_c[better]
-        new = ~hit
-        if new.any():
-            levels = np.concatenate((levels, cand_l[new]))
-            order = np.argsort(levels, kind="stable")
-            levels = levels[order]
-            weight = np.concatenate((weight, cand_w[new]))[order]
-            chosen = np.concatenate((chosen, cand_c[new]))[order]
-    return levels, weight, chosen
+        levels = np.concatenate((levels, levels + qi))
+        weight = np.concatenate((weight, weight + w[i]))
+        order = levels.argsort(kind="stable")
+        levels = levels[order]
+        held = (levels[1:] == levels[:-1]).nonzero()[0]  # each followed by its offer
+        if held.shape[0]:
+            better = held[weight[order[held + 1]] < weight[order[held]]]
+            order[better] = order[better + 1]
+            keep = np.ones(levels.shape[0], dtype=bool)
+            keep[held + 1] = False
+            levels, order = levels[keep], order[keep]
+        weight = weight[order]
+        words = np.concatenate((words, words | bits[i]))[order]
+    return levels, weight, words
 
 
-def _dp_set(q: list[int], unit: float, static: GkpStatic, f: ExcessFunction) -> frozenset:
-    """The DP's set on the integer item levels q: of the reachable levels,
-    the least-weight set maximizing level*unit - c*k(weight), the smallest
-    level on ties. MAX_DP_CELLS caps the dense grid, in Python ints."""
+def _dp_set(q: list[int], unit: float, static: GkpStatic, f: ExcessFunction) -> int:
+    """The DP's set on the integer item levels q, as an int mask: of the
+    reachable levels, the least-weight set maximizing
+    level*unit - c*k(weight), the smallest level on ties. MAX_DP_CELLS
+    caps the dense grid, in Python ints."""
     cells = (sum(q) + 1) * max(static.n, 1)
     if cells > MAX_DP_CELLS:
         raise ValueError(f"grid overflow: {cells} DP cells exceed cap {MAX_DP_CELLS}")
-    levels, weight, chosen = _min_weight_dp(np.array(q, dtype=np.int64), static.w)
+    levels, weight, words = _min_weight_dp(np.array(q, dtype=np.int64), static.w)
     values = levels * unit - static.c * f.value_many(weight)
-    best_k = int(np.argmax(values))  # first (smallest level) on ties
-    return frozenset(int(i) for i in np.flatnonzero(chosen[best_k]))
+    best = words[int(np.argmax(values))].tolist()  # first (smallest level) on ties
+    return sum(word << (64 * j) for j, word in enumerate(best))
 
 
 def exact_dp_oracle(
@@ -411,8 +429,8 @@ def exact_dp_oracle(
     q = np.rint(scaled)
     if np.abs(scaled - q).max(initial=0.0) > 1e-9:
         raise ValueError("scaled summed profits must be integers on the grid")
-    best = _dp_set([int(x) for x in q], profit_grid, static, f)
-    return best, _aggregate_profit(best, static, summed)
+    best = mask_members(_dp_set([int(x) for x in q], profit_grid, static, f))
+    return frozenset(best), _aggregate_profit(best, static, summed)
 
 
 def _fptas_grid(static: GkpStatic, rounds, eps: float) -> tuple:
@@ -427,7 +445,7 @@ def _fptas_grid(static: GkpStatic, rounds, eps: float) -> tuple:
     K = eps * p_max / static.n
     if not (K > 0 and p_max / K < inf):
         raise ValueError(f"grid overflow: eps={eps!r} makes the unit K={K!r} too fine")
-    return summed, ([floor(float(x) / K) for x in summed[0]], K)
+    return summed, (list(map(floor, (summed[0] / K).tolist())), K)
 
 
 def fptas_grid_info(static: GkpStatic, rounds, eps: float) -> dict:
@@ -444,6 +462,13 @@ def fptas_grid_info(static: GkpStatic, rounds, eps: float) -> dict:
     return {"K": grid[1], "levels": levels, "dp_cells": levels * static.n}
 
 
+def _singleton_values(static: GkpStatic, summed) -> np.ndarray:
+    """Every singleton's summed objective, _aggregate_profit({i}, ...) bit
+    for bit, as one vector: p_s - c * k(w), element by element."""
+    p_s, f = summed
+    return p_s - static.c * f.value_many(static.w)
+
+
 def fptas_oracle(static: GkpStatic, rounds, eps: float) -> tuple[frozenset, float]:
     """(1-eps)-approximate oracle by the profit-scaling DP.
 
@@ -453,21 +478,26 @@ def fptas_oracle(static: GkpStatic, rounds, eps: float) -> tuple[frozenset, floa
     winning ties. The DP's answer then competes, at true profit, with
     every singleton and the empty set, so the returned value is never
     negative and penalty-dominated instances keep the guarantee on the
-    tested regime. The grid-overflow guard still caps the dense grid size
-    (see fptas_grid_info), so the instances accepted are unchanged.
+    tested regime. The singletons' values come as one vector
+    (_singleton_values), of which the first maximum enters the race; the
+    highest value wins and exact ties go to the lexicographically smallest
+    set (the empty set first), returned with its own value. The
+    grid-overflow guard still caps the dense grid size (see
+    fptas_grid_info), so the instances accepted are unchanged.
     """
     summed, grid = _fptas_grid(static, rounds, eps)
     if grid is None:
         return frozenset(), 0.0
-    dp_set = _dp_set(*grid, static, summed[1])
-
-    # highest true profit wins; exact ties go to the lexicographically
-    # smallest set (empty set first)
-    candidates = [frozenset(), dp_set] + [frozenset({i}) for i in range(static.n)]
-    value, _, best = min(
-        (-_aggregate_profit(A, static, summed), tuple(sorted(A)), A) for A in candidates
-    )
-    return best, -value
+    dp_set = mask_members(_dp_set(*grid, static, summed[1]))
+    singles = _singleton_values(static, summed)
+    i = int(np.argmax(singles))
+    candidates = [
+        (0.0, ()),
+        (_aggregate_profit(dp_set, static, summed), tuple(dp_set)),
+        (float(singles[i]), (i,)),
+    ]
+    value, best = min(candidates, key=lambda vA: (-vA[0], vA[1]))
+    return frozenset(best), value
 
 
 def distinguisher_set(static: GkpStatic, P: float = 1.0) -> GkpRounds:

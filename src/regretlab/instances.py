@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from math import inf
 from typing import ClassVar, Sequence
 
@@ -65,15 +66,44 @@ def _finite_nonnegative_array(a: np.ndarray, what: str, high: float = inf) -> np
     return a
 
 
+# entry types that np.asarray turns into floats but that are no numbers
+_NOT_NUMBERS = frozenset((bool, np.bool_, str, np.str_, bytes, np.bytes_))
+
+
+def _entries(value, ndim: int):
+    """The entries of value, which np.asarray made an ndim-dimensional
+    (1 or 2) array of: an array's, a list's, or its rows' in turn."""
+    if isinstance(value, np.ndarray):
+        return value.flat
+    return value if ndim == 1 else chain.from_iterable(value)
+
+
+def _refuse_non_numbers(value, ndim: int, what: str, high: float) -> None:
+    """Refuse value, which np.asarray made an ndim-dimensional float array,
+    when an entry is a bool or a str (numpy converts both), by the number
+    rule (traces.checked_real) on the first such entry. One pass collects
+    the entries' types; an array of numbers gives its dtype's."""
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        types = {value.dtype.type}
+    else:
+        types = set(map(type, _entries(value, ndim)))
+    if not types.isdisjoint(_NOT_NUMBERS):
+        for x in _entries(value, ndim):
+            if type(x) in _NOT_NUMBERS:
+                checked_real(x, what, 0.0, high)
+
+
 def checked_vector(value, what: str, high: float = inf) -> np.ndarray:
     """value as a read-only vector of finite floats in [0, high], in an
-    array of its own (owned_array)."""
+    array of its own (owned_array). An entry that is a bool or a str is
+    refused by the number rule, as a scalar field would refuse it."""
     try:
         a = owned_array(value)
     except (TypeError, ValueError, OverflowError):
         a = None
     if a is None or a.ndim != 1:
         raise ValueError(f"{what} must be a list of numbers")
+    _refuse_non_numbers(value, 1, what, high)
     return _finite_nonnegative_array(a, what, high)
 
 
@@ -140,6 +170,7 @@ class _RowMatrix:
             rows = rows.reshape(0, self.n)
         if rows.ndim != 2 or rows.shape[1] != self.n:
             raise ValueError(f"rows must have shape ({self._count}, {self.n})")
+        _refuse_non_numbers(self.rows, 2, self._what, inf)
         object.__setattr__(self, "rows", _finite_nonnegative_array(rows, self._what))
 
     def __eq__(self, other) -> bool:
@@ -257,10 +288,23 @@ class GkpRounds(_RowMatrix):
 def stack_rounds(n: int, rounds) -> GkpRounds:
     """The one reader of a round stream: a GkpRounds of n items as it is,
     any other sequence of GkpRound stacked into one, refusing a round
-    without n profits by its index."""
+    without n profits by its index. GkpRound checked its own fields, so
+    a list of them is stacked without checking each entry again."""
     if isinstance(rounds, GkpRounds) and rounds.n == n:
         return rounds
     rounds = list(rounds)
+    if rounds and set(map(type, rounds)) == {GkpRound}:
+        try:
+            rows = np.array([r.p for r in rounds])
+        except ValueError:  # profit vectors of different lengths
+            rows = None
+        if rows is not None and rows.shape == (len(rounds), n):
+            block = object.__new__(GkpRounds)
+            B = np.array([r.B for r in rounds])
+            rows.flags.writeable = B.flags.writeable = False
+            for name, value in (("n", n), ("rows", rows), ("B", B)):
+                object.__setattr__(block, name, value)
+            return block
     for k, r in enumerate(rounds):
         check_round_length(n, r, k)
     return GkpRounds(n, [r.p for r in rounds], [r.B for r in rounds])
@@ -431,9 +475,8 @@ def parse_gkp(text: str) -> GkpInstanceSet:
         raise FormatError(str(exc), 1) from None
     raw = obj["rounds"]
     try:
-        # each B is one number, so the number rule checks it as GkpRound would
-        B = [checked_real(r["B"], "capacity B", 0.0) for r in raw]
-        rounds = GkpRounds(static.n, [r["p"] for r in raw], B)
+        # the block refuses every value a GkpRound would (a str or bool too)
+        rounds = GkpRounds(static.n, [r["p"] for r in raw], [r["B"] for r in raw])
     except (KeyError, TypeError, ValueError):
         # the block refused some round: find it under the per-round rules
         rounds = []

@@ -95,7 +95,9 @@ def subgradient(w, x) -> np.ndarray:
 
 
 def fractional_feasible(x, g: Graph, tol: float = 1e-8) -> bool:
-    """Whether x lies in the box and satisfies x_i + x_j >= 1 - tol on edges."""
+    """Whether x lies in the box and satisfies x_i + x_j >= 1 - tol on edges;
+    tol is in [0, inf)."""
+    tol = checked_real(tol, "tol", 0.0)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n,):
         return False
@@ -247,8 +249,16 @@ def theorem2_bound(W: float, n: int, T: int) -> float:
 
 
 def _theorem2(W: float, n: int, T: int) -> float:
-    """theorem2_bound's formula on checked parameters, for every round."""
+    """theorem2_bound's formula on checked parameters."""
     return 3.0 * W * sqrt(n * T)
+
+
+def _theorem2_column(W: float, n: int, T: int) -> list[float]:
+    """[_theorem2(W, n, t) for t in 1..T] bit for bit, as one numpy
+    expression in the scalar formula's operation order (and, as Python
+    floats do, silent when the product overflows to inf)."""
+    with np.errstate(over="ignore"):
+        return (3.0 * W * np.sqrt(n * np.arange(1, T + 1))).tolist()
 
 
 class OgdVcLearner:
@@ -423,7 +433,7 @@ def ogd_run(
         extras={
             "frac_cost": frac_costs,
             "cum_frac": running_sums(frac_costs),
-            "bound_additive": [_theorem2(cfg.W_bound, n, t) for t in range(1, seq.T + 1)],
+            "bound_additive": _theorem2_column(cfg.W_bound, n, seq.T),
         },
         benchmark=benchmark,
         meta={

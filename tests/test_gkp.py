@@ -319,19 +319,35 @@ def tie_heavy_instance(rng, n, m):
     return static, rounds
 
 
+def packed_words(indicator_rows, n):
+    """Each indicator row as the DP's mask words: item i is bit i % 64 of
+    word i // 64, one word at least."""
+    return [
+        [sum(1 << (i - 64 * j) for i in np.flatnonzero(row).tolist() if 64 * j <= i < 64 * (j + 1))
+         for j in range(max(1, (n + 63) // 64))]
+        for row in indicator_rows
+    ]
+
+
 def test_min_weight_dp_matches_dense_reference_on_ties():
     rng = SeededRng(1014)
-    for _ in range(1500):
-        n = rng.randrange(9)
-        q = np.array([max(0, rng.randrange(6) - 2) for _ in range(n)], dtype=np.int64)
+
+    def check(n, top):
+        q = np.array([max(0, rng.randrange(top) - 2) for _ in range(n)], dtype=np.int64)
         w = np.array([(0.0, 0.25, 0.5, 0.5, 1.0, 3.0)[rng.randrange(6)] for _ in range(n)])
         dense, dense_chosen = dense_min_weight_dp(q, w)
-        levels, weight, chosen = _min_weight_dp(q, w)
+        levels, weight, words = _min_weight_dp(q, w)
         reachable = np.flatnonzero(np.isfinite(dense))
         assert levels.tolist() == reachable.tolist()
         assert weight.tolist() == dense[reachable].tolist()
-        assert chosen.tolist() == dense_chosen[reachable].tolist()
+        assert words.dtype == np.uint64
+        assert words.tolist() == packed_words(dense_chosen[reachable], n)
         assert len(levels) <= min(int(q.sum()) + 1, 1 << n)
+
+    for _ in range(1500):
+        check(rng.randrange(9), 6)
+    for n in (63, 64, 65, 70, 128, 130):  # past one 64-item word, mostly zero levels
+        check(n, 4)
 
 
 def test_dp_oracles_match_dense_reference_answers():

@@ -373,6 +373,14 @@ def test_gkp_parse_errors():
         ('{"w": [1.0], "c": true, "rounds": []}', "penalty rate c must be a finite number in [0, inf), got True"),
         ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": "1.5"}]}',
          "rounds[0]: capacity B must be a finite number in [0, inf), got '1.5'"),
+        ('{"w": [true], "c": 1.0, "rounds": []}', "item weights w must be a finite number in [0, inf), got True"),
+        ('{"w": ["1.0"], "c": 1.0, "rounds": []}', "item weights w must be a finite number in [0, inf), got '1.0'"),
+        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": ["0.5"], "B": 1.0}]}',
+         "rounds[0]: profits p must be a finite number in [0, inf), got '0.5'"),
+        ('{"w": [1.0, 1.0], "c": 1.0, "rounds": [{"p": [1.0, 2.0], "B": 1.0}, {"p": [1.0, true], "B": 1.0}]}',
+         "rounds[1]: profits p must be a finite number in [0, inf), got True"),
+        ('{"w": [1.0], "c": 1.0, "rounds": [{"p": [1.0], "B": 1.0}, {"p": [1.0], "B": false}]}',
+         "rounds[1]: capacity B must be a finite number in [0, inf), got False"),
     ],
 )
 def test_gkp_parse_errors_name_the_field_and_round(text, message):

@@ -48,7 +48,7 @@ from regretlab.instances import (  # noqa: E402
     gen_random_graph,
     gen_uniform_weights,
 )
-from regretlab.ogd import OgdConfig, ogd_run, theorem2_bound  # noqa: E402
+from regretlab.ogd import OgdConfig, fractional_feasible, ogd_run, theorem2_bound  # noqa: E402
 from regretlab.reductions import FtlMinMaxVcLearner, GapConfig, gap_solver  # noqa: E402
 from regretlab.rng import SeededRng  # noqa: E402
 
@@ -99,6 +99,7 @@ SCALARS = [
     Entry("eps", lambda x: theorem3_bound(GftplConfig(N=2), x, 4), "[0, inf)"),
     Entry("eps", lambda x: epsilon_prime(x, 4, GftplConfig(N=2, eta=1.0)), "[0, inf)"),
     Entry("W", lambda x: theorem2_bound(x, 3, 4), "[0, inf)"),
+    Entry("tol", lambda x: fractional_feasible([0.5, 0.5], Graph(2, ((0, 1),)), x), "[0, inf)"),
     Entry("total weight W", lambda x: excess_value(x, ExcessFunction([1.0, 2.0])), "[0, inf)"),
     Entry("marker profit P", lambda x: distinguisher_set(STATIC, x), "(0, inf)"),
     Entry("maximization alpha", lambda x: compute_regret(PAYOFF_TRACE, x), "(0, 1]"),
@@ -225,3 +226,33 @@ def test_array_fields_check_their_least_and_greatest_entry_by_the_number_rule(va
         with pytest.raises(ValueError) as e:
             call(a)
         assert str(e.value) == _refusal(what, interval, hi if _inside(lo, interval) else lo, None), what
+
+
+# the six entry types a list can hold: three forms of a number, and the
+# bool, numpy bool and str that np.asarray would turn into floats
+ENTRIES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.integers(0, 1),
+    st.floats(0.0, 1.0).map(np.float64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.sampled_from(["0.5", "1.0", "1", "nan"]),
+)
+NOT_NUMBERS = (bool, np.bool_, str)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ENTRIES, min_size=1, max_size=4))
+@example(["1.0"])  # GkpStatic(1, ["1.0"], 1.0) and PerturbationVector(["0.5"], 1.0) constructed
+@example([True])  # a GKP file's "w": [true]
+@example([1.0, True])  # mixed: np.asarray makes it float64
+@example([np.True_, 0.5])
+def test_array_fields_refuse_bool_and_str_entries_by_the_number_rule(values):
+    bad = [x for x in values if isinstance(x, NOT_NUMBERS)]
+    for what, call, interval in ARRAYS:
+        if not bad:
+            call(values)  # every entry a number in [0, 1]
+            continue
+        with pytest.raises(ValueError) as e:
+            call(values)
+        assert str(e.value) == _refusal(what, interval, None, bad[0]), what
