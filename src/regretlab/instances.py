@@ -78,15 +78,23 @@ def _entries(value, ndim: int):
     return value if ndim == 1 else chain.from_iterable(value)
 
 
+def _entry_types(value, ndim: int) -> set:
+    """The types of value's entries (see _entries), in one pass; an array
+    of numbers gives its dtype's, and so does each row of a list of them."""
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        return {value.dtype.type}
+    if ndim == 2 and set(map(type, value)) == {np.ndarray}:
+        types = {row.dtype.type for row in value}
+        if np.object_ not in types:
+            return types
+    return set(map(type, _entries(value, ndim)))
+
+
 def _refuse_non_numbers(value, ndim: int, what: str, high: float) -> None:
     """Refuse value, which np.asarray made an ndim-dimensional float array,
     when an entry is a bool or a str (numpy converts both), by the number
-    rule (traces.checked_real) on the first such entry. One pass collects
-    the entries' types; an array of numbers gives its dtype's."""
-    if isinstance(value, np.ndarray) and value.dtype != object:
-        types = {value.dtype.type}
-    else:
-        types = set(map(type, _entries(value, ndim)))
+    rule (traces.checked_real) on the first such entry."""
+    types = _entry_types(value, ndim)
     if not types.isdisjoint(_NOT_NUMBERS):
         for x in _entries(value, ndim):
             if type(x) in _NOT_NUMBERS:

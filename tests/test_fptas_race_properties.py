@@ -4,8 +4,9 @@ On tie-heavy instances (few profit and weight values, items that never
 pay, profits of -0.0) the oracle must give the dense-grid reference's
 set and value, the value's sign of zero included, and the singleton
 vector that enters its race must hold _aggregate_profit({i}) bit for
-bit, on any floats. A singleton whose value is zero ties the empty set,
-which wins.
+bit on every history summary _summed gives. Its numpy sums turn a
+column of -0.0 profits into 0.0, so no singleton scores -0.0; a
+singleton whose value is zero ties the empty set, which wins.
 """
 
 import numpy as np
@@ -19,7 +20,11 @@ from regretlab.gkp import _aggregate_profit, _singleton_values, _summed, fptas_o
 from regretlab.instances import GkpRound, GkpStatic  # noqa: E402
 from test_gkp import reference_fptas  # noqa: E402
 
-PROFITS = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1.0, 2.0]), st.floats(0.0, 4.0))
+PROFITS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1.0, 2.0]),
+    # a subnormal largest profit would make the grid unit K underflow to 0
+    st.floats(0.0, 4.0, allow_subnormal=False),
+)
 
 
 @st.composite
@@ -49,6 +54,8 @@ def bits(x: float) -> str:
 @example((GkpStatic(2, [0.0, 1.0], 0.0), [GkpRound([-0.0, 1.0], 0.0), GkpRound([-0.0, 0.0], 0.0)]), 0.3)
 # item 0 pays -0.0 at no weight: its singleton's zero ties the empty set's, which wins
 @example((GkpStatic(2, [0.0, 1.0], 1.0), [GkpRound([-0.0, 0.5], 0.0)]), 0.05)
+# all four singletons are worth 0.5 and so is the DP's set {2}: the first singleton wins
+@example((GkpStatic(4, [1.0, 1.0, 0.5, 1.0], 2.0), [GkpRound([0.5, 0.5, 0.5, 0.5], 1.0)]), 0.5)
 def test_fptas_oracle_matches_the_dense_reference_and_its_singletons_are_exact(instance, eps):
     static, rounds = instance
     summed = _summed(static, rounds)

@@ -239,6 +239,8 @@ ENTRIES = st.one_of(
     st.sampled_from(["0.5", "1.0", "1", "nan"]),
 )
 NOT_NUMBERS = (bool, np.bool_, str)
+# rows given as a list of arrays: an object array keeps each entry's type
+ROW_ARRAYS = [("profits p", lambda a: GkpRounds(len(a), [np.array(a, dtype=object)], [1.0]), "[0, inf)")]
 
 
 @settings(max_examples=200, deadline=None)
@@ -249,7 +251,7 @@ NOT_NUMBERS = (bool, np.bool_, str)
 @example([np.True_, 0.5])
 def test_array_fields_refuse_bool_and_str_entries_by_the_number_rule(values):
     bad = [x for x in values if isinstance(x, NOT_NUMBERS)]
-    for what, call, interval in ARRAYS:
+    for what, call, interval in ARRAYS + ROW_ARRAYS:
         if not bad:
             call(values)  # every entry a number in [0, 1]
             continue
