@@ -78,16 +78,23 @@ def _entries(value, ndim: int):
     return value if ndim == 1 else chain.from_iterable(value)
 
 
+def _entry_type(x) -> type:
+    """The type np.asarray reads entry x as: a 0-d array's dtype (or, for
+    an object array, its item's), any other entry's own type."""
+    if type(x) is np.ndarray:
+        return type(x.item()) if x.dtype == object else x.dtype.type
+    return type(x)
+
+
 def _entry_types(value, ndim: int) -> set:
-    """The types of value's entries (see _entries), in one pass; an array
-    of numbers gives its dtype's, and so does each row of a list of them."""
+    """The types of value's entries (see _entries and _entry_type), in one
+    pass; an array of numbers gives its dtype's."""
     if isinstance(value, np.ndarray) and value.dtype != object:
         return {value.dtype.type}
-    if ndim == 2 and set(map(type, value)) == {np.ndarray}:
-        types = {row.dtype.type for row in value}
-        if np.object_ not in types:
-            return types
-    return set(map(type, _entries(value, ndim)))
+    types = set(map(type, _entries(value, ndim)))
+    if np.ndarray in types:  # 0-d arrays among the entries: read each one
+        types = set(map(_entry_type, _entries(value, ndim)))
+    return types
 
 
 def _refuse_non_numbers(value, ndim: int, what: str, high: float) -> None:
@@ -97,7 +104,7 @@ def _refuse_non_numbers(value, ndim: int, what: str, high: float) -> None:
     types = _entry_types(value, ndim)
     if not types.isdisjoint(_NOT_NUMBERS):
         for x in _entries(value, ndim):
-            if type(x) in _NOT_NUMBERS:
+            if _entry_type(x) in _NOT_NUMBERS:
                 checked_real(x, what, 0.0, high)
 
 
@@ -296,26 +303,13 @@ class GkpRounds(_RowMatrix):
 def stack_rounds(n: int, rounds) -> GkpRounds:
     """The one reader of a round stream: a GkpRounds of n items as it is,
     any other sequence of GkpRound stacked into one, refusing a round
-    without n profits by its index. GkpRound checked its own fields, so
-    a list of them is stacked without checking each entry again."""
+    without n profits by its index."""
     if isinstance(rounds, GkpRounds) and rounds.n == n:
         return rounds
     rounds = list(rounds)
-    if rounds and set(map(type, rounds)) == {GkpRound}:
-        try:
-            rows = np.array([r.p for r in rounds])
-        except ValueError:  # profit vectors of different lengths
-            rows = None
-        if rows is not None and rows.shape == (len(rounds), n):
-            block = object.__new__(GkpRounds)
-            B = np.array([r.B for r in rounds])
-            rows.flags.writeable = B.flags.writeable = False
-            for name, value in (("n", n), ("rows", rows), ("B", B)):
-                object.__setattr__(block, name, value)
-            return block
     for k, r in enumerate(rounds):
         check_round_length(n, r, k)
-    return GkpRounds(n, [r.p for r in rounds], [r.B for r in rounds])
+    return GkpRounds(n, np.array([r.p for r in rounds]), np.array([r.B for r in rounds]))
 
 
 @dataclass(frozen=True)

@@ -67,3 +67,11 @@ def test_fptas_oracle_matches_the_dense_reference_and_its_singletons_are_exact(i
     assert got[0] == want[0]
     assert bits(got[1]) == bits(want[1])
     assert got[1] >= 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="_fptas_grid: a subnormal largest profit underflows the unit K to 0 (FOUND in CHANGES.md)")
+def test_fptas_oracle_takes_a_subnormal_largest_profit():
+    # the history is worth at most 5e-324, so the empty set is a correct answer
+    chosen, value = fptas_oracle(GkpStatic(1, [0.0], 0.0), [GkpRound([5e-324], 0.0)], 0.3)
+    assert value >= 0.0

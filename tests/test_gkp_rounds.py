@@ -80,6 +80,10 @@ def test_stack_rounds_is_the_one_reader():
         with pytest.raises(ValueError) as e:
             stack_rounds(2, rounds)
         assert str(e.value) == f"rounds[{k}]: profit vector length must match item count 2"
+    for n in (1.0, True):  # the count is checked by the integer rule
+        with pytest.raises(ValueError) as e:
+            stack_rounds(n, [GkpRound([1.0], 0.0)])
+        assert str(e.value) == f"n must be an integer, got {n!r}"
 
 
 def test_writers_build_one_block():

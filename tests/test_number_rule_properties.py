@@ -229,8 +229,9 @@ def test_array_fields_check_their_least_and_greatest_entry_by_the_number_rule(va
 
 
 # the six entry types a list can hold: three forms of a number, and the
-# bool, numpy bool and str that np.asarray would turn into floats
-ENTRIES = st.one_of(
+# bool, numpy bool and str that np.asarray would turn into floats; each
+# also inside a 0-d array, which np.asarray reads as its item
+SIX_TYPES = st.one_of(
     st.floats(0.0, 1.0),
     st.integers(0, 1),
     st.floats(0.0, 1.0).map(np.float64),
@@ -238,7 +239,12 @@ ENTRIES = st.one_of(
     st.booleans().map(np.bool_),
     st.sampled_from(["0.5", "1.0", "1", "nan"]),
 )
+ENTRIES = SIX_TYPES | SIX_TYPES.map(np.array)
 NOT_NUMBERS = (bool, np.bool_, str)
+
+
+def _not_a_number(x) -> bool:
+    return isinstance(x.item() if isinstance(x, np.ndarray) else x, NOT_NUMBERS)
 # rows given as a list of arrays: an object array keeps each entry's type
 ROW_ARRAYS = [("profits p", lambda a: GkpRounds(len(a), [np.array(a, dtype=object)], [1.0]), "[0, inf)")]
 
@@ -249,8 +255,10 @@ ROW_ARRAYS = [("profits p", lambda a: GkpRounds(len(a), [np.array(a, dtype=objec
 @example([True])  # a GKP file's "w": [true]
 @example([1.0, True])  # mixed: np.asarray makes it float64
 @example([np.True_, 0.5])
+@example([np.array(True)])  # a 0-d array's item is read, not the array's type
+@example([0.5, np.array("1.0")])
 def test_array_fields_refuse_bool_and_str_entries_by_the_number_rule(values):
-    bad = [x for x in values if isinstance(x, NOT_NUMBERS)]
+    bad = [x for x in values if _not_a_number(x)]
     for what, call, interval in ARRAYS + ROW_ARRAYS:
         if not bad:
             call(values)  # every entry a number in [0, 1]
