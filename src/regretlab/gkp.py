@@ -37,7 +37,7 @@ machinery of the FTPL engine.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import floor, inf
+from math import floor, inf, ulp
 
 import numpy as np
 
@@ -436,14 +436,16 @@ def exact_dp_oracle(
 def _fptas_grid(static: GkpStatic, rounds, eps: float) -> tuple:
     """The history summary of _summed and the FPTAS profit grid (q, K): each
     item's summed profit floored onto the unit K = eps * P_max / n, as Python
-    ints, and K; the grid is None when no summed profit is positive."""
+    ints, and K; the grid is None when no summed profit is positive. A unit
+    that underflows to 0 (P_max subnormal) is raised to the least positive
+    float, of which every float is a whole multiple, so that grid is exact."""
     eps = checked_real(eps, "eps", 0.0, open_low=True)
     summed = _summed(static, rounds)
     p_max = float(summed[0].max(initial=0.0)) if summed else 0.0
     if p_max <= 0:
         return summed, None
-    K = eps * p_max / static.n
-    if not (K > 0 and p_max / K < inf):
+    K = eps * p_max / static.n or ulp(0.0)
+    if p_max / K == inf:
         raise ValueError(f"grid overflow: eps={eps!r} makes the unit K={K!r} too fine")
     return summed, (list(map(floor, (summed[0] / K).tolist())), K)
 

@@ -28,7 +28,7 @@ from .instances import (
 from .ogd import OgdConfig, ogd_run, theorem2_bound
 from .reductions import FtlMinMaxVcLearner, GapConfig, OgdVcLearner, gap_solver
 from .rng import SeededRng
-from .traces import RegretTrace, checked_int, checked_real, trace_to_csv
+from .traces import RegretTrace, checked_int, checked_real, trace_csv_blocks
 
 ALGORITHMS = ("ogd_vc", "gftpl_gkp", "gap_solver")
 
@@ -346,7 +346,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     With ``params.T_sweep`` (a list of horizons) the whole seed sweep runs
     once per horizon and the summary gains a ``sweep`` section; otherwise
     the single configured T is used.  Identical configs produce
-    byte-identical files.
+    byte-identical files.  Each trace CSV is written block by block from
+    :func:`~regretlab.traces.trace_csv_blocks`, so the whole file's text
+    is never held at once.
     """
     return _run_experiment(cfg, _load_instances(cfg), out_dir)
 
@@ -375,7 +377,8 @@ def _run_experiment(cfg: ExperimentConfig, inst: dict, out_dir) -> dict:
             except Exception as exc:
                 raise RuntimeError(f"seed {seed} (T={T}): {exc}") from exc
             name = f"trace_T{T}_seed{seed}.csv" if sweep else f"trace_seed{seed}.csv"
-            (out_dir / name).write_text(trace_to_csv(trace))
+            with open(out_dir / name, "w") as f:  # the text mode write_text uses
+                f.writelines(trace_csv_blocks(trace))
             rows.append(row)
         group = {"T": T} | _summarize_rows(rows)
         if "mean_regret" in group and T > 0:

@@ -16,7 +16,6 @@ Two halves, joined by the min-max vertex cover problem:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from math import ceil
 from operator import add
@@ -503,6 +502,8 @@ def is_three_colorable(g: Graph, n_colors: int = 3) -> bool:
 
 def formula_id(f: Dnf3Formula) -> str:
     """Stable content hash of a formula, for validator reports."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which no other call needs
+
     return hashlib.sha256(serialize_dnf(f).encode()).hexdigest()[:12]
 
 

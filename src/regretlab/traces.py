@@ -21,7 +21,7 @@ from math import inf, isfinite
 from typing import Mapping
 
 __all__ = ["RegretTrace", "checked_index", "checked_int", "checked_mask", "checked_real", "format_action",
-           "mask_members", "running_sums", "trace_to_csv"]
+           "mask_members", "running_sums", "trace_csv_blocks", "trace_to_csv"]
 
 
 def running_sums(values) -> tuple[float, ...]:
@@ -173,17 +173,29 @@ _LAYOUTS = {
     ),
     "gap_solver": (("cost", "values"), ("cum_cost", "cumulatives")),
 }
+# trace_csv_blocks formats this many rows at a time
+_CSV_BLOCK_ROWS = 512
+
+
+def trace_csv_blocks(trace: RegretTrace):
+    """The CSV text of a trace in its algorithm's layout (LF line endings,
+    none after the last row), as the header and then one string per block
+    of _CSV_BLOCK_ROWS rows, each row with its leading newline. Each
+    distinct played set is formatted once per trace and each float as
+    repr(float(x)); only one block's cells are held at a time."""
+    layout = _LAYOUTS[trace.algorithm]
+    cells = {mask: format_action(mask) for mask in set(trace.masks)}
+    float_columns = [getattr(trace, key) if key in ("values", "cumulatives") else trace.extras[key]
+                     for _, key in layout]
+    yield ",".join(["t", "played_set", *(name for name, _ in layout)])
+    for lo in range(0, trace.T, _CSV_BLOCK_ROWS):
+        hi = min(lo + _CSV_BLOCK_ROWS, trace.T)
+        columns = [map(str, range(lo + 1, hi + 1)), map(cells.__getitem__, trace.masks[lo:hi])]
+        columns += [map(repr, map(float, col[lo:hi])) for col in float_columns]
+        yield "\n" + "\n".join(map(",".join, zip(*columns)))
 
 
 def trace_to_csv(trace: RegretTrace) -> str:
-    """Render a trace in its algorithm's CSV layout (LF line endings),
-    formatting each column once, each distinct played set once, and
-    joining the rows across them."""
-    layout = _LAYOUTS[trace.algorithm]
-    cells = {mask: format_action(mask) for mask in set(trace.masks)}
-    columns = [[str(t) for t in range(1, trace.T + 1)], list(map(cells.__getitem__, trace.masks))]
-    for _, key in layout:
-        floats = getattr(trace, key) if key in ("values", "cumulatives") else trace.extras[key]
-        columns.append([repr(float(x)) for x in floats])
-    header = ",".join(["t", "played_set", *(name for name, _ in layout)])
-    return "\n".join([header, *map(",".join, zip(*columns))])
+    """The whole CSV text of a trace: its trace_csv_blocks joined. A caller
+    that writes a file should write the blocks instead."""
+    return "".join(trace_csv_blocks(trace))

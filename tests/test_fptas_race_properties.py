@@ -16,14 +16,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from regretlab.gkp import _aggregate_profit, _singleton_values, _summed, fptas_oracle  # noqa: E402
+from regretlab.gkp import _aggregate_profit, _singleton_values, _summed, brute_oracle, fptas_oracle  # noqa: E402
 from regretlab.instances import GkpRound, GkpStatic  # noqa: E402
 from test_gkp import reference_fptas  # noqa: E402
 
 PROFITS = st.one_of(
     st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1.0, 2.0]),
-    # a subnormal largest profit would make the grid unit K underflow to 0
-    st.floats(0.0, 4.0, allow_subnormal=False),
+    st.floats(0.0, 4.0),
 )
 
 
@@ -69,9 +68,10 @@ def test_fptas_oracle_matches_the_dense_reference_and_its_singletons_are_exact(i
     assert got[1] >= 0.0
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="_fptas_grid: a subnormal largest profit underflows the unit K to 0 (FOUND in CHANGES.md)")
 def test_fptas_oracle_takes_a_subnormal_largest_profit():
-    # the history is worth at most 5e-324, so the empty set is a correct answer
-    chosen, value = fptas_oracle(GkpStatic(1, [0.0], 0.0), [GkpRound([5e-324], 0.0)], 0.3)
-    assert value >= 0.0
+    # eps * p_max / n underflows to 0; the unit is raised to 5e-324, on which
+    # the subnormal profits are whole levels
+    static, rounds, eps = GkpStatic(1, [0.0], 0.0), [GkpRound([5e-324], 0.0)], 0.3
+    chosen, value = fptas_oracle(static, rounds, eps)
+    assert value >= (1 - eps) * brute_oracle(static, rounds)[1]
+    assert (chosen, value) == (frozenset({0}), 5e-324)

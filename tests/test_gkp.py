@@ -299,7 +299,7 @@ def reference_fptas(static, rounds, eps):
     p_max = float(p_s.max())
     if p_max <= 0:
         return frozenset(), 0.0
-    K = eps * p_max / n
+    K = eps * p_max / n or 5e-324  # an underflowed unit becomes the least positive float
     q = np.array([floor(float(x) / K) for x in p_s], dtype=np.int64)
     dp_set = dense_best_set(q, static.w, K, static.c, ExcessFunction([r.B for r in rounds]))
     candidates = [frozenset(), dp_set] + [frozenset({i}) for i in range(n)]

@@ -661,5 +661,5 @@ def test_validator_guard_and_id_stability():
     with pytest.raises(ValueError):
         validate_correspondence(Dnf3Formula(13, ()))
     f = spec_formula_a()
-    assert formula_id(f) == formula_id(spec_formula_a())
+    assert formula_id(f) == formula_id(spec_formula_a()) == "353c63425b64"  # a report ID: pinned
     assert formula_id(f) != formula_id(spec_formula_b())
