@@ -32,7 +32,7 @@ from math import sqrt
 import numpy as np
 
 from .gkp import MAX_BRUTE_N, distinguisher_set, fold_sweep
-from .instances import GkpRounds, GkpStatic, checked_vector, stack_rounds
+from .instances import GkpRounds, GkpStatic, checked_array, stack_rounds
 from .rng import SeededRng
 from .traces import RegretTrace, checked_int, checked_mask, checked_real, mask_members, running_sums
 
@@ -92,14 +92,15 @@ class GftplConfig:
 @dataclass(frozen=True, eq=False)
 class PerturbationVector:
     """The single random draw a in [0, eta]^N of a run, stored read-only
-    in an array of its own (instances.checked_vector); eta is in [0, inf)."""
+    in an array of its own (instances.checked_array), each entry in
+    [0, eta]; eta is in [0, inf)."""
 
     a: np.ndarray
     eta: float
 
     def __post_init__(self):
         eta = checked_real(self.eta, "eta", 0.0)
-        object.__setattr__(self, "a", checked_vector(self.a, "perturbation a", eta))
+        object.__setattr__(self, "a", checked_array(self.a, "perturbation a", ("N",), 0.0, eta))
         object.__setattr__(self, "eta", eta)
 
 

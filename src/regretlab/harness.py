@@ -40,6 +40,13 @@ _SELECTORS = {
     "gap_solver": {"learner": ("ftl", "ogd")},
 }
 
+# every other params key each algorithm reads; a key in neither table is refused
+_PARAMS = {
+    "ogd_vc": ("T_sweep", "W_bound", "step_mode"),
+    "gftpl_gkp": ("T_sweep", "eta", "kappa", "delta", "G_gamma", "G_f", "F_M", "eps", "eps_schedule"),
+    "gap_solver": ("T_sweep", "A", "B", "p_coeff", "c_exp", "eps"),
+}
+
 # algorithms whose per-round column is a payoff to maximize rather than a
 # cost to minimize; regret direction flips accordingly
 _MAXIMIZING = frozenset({"gftpl_gkp"})
@@ -76,7 +83,8 @@ class ExperimentConfig:
 
     ``instance`` maps roles to file paths ('graph', 'weights', 'gkp'); ``T``
     and each of the distinct ``seeds`` are integers >= 0 (traces.checked_int);
-    ``params`` carries the algorithm-specific knobs (see the runners).
+    ``params`` carries the algorithm-specific knobs (see the runners); a
+    key the algorithm does not read is refused.
     """
 
     algorithm: str
@@ -97,6 +105,10 @@ class ExperimentConfig:
         if len(set(self.seeds)) < len(self.seeds):  # it would weigh one replica twice
             twice = next(s for k, s in enumerate(self.seeds) if s in self.seeds[:k])
             raise ValueError(f"seed {twice} is listed twice")
+        known = (*_SELECTORS[self.algorithm], *_PARAMS[self.algorithm])
+        for key in self.params:
+            if key not in known:
+                raise ValueError(f"unknown param {key!r} for {self.algorithm}; pick from {known}")
         for key in _SELECTORS[self.algorithm]:
             _selector(self, key)
         _horizons(self)

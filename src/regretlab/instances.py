@@ -41,37 +41,12 @@ class FormatError(ValueError):
         self.line = line
 
 
-def owned_array(value) -> np.ndarray:
-    """value as a float64 array that no caller holds: np.asarray's result,
-    copied when that is value itself or a view of other memory. So a
-    type that stores it and clears its writeable flag never changes the
-    caller's array, and no later write through the caller's array or a
-    view of it reaches the stored one."""
-    a = np.asarray(value, dtype=np.float64)
-    if a is value or not a.flags.owndata:
-        a = a.copy()
-    return a
-
-
-def _finite_nonnegative_array(a: np.ndarray, what: str, high: float = inf) -> np.ndarray:
-    """a, read-only, once every entry is a finite number in [0, high]; a
-    must be an array that no caller holds (see owned_array). Its least and
-    greatest entries go through traces.checked_real; NaN propagates
-    through both, so they pass iff every entry does."""
-    if a.size:
-        checked_real(float(a.min()), what, 0.0, high)
-        checked_real(float(a.max()), what, 0.0, high)
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
-
-
-# entry types that np.asarray turns into floats but that are no numbers
-_NOT_NUMBERS = frozenset((bool, np.bool_, str, np.str_, bytes, np.bytes_))
+# entry types that np.array turns into floats but that are no numbers
+_NOT_NUMBERS = frozenset((bool, np.bool_, str, np.str_, bytes, np.bytes_, type(None)))
 
 
 def _entries(value, ndim: int):
-    """The entries of value, which np.asarray made an ndim-dimensional
+    """The entries of value, which np.array made an ndim-dimensional
     (1 or 2) array of: an array's, a list's, or its rows' in turn."""
     if isinstance(value, np.ndarray):
         return value.flat
@@ -79,7 +54,7 @@ def _entries(value, ndim: int):
 
 
 def _entry_type(x) -> type:
-    """The type np.asarray reads entry x as: a 0-d array's dtype (or, for
+    """The type np.array reads entry x as: a 0-d array's dtype (or, for
     an object array, its item's), any other entry's own type."""
     if type(x) is np.ndarray:
         return type(x.item()) if x.dtype == object else x.dtype.type
@@ -97,29 +72,42 @@ def _entry_types(value, ndim: int) -> set:
     return types
 
 
-def _refuse_non_numbers(value, ndim: int, what: str, high: float) -> None:
-    """Refuse value, which np.asarray made an ndim-dimensional float array,
-    when an entry is a bool or a str (numpy converts both), by the number
-    rule (traces.checked_real) on the first such entry."""
-    types = _entry_types(value, ndim)
-    if not types.isdisjoint(_NOT_NUMBERS):
-        for x in _entries(value, ndim):
-            if _entry_type(x) in _NOT_NUMBERS:
-                checked_real(x, what, 0.0, high)
+def checked_array(value, what: str, shape: tuple, low: float = -inf, high: float = inf) -> np.ndarray:
+    """value as a read-only C-contiguous float64 array of its own: no
+    later write through the caller's array or a view of it reaches the
+    result, and the caller's flags stay as they were. The one array rule.
 
-
-def checked_vector(value, what: str, high: float = inf) -> np.ndarray:
-    """value as a read-only vector of finite floats in [0, high], in an
-    array of its own (owned_array). An entry that is a bool or a str is
-    refused by the number rule, as a scalar field would refuse it."""
+    ``shape`` gives each axis as an int, for a fixed length, or a name,
+    for a free one, as in ``("T", n)``; with a fixed row width an empty
+    list is zero rows. A value numpy cannot convert, or one of another
+    number of axes, is refused with the ValueError "<what> must be a list
+    of numbers" (one axis) or "<what> must be rows of numbers" (two); a
+    wrong length with "<what> must have length <n>" or "<what> must have
+    shape (<T>, <n>)". A bool, str, bytes or None entry, and the least
+    and greatest entries unless both lie in [low, high], are refused by
+    the number rule (traces.checked_real), whose message names ``what``;
+    NaN propagates through both, so they pass iff every entry does."""
     try:
-        a = owned_array(value)
+        a = np.array(value, dtype=np.float64, order="C")
     except (TypeError, ValueError, OverflowError):
         a = None
-    if a is None or a.ndim != 1:
-        raise ValueError(f"{what} must be a list of numbers")
-    _refuse_non_numbers(value, 1, what, high)
-    return _finite_nonnegative_array(a, what, high)
+    if a is not None and a.ndim == 1 and not a.size and len(shape) == 2 and not isinstance(shape[1], str):
+        a = a.reshape(0, shape[1])
+    if a is None or a.ndim != len(shape):
+        raise ValueError(f"{what} must be {'a list of numbers' if len(shape) == 1 else 'rows of numbers'}")
+    if any(not isinstance(k, str) and k != m for k, m in zip(shape, a.shape)):
+        if len(shape) == 1:
+            raise ValueError(f"{what} must have length {shape[0]}")
+        raise ValueError(f"{what} must have shape ({', '.join(map(str, shape))})")
+    if not _entry_types(value, a.ndim).isdisjoint(_NOT_NUMBERS):
+        for x in _entries(value, a.ndim):
+            if _entry_type(x) in _NOT_NUMBERS:
+                checked_real(x, what, low, high)
+    if a.size:
+        checked_real(float(a.min()), what, low, high)
+        checked_real(float(a.max()), what, low, high)
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +153,9 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class _RowMatrix:
-    """Rows of n finite nonnegative floats, stored read-only in an array of
-    their own; a subclass names its field (``_what``) and its row count
-    (``_count``)."""
+    """Rows of n finite floats in [0, inf), stored read-only in an array of
+    their own (checked_array); a subclass names its field (``_what``) and
+    its row count (``_count``)."""
 
     _what: ClassVar[str]
     _count: ClassVar[str]
@@ -176,17 +164,8 @@ class _RowMatrix:
     rows: np.ndarray  # shape (T or N, n), read-only float64
 
     def __post_init__(self):
-        checked_int(self.n, "n")
-        try:
-            rows = owned_array(self.rows)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{self._what} must be rows of numbers") from None
-        if rows.ndim == 1 and rows.size == 0:
-            rows = rows.reshape(0, self.n)
-        if rows.ndim != 2 or rows.shape[1] != self.n:
-            raise ValueError(f"rows must have shape ({self._count}, {self.n})")
-        _refuse_non_numbers(self.rows, 2, self._what, inf)
-        object.__setattr__(self, "rows", _finite_nonnegative_array(rows, self._what))
+        shape = (self._count, checked_int(self.n, "n"))
+        object.__setattr__(self, "rows", checked_array(self.rows, self._what, shape, 0.0))
 
     def __eq__(self, other) -> bool:
         return (
@@ -218,16 +197,15 @@ class ProcTimeMatrix(_RowMatrix):
 
 @dataclass(frozen=True, eq=False)
 class GkpStatic:
-    """Static part of a generalized knapsack: item weights and penalty rate."""
+    """Static part of a generalized knapsack: n item weights in [0, inf)
+    (checked_array) and a penalty rate c in [0, inf)."""
 
     n: int
     w: np.ndarray
     c: float
 
     def __post_init__(self):
-        w = checked_vector(self.w, "item weights w")
-        if w.shape != (checked_int(self.n, "n"),):
-            raise ValueError(f"item weights w must have length {self.n}")
+        w = checked_array(self.w, "item weights w", (checked_int(self.n, "n"),), 0.0)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "c", checked_real(self.c, "penalty rate c", 0.0))
 
@@ -246,13 +224,14 @@ class GkpStatic:
 
 @dataclass(frozen=True, eq=False)
 class GkpRound:
-    """One revealed round: a profit vector and a knapsack capacity."""
+    """One revealed round: a profit vector in [0, inf) (checked_array) and
+    a knapsack capacity in [0, inf)."""
 
     p: np.ndarray
     B: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", checked_vector(self.p, "profits p"))
+        object.__setattr__(self, "p", checked_array(self.p, "profits p", ("n",), 0.0))
         object.__setattr__(self, "B", checked_real(self.B, "capacity B", 0.0))
 
     def __eq__(self, other) -> bool:
@@ -275,7 +254,8 @@ def check_round_length(n: int, r: GkpRound, k: int | None = None) -> None:
 class GkpRounds(_RowMatrix):
     """A stream of m revealed rounds as one block: row k of ``rows`` is
     round k's profit vector and B[k] its capacity. ``rounds[k]`` is that
-    round as a GkpRound, ``rounds[a:b]`` the rounds a..b-1 as a block."""
+    round as a GkpRound, ``rounds[a:b]`` the rounds a..b-1 as a block.
+    Profits and capacities are in [0, inf) (checked_array)."""
 
     _what, _count = "profits p", "m"
 
@@ -283,10 +263,7 @@ class GkpRounds(_RowMatrix):
 
     def __post_init__(self):
         super().__post_init__()
-        B = checked_vector(self.B, "capacities B")
-        if B.shape != (self.rows.shape[0],):
-            raise ValueError(f"capacities B must have shape ({self.rows.shape[0]},)")
-        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "B", checked_array(self.B, "capacities B", (len(self),), 0.0))
 
     def __len__(self) -> int:
         return self.rows.shape[0]

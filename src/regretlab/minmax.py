@@ -15,8 +15,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .instances import Graph, ProcTimeMatrix, WeightSequence
-from .traces import checked_mask, mask_members
+from .instances import Graph, ProcTimeMatrix, WeightSequence, checked_array
+from .traces import checked_index, checked_int, checked_mask, mask_members
 
 VertexSubset = frozenset  # of vertex indices
 MachineAssignment = tuple  # of machine indices in {0,1,2}, one per job
@@ -28,18 +28,26 @@ MAX_PATH_STAGES = 20
 MAX_P3_JOBS = 12
 
 
-def _as_rows(rows) -> np.ndarray:
+def _as_rows(rows, width: int | str = "n") -> np.ndarray:
+    """rows, a WeightSequence or any (T, width) block of finite reals, as
+    the array instances.checked_array makes of it."""
     if isinstance(rows, WeightSequence):
-        return rows.rows
-    a = np.asarray(rows, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("weight rows must be a 2-d array")
-    return a
+        rows = rows.rows
+    return checked_array(rows, "weight rows", ("T", width))
+
+
+def _summed_max(members: list[int], rows: np.ndarray) -> float:
+    """multi_minmax_cost of the selection ``members`` on checked rows: the
+    enumerators check their rows once and score each candidate here."""
+    if not members or rows.shape[0] == 0:
+        return 0.0
+    return float(rows[:, members].max(axis=1).sum())
 
 
 def minmax_value(s: Iterable[int], w) -> float:
-    """max_{i in s} w_i, with the empty-set maximum defined as 0."""
-    w = np.asarray(w, dtype=np.float64)
+    """max_{i in s} w_i, with the empty-set maximum defined as 0; w is a
+    vector of any finite reals (instances.checked_array)."""
+    w = checked_array(w, "weights w", ("n",))
     members = mask_members(checked_mask(s, w.shape[0], "a selection"))
     return float(w[members].max()) if members else 0.0
 
@@ -66,13 +74,9 @@ def static_minmax_vc(g: Graph, w) -> tuple[frozenset, float]:
     reaches min(w_u, w_v) on every edge. So the optimal threshold is the
     largest of those per-edge minima, found in one pass over the edges.
     Returns the full eligible set (not pruned to a minimal cover) and the
-    threshold value. A row containing NaN is rejected with a ValueError.
+    threshold value. The row is n finite reals (instances.checked_array).
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (g.n,):
-        raise ValueError(f"weight row must have length {g.n}")
-    if np.isnan(w).any():
-        raise ValueError("weight row must not contain NaN")
+    w = checked_array(w, "weight row", (g.n,))
     if g.m == 0:
         return frozenset(), 0.0
     thr = vc_threshold(w.tolist(), g.edges)
@@ -80,12 +84,10 @@ def static_minmax_vc(g: Graph, w) -> tuple[frozenset, float]:
 
 
 def multi_minmax_cost(selection: Iterable[int], rows) -> float:
-    """Sum over rows of the max weight in the selection (empty max is 0)."""
+    """Sum over rows of the max weight in the selection (empty max is 0);
+    rows is a WeightSequence or any block of finite reals (see _as_rows)."""
     rows = _as_rows(rows)
-    members = mask_members(checked_mask(selection, rows.shape[1], "a selection"))
-    if not members or rows.shape[0] == 0:
-        return 0.0
-    return float(rows[:, members].max(axis=1).sum())
+    return _summed_max(mask_members(checked_mask(selection, rows.shape[1], "a selection")), rows)
 
 
 def _maximal_independent_sets(g: Graph) -> Iterator[int]:
@@ -151,7 +153,7 @@ def best_static_vc_hindsight(g: Graph, seq: WeightSequence) -> tuple[frozenset, 
     best_cover: frozenset | None = None
     best_cost = np.inf
     for cover in minimal_vertex_covers(g):
-        cost = multi_minmax_cost(cover, seq)
+        cost = _summed_max(list(cover), seq.rows)
         if cost < best_cost:
             best_cover, best_cost = cover, cost
     assert best_cover is not None
@@ -189,21 +191,19 @@ def _perfect_matchings(g: Graph) -> Iterator[tuple[int, ...]]:
 def brute_force_multi_matching(g: Graph, rows) -> tuple[frozenset, float]:
     """Exact minimizer of the summed max-edge-weight over perfect matchings.
 
-    ``rows`` has one weight per edge of g, in g.edges order. Distinct
-    errors for an odd vertex count versus an even graph with no perfect
-    matching.
+    ``rows`` has one finite real weight per edge of g, in g.edges order
+    (see _as_rows). Distinct errors for an odd vertex count versus an even
+    graph with no perfect matching.
     """
     if g.n > MAX_MATCHING_VERTICES:
         raise ValueError(f"|V|={g.n} exceeds enumeration guard {MAX_MATCHING_VERTICES}")
     if g.n % 2 == 1:
         raise ValueError("odd vertex count: no perfect matching can exist")
-    rows = _as_rows(rows)
-    if rows.shape[0] and rows.shape[1] != g.m:
-        raise ValueError("weight rows must have one entry per edge")
+    rows = _as_rows(rows, g.m)
     best: tuple[int, ...] | None = None
     best_cost = np.inf
     for matching in _perfect_matchings(g):
-        cost = multi_minmax_cost(matching, rows)
+        cost = _summed_max(list(matching), rows)
         if cost < best_cost:
             best, best_cost = matching, cost
     if best is None:
@@ -234,24 +234,27 @@ class PathChain:
     ('t' and 'f') per stage; a source-to-sink path picks one arc per stage.
 
     Arc-weight rows use column 2*i for arc ('t', stage i) and column
-    2*i + 1 for arc ('f', stage i).
+    2*i + 1 for arc ('f', stage i). ``n_stages`` is an integer >= 1
+    (traces.checked_int), and a stage an index into the stages
+    (traces.checked_index).
     """
 
     n_stages: int
 
     def __post_init__(self):
-        if self.n_stages < 1:
+        n_stages = checked_int(self.n_stages, "n_stages")
+        if n_stages < 1:
             raise ValueError("chain needs at least one stage")
+        object.__setattr__(self, "n_stages", n_stages)
 
     @property
     def n_arcs(self) -> int:
         return 2 * self.n_stages
 
-    @staticmethod
-    def arc_index(stage: int, label: str) -> int:
+    def arc_index(self, stage: int, label: str) -> int:
         if label not in ("t", "f"):
             raise ValueError("arc label must be 't' or 'f'")
-        return 2 * stage + (0 if label == "t" else 1)
+        return 2 * checked_index(stage, self.n_stages, "stage") + (0 if label == "t" else 1)
 
     def path_arc_indices(self, labels: Sequence[str]) -> tuple[int, ...]:
         if len(labels) != self.n_stages:
@@ -262,15 +265,14 @@ class PathChain:
 def brute_force_multi_path(chain: PathChain, rows) -> tuple[tuple, float]:
     """Exact minimizer of the summed max-arc-weight over all 2^n paths.
 
-    Returns the path as a tuple of 't'/'f' labels; among ties the
+    ``rows`` has one finite real weight per arc (see _as_rows). Returns
+    the path as a tuple of 't'/'f' labels; among ties the
     lexicographically smallest with 't' < 'f' wins.
     """
     n = chain.n_stages
     if n > MAX_PATH_STAGES:
         raise ValueError(f"{n} stages exceeds enumeration guard {MAX_PATH_STAGES}")
-    rows = _as_rows(rows)
-    if rows.shape[0] and rows.shape[1] != chain.n_arcs:
-        raise ValueError("weight rows must have one entry per arc")
+    rows = _as_rows(rows, chain.n_arcs)
     wt, wf = rows[:, 0::2], rows[:, 1::2]
     # stage 0 is the most significant bit so index order is lexicographic
     shifts = np.array([n - 1 - i for i in range(n)], dtype=np.int64)

@@ -26,7 +26,7 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from .instances import Graph, WeightSequence
+from .instances import Graph, WeightSequence, checked_array
 from .minmax import MAX_HINDSIGHT_N, best_static_vc_hindsight
 from .traces import RegretTrace, checked_index, checked_int, checked_real, mask_members, running_sums
 
@@ -82,12 +82,11 @@ class ProjectionError(RuntimeError):
 def subgradient(w, x) -> np.ndarray:
     """Subgradient of x -> max_i w_i x_i: w_{i*} on the argmax coordinate.
 
-    Ties break to the smallest index.
+    Ties break to the smallest index. The weight row w and the point x
+    are vectors of one length of any finite reals (instances.checked_array).
     """
-    w = np.asarray(w, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if w.shape != x.shape or w.ndim != 1:
-        raise ValueError("w and x must be vectors of equal length")
+    w = checked_array(w, "weight row", ("n",))
+    x = checked_array(x, "point", w.shape)
     g = np.zeros_like(w)
     i_star = int(np.argmax(w * x))  # argmax returns the first maximizer
     g[i_star] = w[i_star]
@@ -96,11 +95,10 @@ def subgradient(w, x) -> np.ndarray:
 
 def fractional_feasible(x, g: Graph, tol: float = 1e-8) -> bool:
     """Whether x lies in the box and satisfies x_i + x_j >= 1 - tol on edges;
-    tol is in [0, inf)."""
+    tol is in [0, inf) and x is a point of n finite reals
+    (instances.checked_array)."""
     tol = checked_real(tol, "tol", 0.0)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (g.n,):
-        return False
+    x = checked_array(x, "point", (g.n,))
     if x.min() < -tol or x.max() > 1.0 + tol:
         return False
     return all(x[u] + x[v] >= 1.0 - tol for u, v in g.edges)
@@ -196,18 +194,6 @@ def _project(
     )
 
 
-def checked_weight_row(w_row, n: int) -> np.ndarray:
-    """w_row as a float64 array, or a ValueError if it is not a finite
-    vector of length n. The online vertex-cover learners check every
-    revealed row with it before using it."""
-    w = np.asarray(w_row, dtype=np.float64)
-    if w.shape != (n,):
-        raise ValueError(f"weight row must have length {n}")
-    if not np.isfinite(w).all():
-        raise ValueError("weight row must be finite")
-    return w
-
-
 def neighbour_lists(g: Graph) -> list[list[int]]:
     """For each vertex of g, its neighbours in edge order."""
     adj: list[list[int]] = [[] for _ in range(g.n)]
@@ -219,12 +205,9 @@ def neighbour_lists(g: Graph) -> list[list[int]]:
 
 def project_vc_polytope(y, g: Graph) -> np.ndarray:
     """l2-nearest point of the fractional cover polytope of g, by
-    Dykstra's method."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (g.n,):
-        raise ValueError(f"point must have length {g.n}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("point must be finite")
+    Dykstra's method; y is a point of n finite reals
+    (instances.checked_array)."""
+    y = checked_array(y, "point", (g.n,))
     return _project(y.tolist(), [u for u, _ in g.edges], [v for _, v in g.edges])
 
 
@@ -318,9 +301,9 @@ class OgdVcLearner:
         return self._mask
 
     def observe(self, w_row, cost: float) -> None:
-        """Step on a revealed weight row; rejects a row that is not a
-        finite vector of length n with a ValueError."""
-        self._step(checked_weight_row(w_row, self.g.n).tolist())
+        """Step on a revealed weight row of n finite reals; any other row
+        is refused by :func:`~regretlab.instances.checked_array`."""
+        self._step(checked_array(w_row, "weight row", (self.g.n,)).tolist())
 
     def observe_vertex(self, u: int, cost: float) -> None:
         """Step on the one-hot row e_u, vertex u checked by

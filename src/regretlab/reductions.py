@@ -23,10 +23,10 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .instances import Dnf3Formula, Graph, ProcTimeMatrix, WeightSequence, serialize_dnf
-from .minmax import PathChain, multi_minmax_cost, vc_threshold
+from .instances import Dnf3Formula, Graph, ProcTimeMatrix, WeightSequence, checked_array, serialize_dnf
+from .minmax import PathChain, _summed_max, multi_minmax_cost, vc_threshold
 from .ogd import OgdVcLearner  # re-exported: the gap decider's OGD learner
-from .ogd import checked_weight_row, neighbour_lists
+from .ogd import neighbour_lists
 from .rng import SeededRng
 from .traces import RegretTrace, checked_index, checked_int, checked_real
 
@@ -188,9 +188,10 @@ class FtlMinMaxVcLearner:
         return kept
 
     def observe(self, w_row: np.ndarray, cost: float) -> None:
-        """Add a revealed weight row to the running sums; rejects a row
-        that is not a finite vector of length n with a ValueError."""
-        self._cum = list(map(add, self._cum, checked_weight_row(w_row, self.g.n).tolist()))
+        """Add a revealed weight row of n finite reals to the running sums;
+        any other row is refused by
+        :func:`~regretlab.instances.checked_array`."""
+        self._cum = list(map(add, self._cum, checked_array(w_row, "weight row", (self.g.n,)).tolist()))
         self._thr = None
 
     def observe_vertex(self, u: int, cost: float) -> None:
@@ -352,12 +353,18 @@ class MatchingGadget:
     value, so the gadget's 2^n matchings are in bijection with the
     assignments.  Weight row j charges 1 exactly on edges whose truth
     value falsifies a literal of clause j, hence a matching pays 0 in
-    round j iff the clause is satisfied.
+    round j iff the clause is satisfied. The weight rows, one finite real
+    per edge, are checked once here (instances.checked_array), so
+    ``cost_of`` scores every assignment on the checked block.
     """
 
     graph: Graph
     vertex_roles: dict[int, tuple[int, str]]
     weight_rows: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        rows = checked_array(self.weight_rows, "gadget weight rows", ("m", self.graph.m))
+        object.__setattr__(self, "weight_rows", rows)
 
     @property
     def n_vars(self) -> int:
@@ -384,7 +391,7 @@ class MatchingGadget:
         for i, val in enumerate(assignment):
             b = 4 * i
             cols += [b + _E_U_T, b + _E_BAR_F] if val else [b + _E_U_F, b + _E_T_BAR]
-        return multi_minmax_cost(cols, self.weight_rows)
+        return _summed_max(cols, self.weight_rows)
 
 
 def dnf_to_matching(f: Dnf3Formula) -> MatchingGadget:
@@ -414,7 +421,6 @@ def dnf_to_matching(f: Dnf3Formula) -> MatchingGadget:
                 rows[j, 4 * v + _E_U_F] = 1.0
             else:
                 rows[j, 4 * v + _E_U_T] = 1.0
-    rows.flags.writeable = False
     return MatchingGadget(graph=g, vertex_roles=roles, weight_rows=rows)
 
 
@@ -440,9 +446,9 @@ def dnf_to_path(f: Dnf3Formula) -> tuple[PathChain, np.ndarray]:
     for j, clause in enumerate(f.clauses):
         for v, positive in clause:
             if positive:
-                rows[j, PathChain.arc_index(v, "f")] = 1.0
+                rows[j, chain.arc_index(v, "f")] = 1.0
             else:
-                rows[j, PathChain.arc_index(v, "t")] = 1.0
+                rows[j, chain.arc_index(v, "t")] = 1.0
     rows.flags.writeable = False
     return chain, rows
 
@@ -474,7 +480,9 @@ def threecolor_to_p3(g: Graph) -> ProcTimeMatrix:
 
 
 def is_three_colorable(g: Graph, n_colors: int = 3) -> bool:
-    """Brute-force proper-coloring check (independent of the scheduling view)."""
+    """Brute-force proper-coloring check (independent of the scheduling
+    view); n_colors is an integer (traces.checked_int)."""
+    n_colors = checked_int(n_colors, "n_colors")
     if g.n > 12:
         raise ValueError("coloring check guarded to n <= 12")
 
@@ -510,8 +518,9 @@ def formula_id(f: Dnf3Formula) -> str:
 def validate_correspondence(f: Dnf3Formula) -> dict:
     """Prove satisfied(sigma) = m − gadget cost over all 2^n assignments.
 
-    Checks both the matching and the path gadget; mismatches are reported,
-    not raised.  The report is JSON-ready:
+    Checks both the matching and the path gadget, each scoring every
+    assignment on its rows as built; mismatches are reported, not raised.
+    The report is JSON-ready:
     {formula_id, assignments_checked, violations: [...]}.
     """
     if f.n > 12:
@@ -523,7 +532,7 @@ def validate_correspondence(f: Dnf3Formula) -> dict:
         sigma = [bool(bits >> i & 1) for i in range(f.n)]
         sat = f.num_satisfied(sigma)
         m_cost = m_gadget.cost_of(sigma)
-        p_cost = path_cost_of(chain, p_rows, sigma)
+        p_cost = _summed_max(list(chain.path_arc_indices(assignment_to_path(sigma))), p_rows)
         if sat != f.m - m_cost or sat != f.m - p_cost:
             violations.append(
                 {

@@ -64,7 +64,9 @@ class SeededRng:
 
         Output i mixes state + (i+1)*GOLDEN, so the k outputs are computed
         at once in wrapping uint64 arithmetic; the state advances by k.
+        k is an integer (traces.checked_int).
         """
+        k = checked_int(k, "k")
         if k < 0:
             raise ValueError("random_array() requires k >= 0")
         z = np.uint64(self._state) + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
@@ -87,7 +89,10 @@ class SeededRng:
         return low + (high - low) * self.random_array(k)
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n), via rejection sampling (no modulo bias)."""
+        """Uniform integer in [0, n), via rejection sampling (no modulo bias);
+        n is an integer (traces.checked_int)."""
+        if type(n) is not int:  # a plain int, once per gap round, needs no more
+            n = checked_int(n, "n")
         if n <= 0:
             raise ValueError("randrange() requires n >= 1")
         limit = (1 << 64) - ((1 << 64) % n)

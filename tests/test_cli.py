@@ -216,11 +216,22 @@ def assert_run_usage_error(capsys, tmp_path, algorithm, roles, params, message, 
          "regret coefficient p_coeff must be a finite number in (0, inf), got nan"),
         ("ogd_vc", {"W_bound": "2"}, "W_bound must be a finite number in (0, inf), got '2'"),
         ("ogd_vc", {"W_bound": True}, "W_bound must be a finite number in (0, inf), got True"),
+        ("ogd_vc", {"stepmode": "paper"},
+         "unknown param 'stepmode' for ogd_vc; pick from ('weight_gen', 'T_sweep', 'W_bound', 'step_mode')"),
+        ("ogd_vc", {"W_boud": 0.01},
+         "unknown param 'W_boud' for ogd_vc; pick from ('weight_gen', 'T_sweep', 'W_bound', 'step_mode')"),
+        ("gap_solver", {"A": 0.2, "B": 0.6, "W_bound": 1.0},
+         "unknown param 'W_bound' for gap_solver; pick from "
+         "('learner', 'T_sweep', 'A', 'B', 'p_coeff', 'c_exp', 'eps')"),
+        ("gftpl_gkp", {"learner": "ogd"},
+         "unknown param 'learner' for gftpl_gkp; pick from ('oracle', 'round_source', 'T_sweep', 'eta', "
+         "'kappa', 'delta', 'G_gamma', 'G_f', 'F_M', 'eps', 'eps_schedule')"),
     ],
     ids=["step_mode", "W_bound_negative", "W_bound_text", "T_sweep_negative", "T_sweep_scalar",
          "gap_missing_A", "gap_c_exp", "gftpl_T_sweep", "gftpl_kappa_text", "gftpl_kappa_below_1",
          "gftpl_eps_schedule", "gftpl_eta_negative", "T_sweep_float", "gap_eps_inf", "gap_eps_nan",
-         "gap_p_coeff_nan", "W_bound_numeric_text", "W_bound_bool"],
+         "gap_p_coeff_nan", "W_bound_numeric_text", "W_bound_bool", "ogd_unknown_stepmode",
+         "ogd_unknown_W_boud", "gap_unknown_W_bound", "gftpl_unknown_learner"],
 )
 def test_run_rejects_bad_params_before_writing(capsys, tmp_path, algorithm, params, message):
     instance = "gkp" if algorithm == "gftpl_gkp" else "graph"

@@ -54,14 +54,14 @@ def test_block_indexes_as_rounds_and_slices_as_blocks():
 @pytest.mark.parametrize(
     "rows, B, message",
     [
-        ([[1.0, 2.0]], [1.0, 2.0], "capacities B must have shape (1,)"),
+        ([[1.0, 2.0]], [1.0, 2.0], "capacities B must have length 1"),
         ([[1.0, 2.0]], [[1.0]], "capacities B must be a list of numbers"),
         ([[1.0, 2.0]], [float("nan")], "capacities B must be a finite number in [0, inf), got nan"),
         ([[1.0, 2.0]], [-1.0], "capacities B must be a finite number in [0, inf), got -1.0"),
         ([[1.0, float("inf")]], [1.0], "profits p must be a finite number in [0, inf), got inf"),
         ([[1.0, -2.0]], [1.0], "profits p must be a finite number in [0, inf), got -2.0"),
-        ([[1.0]], [1.0], "rows must have shape (m, 2)"),
-        ([[[1.0], [2.0]]], [1.0], "rows must have shape (m, 2)"),
+        ([[1.0]], [1.0], "profits p must have shape (m, 2)"),
+        ([[[1.0], [2.0]]], [1.0], "profits p must be rows of numbers"),
         ([[1.0, 2.0], [1.0]], [1.0, 1.0], "profits p must be rows of numbers"),
     ],
     ids=["B_long", "B_nested", "B_nan", "B_negative", "p_inf", "p_negative", "p_short", "p_nested", "p_ragged"],

@@ -1,10 +1,13 @@
-"""Property check of the one index rule across the set-valued APIs.
+"""Property check of the one index rule across the set- and integer-valued APIs.
 
 gkp_profit, multi_gkp_profit, minmax_value, multi_minmax_cost,
 is_vertex_cover and gftpl_run's oracle path all read a set of indices
 through traces.checked_mask. On any member list they must refuse the same
 inputs, for the same member, and on an accepted list give what they give
-for the plain-int frozenset of its members.
+for the plain-int frozenset of its members. The integer parameters
+(PathChain's stage count and stage, SeededRng.randrange and random_array,
+is_three_colorable's colour count) read one integer through
+traces.checked_int and refuse anything else with its message.
 """
 
 import numpy as np
@@ -17,7 +20,8 @@ from hypothesis import strategies as st  # noqa: E402
 from regretlab.gftpl import GftplConfig, gftpl_run  # noqa: E402
 from regretlab.gkp import gkp_profit, multi_gkp_profit  # noqa: E402
 from regretlab.instances import GkpRound, GkpStatic, Graph  # noqa: E402
-from regretlab.minmax import is_vertex_cover, minmax_value, multi_minmax_cost  # noqa: E402
+from regretlab.minmax import PathChain, is_vertex_cover, minmax_value, multi_minmax_cost  # noqa: E402
+from regretlab.reductions import is_three_colorable  # noqa: E402
 from regretlab.rng import SeededRng  # noqa: E402
 
 N = 4
@@ -91,3 +95,49 @@ def test_every_set_valued_api_applies_the_same_index_rule(members):
     assert outcomes["minmax_value"][1] == max((W[i] for i in plain), default=0.0)
     assert outcomes["is_vertex_cover"][1] == all(u in plain or v in plain for u, v in PATH.edges)
     assert outcomes["gftpl_run"][1][0] == sum(1 << i for i in plain)
+
+
+# the integer-valued parameters: (the name a refusal gives, a call on x)
+INT_PARAMS = {
+    "PathChain": ("n_stages", lambda x: PathChain(x)),
+    "PathChain.arc_index": ("stage", lambda x: PathChain(2).arc_index(x, "t")),
+    "SeededRng.randrange": ("n", lambda x: SeededRng(1).randrange(x)),
+    "SeededRng.random_array": ("k", lambda x: SeededRng(1).random_array(x)),
+    "is_three_colorable": ("n_colors", lambda x: is_three_colorable(PATH, n_colors=x)),
+}
+
+INTEGERS = st.one_of(
+    st.integers(-2, 6),
+    st.integers(-2, 6).map(np.int64),
+    st.booleans(),
+    st.sampled_from([np.True_, 2.0, 2.5, float("nan"), "3", None]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(INT_PARAMS)), INTEGERS)
+@example("PathChain", 2.5)  # each of these six was taken before the rule, or failed with a TypeError
+@example("PathChain", True)
+@example("PathChain", "3")
+@example("PathChain.arc_index", 5)
+@example("SeededRng.randrange", 2.5)
+@example("SeededRng.randrange", True)
+@example("SeededRng.random_array", True)
+@example("is_three_colorable", True)
+def test_every_integer_parameter_applies_the_index_rule(name, x):
+    what, call = INT_PARAMS[name]
+    if type(x) in (int, np.int64):
+        try:
+            call(x)
+        except ValueError as exc:  # a range refusal, as of a stage past the chain
+            assert "must be an integer" not in str(exc), name
+        return
+    with pytest.raises(ValueError) as exc:
+        call(x)
+    assert str(exc.value) == f"{what} must be an integer, got {x!r}", name
+
+
+def test_a_stage_outside_the_chain_is_refused_by_the_index_rule():
+    with pytest.raises(ValueError, match=r"^stage must be in \[0, 2\), got 5$"):
+        PathChain(2).arc_index(5, "t")
+    assert PathChain(np.int64(2)).n_arcs == 4 and type(PathChain(np.int64(2)).n_stages) is int

@@ -103,9 +103,9 @@ def test_row_matrices_share_a_body_but_stay_distinct_types():
     assert seq != mat and mat != seq
     assert not isinstance(mat, WeightSequence) and not isinstance(seq, ProcTimeMatrix)
     assert seq == WeightSequence(2, rows) and mat == ProcTimeMatrix(2, rows)
-    with pytest.raises(ValueError, match=r"^rows must have shape \(T, 3\)$"):
+    with pytest.raises(ValueError, match=r"^weights must have shape \(T, 3\)$"):
         WeightSequence(3, rows)
-    with pytest.raises(ValueError, match=r"^rows must have shape \(N, 3\)$"):
+    with pytest.raises(ValueError, match=r"^processing times must have shape \(N, 3\)$"):
         ProcTimeMatrix(3, rows)
     with pytest.raises(ValueError, match=r"^processing times must be a finite number in \[0, inf\), got -1\.0$"):
         ProcTimeMatrix(2, [[1.0, -1.0]])

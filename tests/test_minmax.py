@@ -175,7 +175,7 @@ def test_static_minmax_vc_matches_threshold_scan_on_ties():
 
 
 def test_static_minmax_vc_rejects_nan():
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(ValueError, match=r"^weight row must be a finite number in \(-inf, inf\), got nan$"):
         static_minmax_vc(Graph(2, ((0, 1),)), (np.nan, 1.0))
 
 

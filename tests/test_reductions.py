@@ -265,7 +265,7 @@ def test_ogd_learner_rejects_bad_rows():
 def test_ftl_learner_rejects_non_finite_rows():
     learner = FtlMinMaxVcLearner(PATH3)
     for row in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [-np.inf, 1.0, 0.0]):
-        with pytest.raises(ValueError, match="weight row must be finite"):
+        with pytest.raises(ValueError, match=r"weight row must be a finite number in \(-inf, inf\), got"):
             learner.observe(np.array(row), 0.0)
     assert learner.cum == [0.0, 0.0, 0.0]  # nothing was added
     assert learner.play() == 0b010
@@ -274,9 +274,11 @@ def test_ftl_learner_rejects_non_finite_rows():
 def test_ftl_learner_rejects_rows_of_the_wrong_length():
     learner = FtlMinMaxVcLearner(PATH3)
     # a length-1 row would broadcast into every vertex
-    for row in ([5.0], [1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]):
+    for row in ([5.0], [1.0, 0.0], [1.0, 0.0, 0.0, 0.0]):
         with pytest.raises(ValueError, match="weight row must have length 3"):
             learner.observe(np.array(row), 0.0)
+    with pytest.raises(ValueError, match="weight row must be a list of numbers"):
+        learner.observe(np.array([[1.0, 0.0, 0.0]]), 0.0)
     assert learner.cum == [0.0, 0.0, 0.0]
     learner.observe([0.0, 5.0, 0.0], 5.0)  # a plain list of the right length is a row
     assert learner.play() == 0b101

@@ -178,11 +178,18 @@ def test_operator_index_is_written_only_in_the_index_rule():
 
 
 def test_math_isfinite_is_written_only_in_the_number_rule():
-    # a second copy of the rule would test finiteness on its own; np.isfinite
-    # on a whole weight row or point is an array check and may stay
+    # a second copy of the rule would test finiteness on its own
     src = Path(regretlab.__file__).parent
     users = sorted(
         p.name for p in src.glob("*.py")
         if re.search(r"\bmath\.isfinite\b|from math import[^\n]*\bisfinite\b", p.read_text())
     )
     assert users == ["traces.py"]
+
+
+def test_np_isfinite_and_isnan_appear_nowhere_in_the_library():
+    # arrays are checked by instances.checked_array alone, through the
+    # number rule on their least and greatest entries
+    src = Path(regretlab.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py") if re.search(r"\bnp\.is(finite|nan)\b", p.read_text()))
+    assert users == []
