@@ -43,6 +43,8 @@ class FormatError(ValueError):
 
 # entry types that np.array turns into floats but that are no numbers
 _NOT_NUMBERS = frozenset((bool, np.bool_, str, np.str_, bytes, np.bytes_, type(None)))
+# numpy's complex entry types, which np.array casts to their real parts
+_COMPLEX = frozenset((np.complex64, np.complex128, np.clongdouble))
 
 
 def _entries(value, ndim: int):
@@ -72,6 +74,12 @@ def _entry_types(value, ndim: int) -> set:
     return types
 
 
+def _not_numbers(what: str, shape: tuple) -> ValueError:
+    """checked_array's refusal of a value that is no list (one axis) or
+    rows (two) of numbers."""
+    return ValueError(f"{what} must be {'a list of numbers' if len(shape) == 1 else 'rows of numbers'}")
+
+
 def checked_array(value, what: str, shape: tuple, low: float = -inf, high: float = inf) -> np.ndarray:
     """value as a read-only C-contiguous float64 array of its own: no
     later write through the caller's array or a view of it reaches the
@@ -86,20 +94,29 @@ def checked_array(value, what: str, shape: tuple, low: float = -inf, high: float
     shape (<T>, <n>)". A bool, str, bytes or None entry, and the least
     and greatest entries unless both lie in [low, high], are refused by
     the number rule (traces.checked_real), whose message names ``what``;
-    NaN propagates through both, so they pass iff every entry does."""
+    NaN propagates through both, so they pass iff every entry does.
+    A complex array, or a list with a complex entry, is refused as one
+    numpy cannot convert, since the cast would keep only the real parts:
+    an array before the cast, a list's numpy complex entry after it (numpy
+    warns of that cast with a ComplexWarning, caught if made an error)."""
+    if isinstance(value, np.ndarray) and value.dtype.kind == "c":
+        raise _not_numbers(what, shape)
     try:
         a = np.array(value, dtype=np.float64, order="C")
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, np.exceptions.ComplexWarning):
         a = None
     if a is not None and a.ndim == 1 and not a.size and len(shape) == 2 and not isinstance(shape[1], str):
         a = a.reshape(0, shape[1])
     if a is None or a.ndim != len(shape):
-        raise ValueError(f"{what} must be {'a list of numbers' if len(shape) == 1 else 'rows of numbers'}")
+        raise _not_numbers(what, shape)
     if any(not isinstance(k, str) and k != m for k, m in zip(shape, a.shape)):
         if len(shape) == 1:
             raise ValueError(f"{what} must have length {shape[0]}")
         raise ValueError(f"{what} must have shape ({', '.join(map(str, shape))})")
-    if not _entry_types(value, a.ndim).isdisjoint(_NOT_NUMBERS):
+    types = _entry_types(value, a.ndim)
+    if not types.isdisjoint(_COMPLEX):
+        raise _not_numbers(what, shape)
+    if not types.isdisjoint(_NOT_NUMBERS):
         for x in _entries(value, a.ndim):
             if _entry_type(x) in _NOT_NUMBERS:
                 checked_real(x, what, low, high)
@@ -579,14 +596,14 @@ def gen_random_graph(n: int, p: float, rng: SeededRng) -> Graph:
 
 
 def gen_onehot_weights(n: int, T: int, rng: SeededRng) -> WeightSequence:
-    """Each row puts weight 1 on a uniformly chosen element, 0 elsewhere."""
+    """Each row puts weight 1 on a uniformly chosen element, 0 elsewhere;
+    the T elements are one SeededRng.randrange_array(n, T) block."""
     if checked_int(n, "n") < 1:
         raise ValueError("n must be >= 1")
     if checked_int(T, "T") < 0:
         raise ValueError("T must be >= 0")
     rows = np.zeros((T, n))
-    for t in range(T):
-        rows[t, rng.randrange(n)] = 1.0
+    rows[np.arange(T), rng.randrange_array(n, T)] = 1.0
     return WeightSequence(n, rows)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .instances import Graph, WeightSequence, checked_array
 from .minmax import MAX_HINDSIGHT_N, best_static_vc_hindsight
-from .traces import RegretTrace, checked_index, checked_int, checked_real, mask_members, running_sums
+from .traces import RegretTrace, checked_index, checked_int, checked_real, running_sums
 
 __all__ = [
     "OgdConfig",
@@ -371,11 +371,16 @@ def ogd_run(
     learner's play and its iterate, then steps the learner on the row.
     The costs are scored after the loop, in one pass over the recorded
     (T, n) block of iterates: the fractional costs as the row maxima of
-    w*x, and the integral costs as one gathered row max per distinct
-    played cover (0.0 for the empty one). numpy's row max keeps the
-    1-D max's sign of zero, so these are the per-round values bit for
-    bit. The trace charges each round the integral cover's cost and also
-    logs the fractional iterate's cost and the running additive bound
+    w*x, and the integral costs as the row maxima of w over the played
+    covers. The learner plays the half-rounding of its iterate, so a
+    round's cover is its iterate's entries >= 1/2, and its cost is the
+    row max with the other entries left out (0.0 for the empty cover). A
+    nonzero max is the same float whichever entries a reduction compares,
+    but the sign of a zero max is not: such a row is scored again by the
+    1-D max over its gathered members, as the per-round rule does. So
+    the costs are the per-round values bit for bit. The trace charges
+    each round the integral cover's cost and also logs the fractional
+    iterate's cost and the running additive bound
     3*W_bound*sqrt(n*t). The benchmark is the exact hindsight optimum
     when the graph is small enough to enumerate.
     """
@@ -390,20 +395,18 @@ def ogd_run(
     x = learner.x  # stepped in place
     iterates = np.empty((seq.T, n))
     masks = []
-    rounds_of: dict[int, list[int]] = {}  # each distinct played mask's rounds
     for t, w in enumerate(rows.tolist()):
-        played = learner.play()
-        masks.append(played)
-        rounds_of.setdefault(played, []).append(t)
+        masks.append(learner.play())
         iterates[t] = x
         learner._step(w)
 
     # numpy reductions, not max(): the two differ on the sign of a zero
     frac_costs = (rows * iterates).max(axis=1).tolist() if seq.T else []
-    int_costs = np.zeros(seq.T)
-    for played, ks in rounds_of.items():
-        if played:
-            int_costs[ks] = rows[np.ix_(ks, mask_members(played))].max(axis=1)
+    member = iterates >= 0.5  # each round's played cover, round_half of its iterate
+    int_costs = rows.max(axis=1, where=member, initial=-np.inf)
+    for t in np.flatnonzero(int_costs == 0.0):  # a zero takes its sign from the 1-D gather
+        int_costs[t] = rows[t, member[t]].max()
+    int_costs[int_costs == -np.inf] = 0.0  # the empty cover
     int_costs = int_costs.tolist()
 
     benchmark = None

@@ -17,6 +17,7 @@ Two halves, joined by the min-max vertex cover problem:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import ceil
 from operator import add
 from typing import Protocol, Sequence
@@ -33,6 +34,9 @@ from .traces import RegretTrace, checked_index, checked_int, checked_real
 # Refuse to pre-draw absurdly long adversary streams; callers with a huge
 # computed horizon should set T_override instead.
 MAX_GAP_ROUNDS = 1_000_000
+# gap_solver draws its targets this many at a time, bounding the uint64
+# block that SeededRng.randrange_array computes
+_TARGET_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +263,12 @@ def gap_solver(
 ) -> GapResult:
     """Decide the [A,B]-gap on g by playing one-hot weights against a learner.
 
-    Each round one uniformly random vertex gets weight 1.  A played cover
-    smaller than B·n settles the answer as Yes on the spot (no cost is
-    charged for that round); a learner whose regret really is p(n)·T^c
+    Each round one uniformly random vertex gets weight 1. All T target
+    vertices are drawn before round 1 by SeededRng.randrange_array, in
+    blocks of at most _TARGET_BLOCK: the vertices of T randrange(n) calls,
+    leaving the stream where those calls would. A played cover smaller
+    than B·n settles the answer as Yes on the spot (no cost is charged
+    for that round); a learner whose regret really is p(n)·T^c
     must produce such a cover within the horizon whenever a cover smaller
     than A·n exists, up to the promised constant error probability.
     ``learner.play()`` must return an int bitmask of a vertex cover; a
@@ -286,7 +293,8 @@ def gap_solver(
         raise ValueError(f"horizon {T} exceeds {MAX_GAP_ROUNDS}; set T_override")
 
     # the whole adversary is fixed up front: oblivious by construction
-    targets = tuple(rng.randrange(g.n) for _ in range(T))
+    targets = tuple(chain.from_iterable(rng.randrange_array(g.n, min(_TARGET_BLOCK, T - lo))
+                                        for lo in range(0, T, _TARGET_BLOCK)))
     threshold = cfg.B * g.n
 
     decision = "No"

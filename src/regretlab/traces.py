@@ -15,7 +15,7 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from math import inf, isfinite
 from typing import Mapping
@@ -100,9 +100,27 @@ def mask_members(mask: int) -> list[int]:
     return members
 
 
+# masks of at most this many bits are formatted through _byte_cells: its
+# tables, about 17 KB per byte offset, are kept for the life of the process
+_TABLE_BITS = 512
+
+
+@cache
+def _byte_cells(k: int) -> tuple[str, ...]:
+    """For byte offset k of a mask, the CSV piece of each byte value b:
+    the members 8k..8k+7 that b holds, ascending, joined by ';'."""
+    return tuple(";".join(str(8 * k + i) for i in range(8) if b >> i & 1) for b in range(256))
+
+
 def format_action(mask: int) -> str:
-    """The CSV cell of a played set: its members, ascending, joined by ';'."""
-    return ";".join(map(str, mask_members(mask)))
+    """The CSV cell of a played set, a nonnegative int mask: its members,
+    ascending, joined by ';'. A mask of up to _TABLE_BITS bits is read a
+    byte at a time, and each nonzero byte's piece comes from its offset's
+    table (_byte_cells); a wider one is read a member at a time."""
+    if mask.bit_length() > _TABLE_BITS:
+        return ";".join(map(str, mask_members(mask)))
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return ";".join([_byte_cells(k)[b] for k, b in enumerate(data) if b])
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ test's point, the subgradient, and the min-max solvers and gadgets. On
 any nested list each entry point must refuse exactly what the rule
 refuses, with the rule's message naming its field:
 
-* a value numpy cannot convert, or one with another number of axes:
-  "<what> must be a list of numbers" (one axis) or "rows of numbers" (two);
+* a value numpy cannot convert (a complex array or entry among them), or
+  one with another number of axes: "<what> must be a list of numbers"
+  (one axis) or "rows of numbers" (two);
 * a wrong length: "<what> must have length <n>" or "must have shape (T, n)";
 * a bool, str, bytes or None entry, NaN, +-inf or an entry outside the
   field's interval: the number rule's own message for it.
@@ -18,6 +19,7 @@ from numpy.
 """
 
 import math
+import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -83,7 +85,7 @@ ENTRIES = {
 
 GOOD = [0.0, -0.0, 0.25, 1.0, 1, np.float64(0.5), np.float32(0.75), np.int64(0)]
 BAD = [-1.0, 2.0, float("nan"), float("inf"), float("-inf"), True, False, np.True_, "1.0", "0", None, b"1",
-       "abc"]
+       "abc", 1 + 0j]
 NOT_NUMBERS = (bool, np.bool_, str, bytes, type(None))
 
 
@@ -124,9 +126,11 @@ def _refusal(entry: Entry, value) -> str | None:
     """The message the rule refuses value with at entry, or None."""
     what, shape = entry.what, entry.shape
     numbers = "a list of numbers" if len(shape) == 1 else "rows of numbers"
+    if isinstance(value, np.ndarray) and value.dtype.kind == "c":  # a cast would drop the imaginary parts
+        return f"{what} must be {numbers}"
     got = _shape_of(value)
     flat = _flat(value)
-    if "abc" in flat:  # numpy cannot convert it
+    if "abc" in flat or any(isinstance(x, complex) for x in flat):  # numpy cannot convert it
         return f"{what} must be {numbers}"
     if got == (0,) and len(shape) == 2 and not isinstance(shape[1], str):
         got = (0, shape[1])  # an empty list is zero rows of a fixed width
@@ -161,6 +165,9 @@ def _refusal(entry: Entry, value) -> str | None:
 @example("WeightSequence", [])
 @example("multi_minmax_cost", [[]])
 @example("brute_force_multi_matching", [[0.0, 1.0, 2.0]])
+@example("OgdVcLearner.observe", np.array([1 + 0j]))  # its real part was taken before the rule refused complex
+@example("minmax_value", np.array([1 + 0j]))
+@example("WeightSequence", [[np.complex128(1.0), 0.0]])
 def test_every_array_entry_point_applies_the_same_array_rule(name, value):
     entry = ENTRIES[name]
     message = _refusal(entry, value)
@@ -186,3 +193,16 @@ def test_every_array_entry_point_takes_a_float_array_as_its_list(name):
     bad.flat[-1] = np.nan
     with pytest.raises(ValueError, match=f"^{entry.what} must be a finite number in "):
         entry.call(bad)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_every_array_entry_point_refuses_a_complex_array_before_the_cast(name):
+    entry = ENTRIES[name]
+    shape = tuple(2 if isinstance(k, str) else k for k in entry.shape)
+    numbers = "a list of numbers" if len(shape) == 1 else "rows of numbers"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # numpy's ComplexWarning would show a cast
+        with pytest.raises(ValueError) as e:
+            entry.call(np.full(shape, 0.5 + 0j))
+    assert str(e.value) == f"{entry.what} must be {numbers}", name
+    assert not caught, name

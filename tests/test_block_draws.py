@@ -1,7 +1,8 @@
 """Block draws against the scalar loops they replaced, bit for bit.
 
 The seeded generators take a fixed-size block of uniforms in one
-``SeededRng.uniform_array`` / ``random_array`` call. The references below
+``SeededRng.uniform_array`` / ``random_array`` call, and of bounded ints
+in one ``randrange_array`` call. The references below
 are the per-element loops they replaced, kept here as the specification:
 over a sweep of seeds and shapes (empty, single-element and degenerate
 ranges included) both must give the same float bits and leave the stream
@@ -19,10 +20,12 @@ from regretlab.instances import (
     GkpStatic,
     Graph,
     gen_random_gkp,
+    gen_onehot_weights,
     gen_random_graph,
     gen_uniform_weights,
     random_gkp_rounds,
 )
+from regretlab.reductions import _TARGET_BLOCK, GapConfig, gap_solver
 from regretlab.rng import SeededRng
 
 SEEDS = range(40)
@@ -42,6 +45,13 @@ def ref_uniform_rows(n, T, W, rng):
     for t in range(T):
         for i in range(n):
             rows[t, i] = rng.uniform(0.0, W)
+    return rows
+
+
+def ref_onehot_rows(n, T, rng):
+    rows = np.zeros((T, n))
+    for t in range(T):
+        rows[t, rng.randrange(n)] = 1.0
     return rows
 
 
@@ -117,6 +127,41 @@ def test_uniform_weights_match_the_element_loop(n, T, W):
         want = ref_uniform_rows(n, T, W, b)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert same_state(a, b)
+
+
+@pytest.mark.parametrize("n, T", [(1, 0), (4, 0), (1, 1), (1, 7), (5, 3), (20, 300)])
+def test_onehot_weights_match_the_row_loop(n, T):
+    for seed in SEEDS:
+        a, b = pair(seed)
+        got = gen_onehot_weights(n, T, a).rows
+        want = ref_onehot_rows(n, T, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert same_state(a, b)
+
+
+class _WholeSet:
+    """A learner that always plays every vertex: never a Yes, so a gap run
+    goes the whole horizon."""
+
+    def __init__(self, n):
+        self.mask = (1 << n) - 1
+
+    def play(self):
+        return self.mask
+
+    def observe_vertex(self, u, cost):
+        pass
+
+
+@pytest.mark.parametrize("T", [0, 1, _TARGET_BLOCK, _TARGET_BLOCK + 3])
+def test_gap_targets_match_the_round_loop_across_blocks(T):
+    g = Graph(5, ((0, 1), (2, 3)))
+    a, b = pair(3)
+    # A = 0 leaves the horizon unbounded, so T_override sets it
+    result = gap_solver(g, GapConfig(A=0.0, B=0.4, T_override=T), _WholeSet(g.n), a)
+    assert result.T == T and result.trace.T == T
+    assert result.targets == tuple(b.randrange(g.n) for _ in range(T))
+    assert same_state(a, b)
 
 
 @pytest.mark.parametrize("n, m", [(1, 0), (1, 1), (3, 0), (3, 5), (8, 9)])

@@ -5,9 +5,9 @@ is_vertex_cover and gftpl_run's oracle path all read a set of indices
 through traces.checked_mask. On any member list they must refuse the same
 inputs, for the same member, and on an accepted list give what they give
 for the plain-int frozenset of its members. The integer parameters
-(PathChain's stage count and stage, SeededRng.randrange and random_array,
-is_three_colorable's colour count) read one integer through
-traces.checked_int and refuse anything else with its message.
+(PathChain's stage count and stage, SeededRng.randrange, randrange_array
+and random_array, is_three_colorable's colour count) read one integer
+through traces.checked_int and refuse anything else with its message.
 """
 
 import numpy as np
@@ -103,6 +103,8 @@ INT_PARAMS = {
     "PathChain.arc_index": ("stage", lambda x: PathChain(2).arc_index(x, "t")),
     "SeededRng.randrange": ("n", lambda x: SeededRng(1).randrange(x)),
     "SeededRng.random_array": ("k", lambda x: SeededRng(1).random_array(x)),
+    "SeededRng.randrange_array.n": ("n", lambda x: SeededRng(1).randrange_array(x, 3)),
+    "SeededRng.randrange_array.k": ("k", lambda x: SeededRng(1).randrange_array(3, x)),
     "is_three_colorable": ("n_colors", lambda x: is_three_colorable(PATH, n_colors=x)),
 }
 

@@ -582,6 +582,32 @@ def test_ogd_run_costs_are_the_one_round_rule_bitwise():
     assert empty > 100 and neg_zero > 100  # both cases are reached
 
 
+def test_ogd_run_costs_are_the_one_round_rule_bitwise_past_64_vertices():
+    # the same rule on masks wider than a machine word, where the played
+    # cover is read from the iterate block (entries >= 1/2), not the mask
+    rng = SeededRng(611)
+    zeros = neg_zero = 0
+    for n in (65, 72, 130):
+        for p in (0.0, 0.03, 0.2):
+            g = gen_random_graph(n, p, rng)
+            # mostly signed zeros, so that many covers' maxima are zeros
+            rows = [[rng.random() if rng.randrange(60) == 0 else (0.0, -0.0)[rng.randrange(2)] for _ in range(n)]
+                    for _ in range(20)]
+            seq = WeightSequence(n, rows)
+            tr = ogd_run(g, seq, compute_benchmark=False)
+            learner = OgdVcLearner(g)
+            int_costs = []
+            for w in seq.rows:
+                members = [v for v in range(n) if learner.play() >> v & 1]
+                int_costs.append(float(w[members].max()) if members else 0.0)
+                learner.observe(w, 0.0)
+            assert np.array(tr.values).tobytes() == np.array(int_costs).tobytes(), (n, p)
+            assert max(tr.masks).bit_length() > 64 or p == 0.0
+            zeros += tr.values.count(0.0)
+            neg_zero += sum(np.signbit(c) for c in tr.values)
+    assert neg_zero > 20 and zeros - neg_zero > 20  # both signs are reached
+
+
 def test_ogd_plays_are_covers_and_ratio_is_exact():
     rng = SeededRng(600)
     for _ in range(5):

@@ -151,3 +151,36 @@ def test_rejects_bad_arguments():
         r.uniform(2.0, 1.0)
     with pytest.raises(ValueError):
         r.random_array(-1)
+
+
+def test_randrange_refuses_a_bound_above_2_64_at_once():
+    # the rejection limit 2**64 - 2**64 % n is 0 for such n: every draw
+    # would be rejected, and the loop would never return
+    r = SeededRng(1)
+    for n in (2**64 + 1, 2**65, 2**70 + 3):
+        with pytest.raises(ValueError, match=r"1 <= n <= 2\*\*64"):
+            r.randrange(n)
+        with pytest.raises(ValueError, match=r"1 <= n <= 2\*\*64"):
+            r.randrange_array(n, 3)
+        with pytest.raises(ValueError, match=r"1 <= n <= 2\*\*64"):
+            r.randrange_array(n, 0)
+    assert r._state == SeededRng(1)._state  # nothing was drawn
+
+
+def test_randrange_takes_2_64_as_the_whole_output():
+    a, b = SeededRng(7), SeededRng(7)
+    assert [a.randrange(2**64) for _ in range(5)] == [b.next_u64() for _ in range(5)]
+    assert a.randrange_array(2**64, 5) == [b.next_u64() for _ in range(5)]
+
+
+def test_randrange_array_rejection_fallback_runs_mid_block():
+    # at n = 2**63 + 1 the limit is 2**63 + 1 itself, so a block of 40
+    # draws meets a rejection within its first few draws
+    limit = 2**63 + 1
+    for seed in range(20):
+        probe = SeededRng(seed)
+        first_rejected = next(i for i in range(64) if probe.next_u64() >= limit)
+        a, b = SeededRng(seed), SeededRng(seed)
+        assert a.randrange_array(limit, 40) == [b.randrange(limit) for _ in range(40)]
+        assert a._state == b._state
+        assert first_rejected < 40
