@@ -1,11 +1,11 @@
 """Block draws against the scalar loops they replaced, bit for bit.
 
 The seeded generators take a fixed-size block of uniforms in one
-``SeededRng.uniform_array`` / ``random_array`` call, and of bounded ints
-in one ``randrange_array`` call. The references below
-are the per-element loops they replaced, kept here as the specification:
+``SeededRng.uniform_array`` / ``random_array`` call, and a block of
+bounded ints in one ``randrange_array`` call. The references below are
+the per-element loops they replaced, kept here as the specification:
 over a sweep of seeds and shapes (empty, single-element and degenerate
-ranges included) both must give the same float bits and leave the stream
+ranges included) both must give the same bits and leave the stream
 in the same state.
 """
 
@@ -19,8 +19,8 @@ from regretlab.instances import (
     GkpRound,
     GkpStatic,
     Graph,
-    gen_random_gkp,
     gen_onehot_weights,
+    gen_random_gkp,
     gen_random_graph,
     gen_uniform_weights,
     random_gkp_rounds,
